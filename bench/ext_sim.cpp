@@ -1,23 +1,27 @@
 // Simulator hot-path snapshot: cold DC latency distribution, warm-start
-// Monte-Carlo-style chain throughput, and batched-AC throughput, each
-// measured against the pre-optimization reference path kept alive as
-// SolverMode::kReference -- the baseline is recorded in the same run, on
-// the same machine, so the speedups in BENCH_sim.json are self-contained.
+// Monte-Carlo-style chain throughput, batched-AC throughput and the slew
+// transient, each measured against the pre-optimization reference path
+// kept alive as SolverMode::kReference -- the baseline is recorded in the
+// same run, on the same machine, so the speedups in BENCH_sim.json are
+// self-contained.
 //
 // Writes BENCH_sim.json under examples/out/ with:
 //   * cold Newton p50/p99 single-solve latency and iters/sec (fast & ref),
 //   * warm-chain points/sec vs per-point cold reference (sweep throughput),
 //   * AC (frequency, excitation) points/sec, batched fast vs one-at-a-time
 //     reference,
-//   * heap allocation counts per AC point and per warm solve vs reference.
+//   * heap allocation counts per AC point and per warm solve vs reference,
+//   * slew-transient steps/sec, Newton iterations, device evaluations per
+//     step and Newton unknowns, folded fast vs full-MNA reference.
 //
 // Acceptance gates (exit 1 on violation):
 //   * AC batch throughput   >= 2.0x the reference path,
 //   * warm sweep throughput >= 1.5x the per-point cold reference,
 //   * fast-path allocations <= 50% of the reference per AC point and per
 //     warm solve,
-//   * fast Newton iters/sec >= 0.9x the reference (the batched device
-//     evaluation must not regress per-iteration cost).
+//   * fast Newton iters/sec >= 0.9x the reference (device evaluation
+//     must not regress per-iteration cost),
+//   * transient steps/sec   >= 1.5x the reference.
 //
 // CI runs a short-budget pass: ext_sim --sim-reps=30 --benchmark_filter=none.
 #include <benchmark/benchmark.h>
@@ -102,12 +106,15 @@ int gSimReps = 60;  // Repetition budget; CI passes a smaller one.
   return gAllocCount.load(std::memory_order_relaxed);
 }
 
-/// The workload circuit: the folded-cascode verification testbench
+/// The workload circuits: the folded-cascode verification testbench
 /// (11 transistors, feedback network, differential excitation) -- the exact
-/// netlist the verification tier hammers in production.
+/// netlist the verification tier hammers in production -- and the same
+/// amplifier's slew testbench, whose transient dominates a synthesis job.
 struct Workload {
   std::unique_ptr<device::MosModel> model = device::MosModel::create("ekv");
   circuit::Circuit testbench;
+  circuit::Circuit slewbench;
+  sizing::VerifyOptions verify;
   Workload() {
     const tech::Technology& t = technology();
     sizing::OtaSizer sizer(t, *model);
@@ -115,6 +122,9 @@ struct Workload {
         sizer.size(sizing::OtaSpecs{}, sizing::SizingPolicy::case2());
     sizing::OtaVerifier v(t, *model);
     testbench = v.buildAcTestbench(sized.design, nullptr, 1.0, 0.0, 0.0);
+    slewbench = sizing::buildAmpSlewTestbench(
+        [&](circuit::Circuit& c) { circuit::instantiateOta(c, sized.design); },
+        sized.design.inputCm, nullptr, verify);
   }
   [[nodiscard]] static const tech::Technology& technology() {
     static const tech::Technology t = tech::Technology::generic060();
@@ -331,8 +341,51 @@ AcSample runAcBatch(const Workload& w) {
   return s;
 }
 
+struct TranSample {
+  struct Side {
+    double stepsPerSec = 0.0;
+    double itersPerStep = 0.0;
+    double evalsPerStep = 0.0;
+    long unknowns = 0;
+  };
+  int steps = 0;
+  Side fast, ref;
+  double speedup = 0.0;
+};
+
+/// The verification tier's slew transient (1000 fixed steps), timed whole
+/// -- DC start point included -- per solver mode.
+TranSample runTransient(const Workload& w) {
+  TranSample s;
+  const int reps = std::max(gSimReps / 10, 3);
+  const auto side = [&](sim::SolverMode mode) {
+    TranSample::Side out;
+    double sec = 0.0;
+    sim::SimStats stats;
+    for (int rep = 0; rep < reps; ++rep) {
+      sim::Simulator sim(w.slewbench, Workload::technology(), *w.model, w.options(mode));
+      const auto t0 = Clock::now();
+      const auto tran = sim.transient(w.verify.tranStop, w.verify.tranStep);
+      sec += secondsSince(t0);
+      benchmark::DoNotOptimize(tran.back().nodeV.data());
+      stats = sim.stats();
+    }
+    const double steps = static_cast<double>(stats.tranSteps);
+    s.steps = static_cast<int>(stats.tranSteps);
+    out.stepsPerSec = sec > 0.0 ? steps * reps / sec : 0.0;
+    out.itersPerStep = stats.tranNewtonIterations / steps;
+    out.evalsPerStep = stats.tranDeviceEvaluations / steps;
+    out.unknowns = stats.tranUnknowns;
+    return out;
+  };
+  s.fast = side(sim::SolverMode::kFast);
+  s.ref = side(sim::SolverMode::kReference);
+  s.speedup = s.ref.stepsPerSec > 0.0 ? s.fast.stepsPerSec / s.ref.stepsPerSec : 0.0;
+  return s;
+}
+
 std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample& ac,
-                   int failures) {
+                   const TranSample& tran, int failures) {
   std::ostringstream out;
   out.precision(10);
   out << "{\n  \"bench\": \"ext_sim\",\n  \"reps\": " << gSimReps
@@ -356,8 +409,19 @@ std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample&
       << ", \"solver_allocs_per_point_fast\": " << ac.allocsPerPointFast
       << ", \"solver_allocs_per_point_ref\": " << ac.allocsPerPointRef
       << ", \"alloc_ratio\": " << ac.allocRatio
+      << "},\n  \"tran\": {\"steps\": " << tran.steps
+      << ", \"steps_per_sec_fast\": " << tran.fast.stepsPerSec
+      << ", \"steps_per_sec_ref\": " << tran.ref.stepsPerSec
+      << ", \"speedup\": " << tran.speedup
+      << ", \"newton_iters_per_step_fast\": " << tran.fast.itersPerStep
+      << ", \"newton_iters_per_step_ref\": " << tran.ref.itersPerStep
+      << ", \"device_evals_per_step_fast\": " << tran.fast.evalsPerStep
+      << ", \"device_evals_per_step_ref\": " << tran.ref.evalsPerStep
+      << ", \"unknowns_fast\": " << tran.fast.unknowns
+      << ", \"unknowns_ref\": " << tran.ref.unknowns
       << "},\n  \"gates\": {\"ac_speedup_min\": 2.0, \"sweep_speedup_min\": 1.5,"
-      << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9, \"pass\": "
+      << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9,"
+      << " \"tran_speedup_min\": 1.5, \"pass\": "
       << (failures == 0 ? "true" : "false") << "}\n}\n";
   return out.str();
 }
@@ -367,6 +431,7 @@ int runSnapshot() {
   const DcSample dc = runColdDc(w);
   const SweepSample sweep = runWarmSweep(w);
   const AcSample ac = runAcBatch(w);
+  const TranSample tran = runTransient(w);
 
   std::printf("\n=== ext_sim: simulator hot-path snapshot (%d reps) ===\n", gSimReps);
   std::printf("cold DC    p50=%.3f ms  p99=%.3f ms  iters/s fast=%.3g ref=%.3g (%.2fx)\n",
@@ -380,6 +445,12 @@ int runSnapshot() {
               "  speedup=%.2fx  solver allocs/pt fast=%.2f ref=%.2f (%.2fx)\n",
               ac.freqPoints, ac.excitations, ac.fastPointsPerSec, ac.refPointsPerSec,
               ac.speedup, ac.allocsPerPointFast, ac.allocsPerPointRef, ac.allocRatio);
+  std::printf("transient  %d steps  fast=%.3g steps/s ref=%.3g steps/s  speedup=%.2fx"
+              "  iters/step fast=%.2f ref=%.2f  evals/step fast=%.1f ref=%.1f"
+              "  unknowns fast=%ld ref=%ld\n",
+              tran.steps, tran.fast.stepsPerSec, tran.ref.stepsPerSec, tran.speedup,
+              tran.fast.itersPerStep, tran.ref.itersPerStep, tran.fast.evalsPerStep,
+              tran.ref.evalsPerStep, tran.fast.unknowns, tran.ref.unknowns);
 
   int failures = 0;
   if (ac.speedup < 2.0) {
@@ -404,6 +475,10 @@ int runSnapshot() {
                 dc.itersRatio);
     ++failures;
   }
+  if (tran.speedup < 1.5) {
+    std::printf("ACCEPTANCE FAIL: transient speedup %.2fx < 1.5x\n", tran.speedup);
+    ++failures;
+  }
   if (sweep.warmHits < sweep.trials) {
     std::printf("ACCEPTANCE FAIL: only %ld/%d warm-start hits\n", sweep.warmHits,
                 sweep.trials);
@@ -411,11 +486,11 @@ int runSnapshot() {
   }
   if (failures == 0) {
     std::printf("acceptance: AC >= 2x, sweep >= 1.5x, allocs <= 50%%, "
-                "iters/sec >= 0.9x -- all gates hold\n");
+                "iters/sec >= 0.9x, transient >= 1.5x -- all gates hold\n");
   }
 
   const std::string path = layout::outputPath("BENCH_sim.json");
-  layout::writeFile(path, toJson(dc, sweep, ac, failures));
+  layout::writeFile(path, toJson(dc, sweep, ac, tran, failures));
   std::printf("wrote %s\n", path.c_str());
   return failures;
 }

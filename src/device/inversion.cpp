@@ -36,7 +36,11 @@ double vgsForCurrent(const MosModel& model, const tech::MosModelCard& card,
   for (int i = 0; i < 80; ++i) {
     const double mid = 0.5 * (lo + hi);
     const double id = std::abs(model.currentNormalized(card, geo, mid, vds, vbs, tempK));
-    (id < targetId ? lo : hi) = mid;
+    double& side = id < targetId ? lo : hi;
+    // Bracket at double resolution (~55 steps): every later step would
+    // repeat this one exactly, so stopping leaves the result unchanged.
+    if (side == mid) break;
+    side = mid;
   }
   return 0.5 * (lo + hi);
 }

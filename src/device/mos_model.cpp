@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "tech/units.hpp"
 
@@ -12,12 +11,28 @@ namespace lo::device {
 
 namespace {
 
+/// Partial derivatives with respect to the normalised (vgs, vds, vbs).
+struct Grad {
+  double g = 0.0, d = 0.0, b = 0.0;
+};
+Grad operator+(Grad x, Grad y) { return {x.g + y.g, x.d + y.d, x.b + y.b}; }
+Grad operator-(Grad x, Grad y) { return {x.g - y.g, x.d - y.d, x.b - y.b}; }
+Grad operator*(double k, Grad x) { return {k * x.g, k * x.d, k * x.b}; }
+
+/// A value with its slope along its one argument.
+struct Slope {
+  double v = 0.0;
+  double dv = 0.0;
+};
+
 /// Softplus with scale `a`: smooth max(x, 0) that tends to x for x >> a.
-double softplus(double x, double a) {
+/// The slope d/dx is the logistic function of x / a.
+Slope softplus(double x, double a) {
   const double r = x / a;
-  if (r > 40.0) return x;
-  if (r < -40.0) return 0.0;
-  return a * std::log1p(std::exp(r));
+  if (r > 40.0) return {x, 1.0};
+  if (r < -40.0) return {0.0, 0.0};
+  const double e = std::exp(r);
+  return {a * std::log1p(e), e / (1.0 + e)};
 }
 
 /// Junction capacitance with reverse bias `vr` (>= 0 reverse); clamps the
@@ -33,59 +48,36 @@ double junctionCap(double c0, double vr, double pb, double m) {
 // Base class: symmetry handling, derivatives, capacitances, noise.
 // ---------------------------------------------------------------------------
 
+MosConductance MosModel::normalizedCurrent(const tech::MosModelCard& card,
+                                          const MosGeometry& geo, double vgs, double vds,
+                                          double vbs, double tempK) const {
+  if (vds >= 0.0) return forwardCurrent(card, geo, vgs, vds, vbs, tempK);
+  // Source/drain symmetry: with vds < 0 the drain acts as the source, so
+  // i(vgs, vds, vbs) = -f(vgs - vds, -vds, vbs - vds) and the chain rule
+  // folds every forward partial into d/dvds.
+  const MosConductance f = forwardCurrent(card, geo, vgs - vds, -vds, vbs - vds, tempK);
+  return {-f.id, -f.gm, f.gm + f.gds + f.gmb, -f.gmb};
+}
+
 double MosModel::currentNormalized(const tech::MosModelCard& card, const MosGeometry& geo,
                                    double vgs, double vds, double vbs, double tempK) const {
-  if (vds >= 0.0) return forwardCurrent(card, geo, vgs, vds, vbs, tempK);
-  // Source/drain symmetry: with vds < 0 the drain acts as the source.
-  return -forwardCurrent(card, geo, vgs - vds, -vds, vbs - vds, tempK);
-}
-
-void MosModel::forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                                   const double* vgs, const double* vds, const double* vbs,
-                                   double* idOut, std::size_t n, double tempK) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    idOut[i] = forwardCurrent(card, geo, vgs[i], vds[i], vbs[i], tempK);
-  }
-}
-
-void MosModel::currentNormalizedBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                                      const double* vgs, const double* vds, const double* vbs,
-                                      double* idOut, std::size_t n, double tempK) const {
-  // Derivative stencils are 7 points, so the common case stays on the stack.
-  constexpr std::size_t kStack = 8;
-  double sg[kStack], sd[kStack], sb[kStack];
-  std::vector<double> heap;
-  double* fg = sg;
-  double* fd = sd;
-  double* fb = sb;
-  if (n > kStack) {
-    heap.resize(3 * n);
-    fg = heap.data();
-    fd = fg + n;
-    fb = fd + n;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (vds[i] >= 0.0) {
-      fg[i] = vgs[i];
-      fd[i] = vds[i];
-      fb[i] = vbs[i];
-    } else {
-      // Source/drain symmetry, exactly as the scalar currentNormalized.
-      fg[i] = vgs[i] - vds[i];
-      fd[i] = -vds[i];
-      fb[i] = vbs[i] - vds[i];
-    }
-  }
-  forwardCurrentBatch(card, geo, fg, fd, fb, idOut, n, tempK);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (vds[i] < 0.0) idOut[i] = -idOut[i];
-  }
+  return normalizedCurrent(card, geo, vgs, vds, vbs, tempK).id;
 }
 
 double MosModel::drainCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
                               double vgs, double vds, double vbs, double tempK) const {
   const double p = card.polarity();
   return p * currentNormalized(card, geo, p * vgs, p * vds, p * vbs, tempK);
+}
+
+MosConductance MosModel::conductances(const tech::MosModelCard& card, const MosGeometry& geo,
+                                      double vgs, double vds, double vbs,
+                                      double tempK) const {
+  const double p = card.polarity();
+  const MosConductance n = normalizedCurrent(card, geo, p * vgs, p * vds, p * vbs, tempK);
+  // The magnitudes are polarity independent.  Clamp to the conductance
+  // floor the Newton stamps rely on (gds > 0 keeps every drain node tied).
+  return {p * n.id, std::max(n.gm, 0.0), std::max(n.gds, 1e-15), std::max(n.gmb, 0.0)};
 }
 
 MosOpPoint MosModel::evaluate(const tech::MosModelCard& card, const MosGeometry& geo,
@@ -97,27 +89,11 @@ MosOpPoint MosModel::evaluate(const tech::MosModelCard& card, const MosGeometry&
   op.vgs = vgs;
   op.vds = vds;
   op.vbs = vbs;
-
-  // Value plus central-difference stencil in one batch: one pass through
-  // the model with the card invariants hoisted, instead of seven scalar
-  // calls.  Each point is bit-identical to the scalar evaluation.
-  const double h = 1e-6;
-  const double vg7[7] = {nvgs, nvgs + h, nvgs - h, nvgs, nvgs, nvgs, nvgs};
-  const double vd7[7] = {nvds, nvds, nvds, nvds + h, nvds - h, nvds, nvds};
-  const double vb7[7] = {nvbs, nvbs, nvbs, nvbs, nvbs, nvbs + h, nvbs - h};
-  double id7[7];
-  currentNormalizedBatch(card, geo, vg7, vd7, vb7, id7, 7, tempK);
-  op.id = p * id7[0];
-
-  // Conductances by central differences on the normalised current; the
-  // magnitudes are polarity independent.
-  op.gm = (id7[1] - id7[2]) / (2 * h);
-  op.gds = (id7[3] - id7[4]) / (2 * h);
-  op.gmb = (id7[5] - id7[6]) / (2 * h);
-  // Numerical noise floor: clamp tiny negatives from differencing.
-  op.gm = std::max(op.gm, 0.0);
-  op.gds = std::max(op.gds, 1e-15);
-  op.gmb = std::max(op.gmb, 0.0);
+  const MosConductance g = conductances(card, geo, vgs, vds, vbs, tempK);
+  op.id = g.id;
+  op.gm = g.gm;
+  op.gds = g.gds;
+  op.gmb = g.gmb;
 
   const double vthN = threshold(card, std::min(nvbs, card.phi - 0.05));
   op.vth = p * vthN;
@@ -199,70 +175,92 @@ double Level1Model::saturationVoltage(const tech::MosModelCard& card, double vgs
                                       double vbs, double tempK) const {
   const double vt = kBoltzmann * tempK / kElectronCharge;
   const double veff = vgs - threshold(card, vbs);
-  return softplus(veff, card.slopeFactor * vt);
+  return softplus(veff, card.slopeFactor * vt).v;
 }
 
-double Level1Model::forwardCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                                   double vgs, double vds, double vbs,
-                                   double tempK) const {
+MosConductance Level1Model::forwardCurrent(const tech::MosModelCard& card,
+                                           const MosGeometry& geo, double vgs, double vds,
+                                           double vbs, double tempK) const {
   const double vt = kBoltzmann * tempK / kElectronCharge;
   const double nvt = card.slopeFactor * vt;
   const double phiEff = std::max(card.phi - vbs, 0.05);
   const double vth = card.vtoAt(tempK) +
                      card.gamma * (std::sqrt(phiEff) - std::sqrt(card.phi));
   const double veff = vgs - vth;
+  // Body effect d veff / d vbs (zero once phiEff sits on its clamp).
+  const double dVeffDvbs =
+      card.phi - vbs > 0.05 ? card.gamma / (2.0 * std::sqrt(phiEff)) : 0.0;
   // Smooth gate drive: equals veff in strong inversion, exponential below
   // threshold, keeping Newton iterations well conditioned near cutoff.
-  const double q = softplus(veff, nvt);
+  const Slope q = softplus(veff, nvt);
   const double leff = card.leff(geo.l);
-  const double beta = card.kpAt(tempK) / (1.0 + card.theta * q) * geo.w / leff;
+  const double beta = card.kpAt(tempK) / (1.0 + card.theta * q.v) * geo.w / leff;
+  const double dBetaDq = -beta * card.theta / (1.0 + card.theta * q.v);
   // Smooth triode-to-saturation transition through an effective vds that
   // saturates at q (k = 6 keeps the error near the knee around 1%).
-  const double ratio = vds / std::max(q, 1e-9);
-  const double vdse = vds / std::pow(1.0 + std::pow(ratio, 6.0), 1.0 / 6.0);
+  const double qFloor = std::max(q.v, 1e-9);
+  const double ratio = vds / qFloor;
+  const double s = 1.0 + std::pow(ratio, 6.0);
+  const double root = std::pow(s, 1.0 / 6.0);
+  const double vdse = vds / root;
+  const double ratio2 = ratio * ratio;
+  const double dVdseDratio = -vds * ratio2 * ratio2 * ratio / (s * root);
+  const double dVdseDq = q.v > 1e-9 ? dVdseDratio * (-ratio / qFloor) : 0.0;
+  const double dVdseDvds = 1.0 / root + dVdseDratio / qFloor;
   const double va = card.earlyPerMeter * leff;
-  return beta * (q - 0.5 * vdse) * vdse * (1.0 + vds / va);
-}
+  const double clm = 1.0 + vds / va;
+  const double core = (q.v - 0.5 * vdse) * vdse;
 
-void Level1Model::forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                                      const double* vgs, const double* vds, const double* vbs,
-                                      double* idOut, std::size_t n, double tempK) const {
-  // Every bias-independent term of forwardCurrent hoisted out of the loop;
-  // the per-point operation order is unchanged, so each result is
-  // bit-identical to the scalar path.
-  const double vt = kBoltzmann * tempK / kElectronCharge;
-  const double nvt = card.slopeFactor * vt;
-  const double vtoT = card.vtoAt(tempK);
-  const double sqrtPhi = std::sqrt(card.phi);
-  const double kpT = card.kpAt(tempK);
-  const double leff = card.leff(geo.l);
-  const double va = card.earlyPerMeter * leff;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double phiEff = std::max(card.phi - vbs[i], 0.05);
-    const double vth = vtoT + card.gamma * (std::sqrt(phiEff) - sqrtPhi);
-    const double veff = vgs[i] - vth;
-    const double q = softplus(veff, nvt);
-    const double beta = kpT / (1.0 + card.theta * q) * geo.w / leff;
-    const double ratio = vds[i] / std::max(q, 1e-9);
-    const double vdse = vds[i] / std::pow(1.0 + std::pow(ratio, 6.0), 1.0 / 6.0);
-    idOut[i] = beta * (q - 0.5 * vdse) * vdse * (1.0 + vds[i] / va);
-  }
+  MosConductance out;
+  // Written out in the value's original operation order, so id keeps its bits.
+  out.id = beta * (q.v - 0.5 * vdse) * vdse * (1.0 + vds / va);
+  const double dIdq = (dBetaDq * core + beta * (vdse + (q.v - vdse) * dVdseDq)) * clm;
+  const double dIdVeff = dIdq * q.dv;
+  out.gm = dIdVeff;
+  out.gds = beta * (q.v - vdse) * dVdseDvds * clm + beta * core / va;
+  out.gmb = dIdVeff * dVeffDvbs;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // EKV.
 // ---------------------------------------------------------------------------
 
-double EkvModel::pinchOff(const tech::MosModelCard& card, double vg) {
+namespace {
+
+/// Pinch-off voltage with its slope d vp / d vg.
+Slope pinchOffSlope(const tech::MosModelCard& card, double vg) {
   const double sqrtPhi = std::sqrt(card.phi);
   const double vgp = vg - card.vto + card.phi + card.gamma * sqrtPhi;
-  if (vgp <= 0.0) return -card.phi;
+  if (vgp <= 0.0) return {-card.phi, 0.0};
   const double half = card.gamma / 2.0;
-  return vgp - card.phi - card.gamma * (std::sqrt(vgp + half * half) - half);
+  const double root = std::sqrt(vgp + half * half);
+  return {vgp - card.phi - card.gamma * (root - half), 1.0 - card.gamma / (2.0 * root)};
+}
+
+/// Slope factor with its slope d n / d vp.
+Slope slopeFactorSlope(const tech::MosModelCard& card, double vp) {
+  const double arg = std::max(card.phi + vp, 0.1);
+  const double root = std::sqrt(arg);
+  return {1.0 + card.gamma / (2.0 * root),
+          card.phi + vp > 0.1 ? -card.gamma / (4.0 * root * arg) : 0.0};
+}
+
+/// l(v) = ln(1 + exp(v / 2)) with its slope: the EKV interpolation
+/// function is F(v) = l^2, so sqrt(F) = l and dF/dv = 2 l dl/dv.
+Slope ekvRoot(double v) {
+  const Slope l = softplus(v / 2.0, 1.0);
+  return {l.v, 0.5 * l.dv};
+}
+
+}  // namespace
+
+double EkvModel::pinchOff(const tech::MosModelCard& card, double vg) {
+  return pinchOffSlope(card, vg).v;
 }
 
 double EkvModel::slopeFactorAt(const tech::MosModelCard& card, double vp) {
-  return 1.0 + card.gamma / (2.0 * std::sqrt(std::max(card.phi + vp, 0.1)));
+  return slopeFactorSlope(card, vp).v;
 }
 
 double EkvModel::threshold(const tech::MosModelCard& card, double vbs) const {
@@ -270,81 +268,58 @@ double EkvModel::threshold(const tech::MosModelCard& card, double vbs) const {
   return card.vto + card.gamma * (std::sqrt(phiEff) - std::sqrt(card.phi));
 }
 
-namespace {
-/// EKV interpolation function F(v) = ln^2(1 + exp(v / 2)).
-double ekvF(double v) {
-  const double l = softplus(v / 2.0, 1.0);
-  return l * l;
-}
-}  // namespace
-
 double EkvModel::saturationVoltage(const tech::MosModelCard& card, double vgs,
                                    double vbs, double tempK) const {
   const double vt = kBoltzmann * tempK / kElectronCharge;
   const double vg = vgs - vbs;
   const double vs = -vbs;
   const double vp = pinchOff(card, vg);
-  const double iff = ekvF((vp - vs) / vt);
+  const double lf = ekvRoot((vp - vs) / vt).v;
+  const double iff = lf * lf;
   return vt * (2.0 * std::sqrt(iff) + 4.0);
 }
 
-double EkvModel::forwardCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                                double vgs, double vds, double vbs,
-                                double tempK) const {
+MosConductance EkvModel::forwardCurrent(const tech::MosModelCard& card,
+                                        const MosGeometry& geo, double vgs, double vds,
+                                        double vbs, double tempK) const {
   const double vt = kBoltzmann * tempK / kElectronCharge;
   // Bulk-referenced node voltages; the pinch-off uses the temperature-
-  // shifted threshold.
+  // shifted threshold.  Each carries its gradient in (vgs, vds, vbs).
   const double vg = vgs - vbs + (card.vto - card.vtoAt(tempK));
   const double vs = -vbs;
   const double vd = vds - vbs;
+  const Grad gVs{0.0, 0.0, -1.0};
+  const Grad gVd{0.0, 1.0, -1.0};
 
-  const double vp = pinchOff(card, vg);
-  const double n = slopeFactorAt(card, vp);
+  const Slope vp = pinchOffSlope(card, vg);
+  const Grad gVp{vp.dv, 0.0, -vp.dv};
+  const Slope n = slopeFactorSlope(card, vp.v);
   const double leff = card.leff(geo.l);
-  const double drive = std::max(vp - vs, 0.0);
+  const double drive = std::max(vp.v - vs, 0.0);
+  const Grad gDrive = vp.v - vs > 0.0 ? gVp - gVs : Grad{};
   const double beta = card.kpAt(tempK) / (1.0 + card.theta * drive) * geo.w / leff;
-  const double ispec = 2.0 * n * beta * vt * vt;
+  const Grad gBeta = (-beta * card.theta / (1.0 + card.theta * drive)) * gDrive;
+  const double ispec = 2.0 * n.v * beta * vt * vt;
+  const Grad gIspec = (2.0 * vt * vt) * ((n.dv * beta) * gVp + n.v * gBeta);
 
-  const double iff = ekvF((vp - vs) / vt);
-  const double irr = ekvF((vp - vd) / vt);
+  const Slope lf = ekvRoot((vp.v - vs) / vt);
+  const Slope lr = ekvRoot((vp.v - vd) / vt);
+  const double iff = lf.v * lf.v;
+  const double irr = lr.v * lr.v;
+  const Grad gLf = (lf.dv / vt) * (gVp - gVs);
+  const Grad gLr = (lr.dv / vt) * (gVp - gVd);
   double id = ispec * (iff - irr);
+  const Grad gId = (iff - irr) * gIspec + (2.0 * ispec) * (lf.v * gLf - lr.v * gLr);
 
   // Channel-length modulation on the saturated excess drain voltage.
   const double vdsat = vt * (2.0 * std::sqrt(iff) + 4.0);
   const double va = card.earlyPerMeter * leff;
-  id *= 1.0 + softplus(vds - vdsat, 2.0 * vt) / va;
-  return id;
-}
-
-void EkvModel::forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                                   const double* vgs, const double* vds, const double* vbs,
-                                   double* idOut, std::size_t n, double tempK) const {
-  // Same hoisting contract as the Level-1 batch: invariants out, per-point
-  // operation order preserved bit-for-bit.
-  const double vt = kBoltzmann * tempK / kElectronCharge;
-  const double dvto = card.vto - card.vtoAt(tempK);
-  const double kpT = card.kpAt(tempK);
-  const double leff = card.leff(geo.l);
-  const double va = card.earlyPerMeter * leff;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double vg = vgs[i] - vbs[i] + dvto;
-    const double vs = -vbs[i];
-    const double vd = vds[i] - vbs[i];
-
-    const double vp = pinchOff(card, vg);
-    const double nf = slopeFactorAt(card, vp);
-    const double drive = std::max(vp - vs, 0.0);
-    const double beta = kpT / (1.0 + card.theta * drive) * geo.w / leff;
-    const double ispec = 2.0 * nf * beta * vt * vt;
-
-    const double iff = ekvF((vp - vs) / vt);
-    const double irr = ekvF((vp - vd) / vt);
-    double id = ispec * (iff - irr);
-
-    const double vdsat = vt * (2.0 * std::sqrt(iff) + 4.0);
-    id *= 1.0 + softplus(vds[i] - vdsat, 2.0 * vt) / va;
-    idOut[i] = id;
-  }
+  const Slope excess = softplus(vds - vdsat, 2.0 * vt);
+  const double clm = 1.0 + excess.v / va;
+  const Grad gClm = (excess.dv / va) * (Grad{0.0, 1.0, 0.0} - (2.0 * vt) * gLf);
+  const Grad g = clm * gId + id * gClm;
+  id *= clm;
+  return {id, g.g, g.d, g.b};
 }
 
 }  // namespace lo::device

@@ -13,7 +13,6 @@
 // by using the same transistor models implemented in the latter."
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string_view>
 
@@ -38,24 +37,23 @@ class MosModel {
                                          const MosGeometry& geo, double vgs, double vds,
                                          double vbs, double tempK) const;
 
-  /// Batched currentNormalized over `n` bias points of one device: applies
-  /// the source/drain symmetry per point, then evaluates the whole block
-  /// through forwardCurrentBatch so bias-independent card terms are hoisted
-  /// out of the inner loop.  Each output is bit-identical to the scalar
-  /// call; evaluate()'s derivative stencil runs through this path.
-  void currentNormalizedBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                              const double* vgs, const double* vds, const double* vbs,
-                              double* idOut, std::size_t n, double tempK) const;
-
   /// Drain terminal current with real polarity: pass actual terminal
   /// voltages; PMOS returns negative current in normal operation.  [A]
   [[nodiscard]] double drainCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
                                     double vgs, double vds, double vbs,
                                     double tempK = 300.15) const;
 
-  /// Full DC + small-signal operating point (conductances by numeric
-  /// differentiation of the current equation, Meyer gate capacitances,
-  /// bias-dependent junction capacitances, thermal + flicker noise PSDs).
+  /// Drain current plus gm/gds/gmb from the analytic derivatives of the
+  /// current equation (actual terminal voltages, as evaluate()).  Exactly
+  /// the id/gm/gds/gmb evaluate() reports, without its capacitances,
+  /// region or noise: what a Newton iteration needs.
+  [[nodiscard]] MosConductance conductances(const tech::MosModelCard& card,
+                                            const MosGeometry& geo, double vgs, double vds,
+                                            double vbs, double tempK = 300.15) const;
+
+  /// Full DC + small-signal operating point (conductances() plus Meyer
+  /// gate capacitances, bias-dependent junction capacitances, thermal +
+  /// flicker noise PSDs).
   [[nodiscard]] MosOpPoint evaluate(const tech::MosModelCard& card, const MosGeometry& geo,
                                     double vgs, double vds, double vbs,
                                     double tempK = 300.15) const;
@@ -74,25 +72,24 @@ class MosModel {
   [[nodiscard]] static std::unique_ptr<MosModel> create(std::string_view name);
 
  protected:
-  /// Forward-mode current (vds >= 0, polarity-normalised).  [A]
-  [[nodiscard]] virtual double forwardCurrent(const tech::MosModelCard& card,
-                                              const MosGeometry& geo, double vgs,
-                                              double vds, double vbs,
-                                              double tempK) const = 0;
-
-  /// Forward-mode current over `n` bias points (all vds >= 0).  The base
-  /// implementation loops forwardCurrent; models override it with a
-  /// branch-light loop that hoists every bias-independent term while
-  /// keeping the per-point operation order identical to the scalar path
-  /// (the batch-vs-scalar property test locks this down bit-for-bit).
-  virtual void forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                                   const double* vgs, const double* vds, const double* vbs,
-                                   double* idOut, std::size_t n, double tempK) const;
+  /// Forward-mode current (vds >= 0, polarity-normalised) [A] with its
+  /// unclamped partial derivatives d/dvgs, d/dvds, d/dvbs [S] in gm, gds,
+  /// gmb, propagated alongside the value (forward-mode differentiation).
+  [[nodiscard]] virtual MosConductance forwardCurrent(const tech::MosModelCard& card,
+                                                      const MosGeometry& geo, double vgs,
+                                                      double vds, double vbs,
+                                                      double tempK) const = 0;
 
   /// Saturation voltage of the normalised device at this bias [V].
   [[nodiscard]] virtual double saturationVoltage(const tech::MosModelCard& card,
                                                  double vgs, double vbs,
                                                  double tempK) const = 0;
+
+ private:
+  /// currentNormalized() with its unclamped partial derivatives.
+  [[nodiscard]] MosConductance normalizedCurrent(const tech::MosModelCard& card,
+                                                 const MosGeometry& geo, double vgs,
+                                                 double vds, double vbs, double tempK) const;
 };
 
 /// SPICE-level-1-class square-law model.
@@ -102,12 +99,9 @@ class Level1Model final : public MosModel {
   [[nodiscard]] double threshold(const tech::MosModelCard& card, double vbs) const override;
 
  protected:
-  [[nodiscard]] double forwardCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                                      double vgs, double vds, double vbs,
-                                      double tempK) const override;
-  void forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                           const double* vgs, const double* vds, const double* vbs,
-                           double* idOut, std::size_t n, double tempK) const override;
+  [[nodiscard]] MosConductance forwardCurrent(const tech::MosModelCard& card,
+                                              const MosGeometry& geo, double vgs, double vds,
+                                              double vbs, double tempK) const override;
   [[nodiscard]] double saturationVoltage(const tech::MosModelCard& card, double vgs,
                                          double vbs, double tempK) const override;
 };
@@ -124,12 +118,9 @@ class EkvModel final : public MosModel {
   [[nodiscard]] static double slopeFactorAt(const tech::MosModelCard& card, double vp);
 
  protected:
-  [[nodiscard]] double forwardCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                                      double vgs, double vds, double vbs,
-                                      double tempK) const override;
-  void forwardCurrentBatch(const tech::MosModelCard& card, const MosGeometry& geo,
-                           const double* vgs, const double* vds, const double* vbs,
-                           double* idOut, std::size_t n, double tempK) const override;
+  [[nodiscard]] MosConductance forwardCurrent(const tech::MosModelCard& card,
+                                              const MosGeometry& geo, double vgs, double vds,
+                                              double vbs, double tempK) const override;
   [[nodiscard]] double saturationVoltage(const tech::MosModelCard& card, double vgs,
                                          double vbs, double tempK) const override;
 };

@@ -47,6 +47,16 @@ enum class MosRegion { kCutoff, kWeak, kTriode, kSaturation };
   return "?";
 }
 
+/// Drain current and its conductances at one bias point: the part of an
+/// operating point a Newton iteration needs.  Same sign conventions as
+/// MosOpPoint (real-polarity `id`, positive-magnitude conductances).
+struct MosConductance {
+  double id = 0.0;   ///< Drain terminal current [A].
+  double gm = 0.0;   ///< d id / d vgs [S].
+  double gds = 0.0;  ///< d id / d vds [S].
+  double gmb = 0.0;  ///< d id / d vbs [S].
+};
+
 /// Complete DC + small-signal operating point of one MOS device.
 /// Sign conventions follow the device polarity: `id` is the current into the
 /// drain terminal (negative for PMOS in normal operation).

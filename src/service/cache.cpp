@@ -17,9 +17,10 @@ namespace lo::service {
 
 namespace {
 
-/// Bumped whenever the canonical text or the stored JSON layout changes,
-/// so stale disk entries miss instead of misparsing.
-constexpr int kCacheSchemaVersion = 3;  // v3: EngineResult carries ConvergenceReport.
+/// Bumped whenever the canonical text, the stored JSON layout or the
+/// numbers a job produces change, so stale disk entries miss instead of
+/// misparsing or serving superseded figures.
+constexpr int kCacheSchemaVersion = 4;  // v4: analytic device derivatives, folded transient.
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -141,6 +142,15 @@ std::string ResultCache::keyFor(const core::EngineOptions& options,
   return hex64(fnv1a(canonicalText(options, specs, corner, techPrint)));
 }
 
+std::optional<std::string> ResultCache::readEntry(const std::string& key) const {
+  if (options_.diskDir.empty()) return std::nullopt;
+  std::ifstream in(std::filesystem::path(options_.diskDir) / (key + ".json"));
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 std::optional<core::EngineResult> ResultCache::lookup(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
@@ -149,64 +159,72 @@ std::optional<core::EngineResult> ResultCache::lookup(const std::string& key) {
     ++stats_.hits;
     return it->second->second;
   }
-  if (!options_.diskDir.empty()) {
-    const std::filesystem::path path =
-        std::filesystem::path(options_.diskDir) / (key + ".json");
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        core::EngineResult result = resultFromJson(Json::parse(text.str()));
-        insertLocked(key, result);
-        ++stats_.hits;
-        ++stats_.diskHits;
-        return result;
-      } catch (const std::exception&) {
-        // Corrupt / truncated / stale entry: treat as a miss and let the
-        // insert overwrite it.  A half-written file from a crashed writer
-        // must never poison the cache.
-        ++stats_.diskCorrupt;
-      }
+  if (const std::optional<std::string> text = readEntry(key)) {
+    try {
+      core::EngineResult result = resultFromJson(Json::parse(*text));
+      insertLocked(key, result);
+      ++stats_.hits;
+      ++stats_.diskHits;
+      return result;
+    } catch (const std::exception&) {
+      // Corrupt / truncated / stale entry: treat as a miss and let the
+      // insert overwrite it.  A half-written file from a crashed writer
+      // must never poison the cache.
+      ++stats_.diskCorrupt;
     }
   }
   ++stats_.misses;
   return std::nullopt;
 }
 
-void ResultCache::insert(const std::string& key, const core::EngineResult& result) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  insertLocked(key, result);
-  if (!options_.diskDir.empty()) {
-    const std::filesystem::path path =
-        std::filesystem::path(options_.diskDir) / (key + ".json");
-    const std::string text = toJson(result).dump() + "\n";
-    if (options_.diskWriteFault && options_.diskWriteFault(key)) {
-      // Injected fault: leave the kind of wreckage a writer that died
-      // mid-write (without the tmp-rename discipline) would -- a truncated
-      // entry at the final path.  lookup() must treat it as a miss.
-      (void)writeDurably(path, text.substr(0, text.size() / 2));
-      ++stats_.diskWriteFailures;
-      return;
-    }
-    // Durable write, then rename: fsync before publishing so a crash
-    // between rename and writeback cannot surface a half file, and a
-    // concurrent reader only ever sees complete entries.
-    const std::filesystem::path tmp = uniqueTmpPath(path);
-    bool ok = writeDurably(tmp, text);
-    std::error_code ec;
-    if (ok) {
-      std::filesystem::rename(tmp, path, ec);
-      ok = !ec;
-    } else {
-      std::filesystem::remove(tmp, ec);
-    }
-    if (ok) {
-      ++stats_.diskWrites;
-    } else {
-      ++stats_.diskWriteFailures;
+std::optional<core::EngineResult> ResultCache::peek(const std::string& key) const {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) return it->second->second;
+  }
+  if (const std::optional<std::string> text = readEntry(key)) {
+    try {
+      return resultFromJson(Json::parse(*text));
+    } catch (const std::exception&) {
+      // Unreadable entry: absent, exactly as lookup() would treat it.
     }
   }
+  return std::nullopt;
+}
+
+bool ResultCache::insert(const std::string& key, const core::EngineResult& result) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  insertLocked(key, result);
+  if (options_.diskDir.empty()) return false;
+  const std::filesystem::path path = std::filesystem::path(options_.diskDir) / (key + ".json");
+  const std::string text = toJson(result).dump() + "\n";
+  if (options_.diskWriteFault && options_.diskWriteFault(key)) {
+    // Injected fault: leave the kind of wreckage a writer that died
+    // mid-write (without the tmp-rename discipline) would -- a truncated
+    // entry at the final path.  lookup() must treat it as a miss.
+    (void)writeDurably(path, text.substr(0, text.size() / 2));
+    ++stats_.diskWriteFailures;
+    return false;
+  }
+  // Durable write, then rename: fsync before publishing so a crash
+  // between rename and writeback cannot surface a half file, and a
+  // concurrent reader only ever sees complete entries.
+  const std::filesystem::path tmp = uniqueTmpPath(path);
+  bool ok = writeDurably(tmp, text);
+  std::error_code ec;
+  if (ok) {
+    std::filesystem::rename(tmp, path, ec);
+    ok = !ec;
+  } else {
+    std::filesystem::remove(tmp, ec);
+  }
+  if (ok) {
+    ++stats_.diskWrites;
+  } else {
+    ++stats_.diskWriteFailures;
+  }
+  return ok;
 }
 
 void ResultCache::insertLocked(const std::string& key,

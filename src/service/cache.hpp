@@ -103,7 +103,15 @@ class ResultCache {
   [[nodiscard]] std::optional<core::EngineResult> lookup(const std::string& key);
 
   /// Insert (or refresh) a result; writes through to disk when configured.
-  void insert(const std::string& key, const core::EngineResult& result);
+  /// Returns true when the entry is durable in the disk store, false for a
+  /// memory-only cache or a failed store write.
+  bool insert(const std::string& key, const core::EngineResult& result);
+
+  /// Read a key from memory, else from the disk store, without touching
+  /// the stats, the LRU order or the memory tier: for re-serving a result
+  /// the caller already counted (JobScheduler's archived jobs).
+  /// std::nullopt when absent or unreadable.
+  [[nodiscard]] std::optional<core::EngineResult> peek(const std::string& key) const;
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -115,6 +123,8 @@ class ResultCache {
   using LruList = std::list<std::pair<std::string, core::EngineResult>>;
 
   void insertLocked(const std::string& key, const core::EngineResult& result);
+  /// The raw text of key's disk entry; std::nullopt without a store or entry.
+  [[nodiscard]] std::optional<std::string> readEntry(const std::string& key) const;
 
   CacheOptions options_;
   mutable std::mutex mutex_;

@@ -392,7 +392,8 @@ void JobScheduler::runJob(const RecordPtr& rec, std::unique_lock<std::mutex>& lo
   core::EngineResult result;
   std::string error;
   bool fromCache = false;
-  std::vector<StageTiming> stages;
+  bool durable = false;  ///< The result reached the disk store.
+  std::vector<std::pair<core::EngineStage, double>> stages;
 
   if (!key.empty()) {
     if (std::optional<core::EngineResult> hit = cache_.lookup(key)) {
@@ -413,7 +414,7 @@ void JobScheduler::runJob(const RecordPtr& rec, std::unique_lock<std::mutex>& lo
     };
     engineOptions.hooks.onStage = [&stages, upstream = request.options.hooks.onStage](
                                       core::EngineStage stage, double seconds) {
-      stages.push_back({core::engineStageName(stage), seconds});
+      stages.emplace_back(stage, seconds);
       if (upstream) upstream(stage, seconds);
     };
 
@@ -458,13 +459,15 @@ void JobScheduler::runJob(const RecordPtr& rec, std::unique_lock<std::mutex>& lo
     }
 
     if (outcome == Outcome::kOk && !key.empty()) {
-      cache_.insert(key, result);  // Disk write-through stays off the lock.
+      durable = cache_.insert(key, result);  // Disk write-through stays off the lock.
     }
   }
 
   lock.lock();
   rec->trace.runSeconds = secondsSince(runStart);
-  rec->trace.stages = std::move(stages);
+  for (const auto& [stage, seconds] : stages) {
+    rec->trace.stages.push_back({core::engineStageName(stage), seconds});
+  }
   rec->cacheHit = fromCache;
   if (outcome == Outcome::kOk) {
     rec->result = result;
@@ -473,6 +476,7 @@ void JobScheduler::runJob(const RecordPtr& rec, std::unique_lock<std::mutex>& lo
       inflight_.erase(key);
       completeWaitersLocked(key, result);
     }
+    if (durable) archiveLocked(*rec, std::move(stages));
   } else {
     if (outcome == Outcome::kAborted) {
       // The engine aborted via the cancellation hook: distinguish an
@@ -609,28 +613,91 @@ JobStatus JobScheduler::snapshotLocked(const JobRecord& rec) const {
   return status;
 }
 
-JobStatus JobScheduler::wait(std::uint64_t id) const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    throw std::invalid_argument("unknown job id " + std::to_string(id));
+void JobScheduler::archiveLocked(const JobRecord& rec,
+                                 std::vector<std::pair<core::EngineStage, double>> stages) {
+  // Copies, not moves: a wait() that already holds this record snapshots
+  // it after the lock is released.
+  ArchivedJob job;
+  job.label = rec.request.label;
+  job.cacheKey = rec.cacheKey;
+  job.error = rec.error;
+  job.queueSeconds = rec.trace.queueSeconds;
+  job.runSeconds = rec.trace.runSeconds;
+  job.stages = std::move(stages);
+  job.state = rec.state;
+  job.cacheHit = rec.cacheHit;
+  job.coalesced = rec.coalesced;
+  job.recovered = rec.recovered;
+  job.attempts = rec.attempts;
+  job.retries = rec.retries;
+  archived_.emplace(rec.id, std::move(job));
+  jobs_.erase(rec.id);
+}
+
+JobStatus JobScheduler::archivedStatus(std::uint64_t id, const ArchivedJob& job) const {
+  JobStatus status;
+  status.id = id;
+  status.label = job.label;
+  status.state = job.state;
+  status.cacheKey = job.cacheKey;
+  status.cacheHit = job.cacheHit;
+  status.coalesced = job.coalesced;
+  status.attempts = job.attempts;
+  status.retries = job.retries;
+  status.error = job.error;
+  status.recovered = job.recovered;
+  status.trace.queueSeconds = job.queueSeconds;
+  status.trace.runSeconds = job.runSeconds;
+  for (const auto& [stage, seconds] : job.stages) {
+    status.trace.stages.push_back({core::engineStageName(stage), seconds});
   }
-  const RecordPtr rec = it->second;
-  doneCv_.wait(lock, [&rec] { return isTerminal(rec->state); });
-  return snapshotLocked(*rec);
+  if (std::optional<core::EngineResult> result = cache_.peek(job.cacheKey)) {
+    status.result = std::move(*result);
+  } else {
+    // The store lost the entry (removed or damaged since the job ran):
+    // say so rather than answer with an empty result.
+    status.state = JobState::kFailed;
+    status.error = "result for cache key " + job.cacheKey + " is no longer in the store";
+  }
+  return status;
+}
+
+JobStatus JobScheduler::wait(std::uint64_t id) const {
+  ArchivedJob archived;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it != jobs_.end()) {
+      const RecordPtr rec = it->second;
+      doneCv_.wait(lock, [&rec] { return isTerminal(rec->state); });
+      return snapshotLocked(*rec);
+    }
+    const auto a = archived_.find(id);
+    if (a == archived_.end()) {
+      throw std::invalid_argument("unknown job id " + std::to_string(id));
+    }
+    archived = a->second;
+  }
+  return archivedStatus(id, archived);
 }
 
 std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  return snapshotLocked(*it->second);
+  ArchivedJob archived;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it != jobs_.end()) return snapshotLocked(*it->second);
+    const auto a = archived_.find(id);
+    if (a == archived_.end()) return std::nullopt;
+    archived = a->second;
+  }
+  return archivedStatus(id, archived);
 }
 
 bool JobScheduler::cancel(std::uint64_t id) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
+  if (it == jobs_.end()) return false;  // Unknown, or archived (terminal).
   const RecordPtr& rec = it->second;
   if (isTerminal(rec->state)) return false;
   rec->cancelRequested = true;

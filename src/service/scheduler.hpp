@@ -300,6 +300,26 @@ class JobScheduler {
   };
   using RecordPtr = std::shared_ptr<JobRecord>;
 
+  /// What is kept of a finished engine-run job once its result is durable
+  /// in the disk store: every status field but the result, which
+  /// status()/wait() re-read by cache key (ResultCache::peek), with the
+  /// trace's stage names held as the engine stages they name.  Holding
+  /// only this keeps a long-running daemon's memory flat in jobs served.
+  struct ArchivedJob {
+    std::string label;
+    std::string cacheKey;
+    std::string error;
+    double queueSeconds = 0.0;
+    double runSeconds = 0.0;
+    std::vector<std::pair<core::EngineStage, double>> stages;
+    JobState state = JobState::kDone;
+    bool cacheHit = false;
+    bool coalesced = false;
+    bool recovered = false;
+    int attempts = 0;
+    int retries = 0;
+  };
+
   /// Per-topology circuit breaker (guarded by mutex_).
   struct Breaker {
     enum class State { kClosed, kOpen, kHalfOpen };
@@ -318,6 +338,13 @@ class JobScheduler {
   void completeWaitersLocked(const std::string& key, const core::EngineResult& result);
   void requeueWaitersLocked(const std::string& key);
   [[nodiscard]] JobStatus snapshotLocked(const JobRecord& rec) const;
+  /// Replace a finished engine-run job's record with its ArchivedJob;
+  /// `stages` is its trace's stage list as engine stages.
+  void archiveLocked(const JobRecord& rec,
+                     std::vector<std::pair<core::EngineStage, double>> stages);
+  /// An archived job's status, its result re-read from the cache (call
+  /// without mutex_ held: the re-read may touch the disk store).
+  [[nodiscard]] JobStatus archivedStatus(std::uint64_t id, const ArchivedJob& job) const;
   [[nodiscard]] bool deadlinePassed(const JobRecord& rec) const {
     return rec.hasDeadline && Clock::now() >= rec.deadline;
   }
@@ -358,6 +385,7 @@ class JobScheduler {
   mutable std::condition_variable workCv_;   ///< Queue -> workers.
   mutable std::condition_variable doneCv_;   ///< Terminal transitions -> wait().
   std::map<std::uint64_t, RecordPtr> jobs_;
+  std::map<std::uint64_t, ArchivedJob> archived_;  ///< Disjoint from jobs_.
   /// Ready queue: (-priority, id) so begin() is highest priority, FIFO.
   std::set<std::pair<int, std::uint64_t>> ready_;
   std::unordered_map<std::string, std::uint64_t> inflight_;  ///< key -> leader.

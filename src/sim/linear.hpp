@@ -25,6 +25,10 @@ class DenseMatrix {
 
   void clear() { std::fill(data_.begin(), data_.end(), T{}); }
 
+  /// Row-major storage, for callers that precompute flat offsets
+  /// r * size() + c.
+  [[nodiscard]] T* data() { return data_.data(); }
+
   /// Additive stamp helper (ignores out-of-range index -1 used for ground).
   void stamp(std::ptrdiff_t r, std::ptrdiff_t c, T value) {
     if (r < 0 || c < 0) return;

@@ -825,29 +825,366 @@ double integratePsd(const std::vector<NoisePoint>& points, double f0, double f1,
 // Transient (fixed-step trapezoidal).
 // ---------------------------------------------------------------------------
 
-std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
-  if (tStop <= 0 || dt <= 0) throw std::invalid_argument("transient: bad time arguments");
+namespace {
 
-  // Capacitor branch bookkeeping: explicit caps first, then 5 per MOS.
-  struct CapBranch {
-    NodeId a = circuit::kGround, b = circuit::kGround;
-    double c = 0.0;
-    double iPrev = 0.0;
-  };
+/// Trapezoidal capacitor companion state.
+struct CapBranch {
+  NodeId a = circuit::kGround, b = circuit::kGround;
+  double c = 0.0;
+  double iPrev = 0.0;
+};
+
+/// Explicit capacitors first, then five per MOS (cgs, cgd, cgb, cdb, csb)
+/// whose values every step refreshes from the device evaluation.
+std::vector<CapBranch> capBranches(const circuit::Circuit& ckt) {
   std::vector<CapBranch> caps;
-  for (const circuit::Capacitor& c : circuit_.capacitors) caps.push_back({c.a, c.b, c.farads, 0});
-  const std::size_t mosCapBase = caps.size();
-  for (const circuit::Mos& m : circuit_.mosfets) {
+  for (const circuit::Capacitor& c : ckt.capacitors) caps.push_back({c.a, c.b, c.farads, 0});
+  for (const circuit::Mos& m : ckt.mosfets) {
     caps.push_back({m.gate, m.source, 0, 0});
     caps.push_back({m.gate, m.drain, 0, 0});
     caps.push_back({m.gate, m.bulk, 0, 0});
     caps.push_back({m.drain, m.bulk, 0, 0});
     caps.push_back({m.source, m.bulk, 0, 0});
   }
+  return caps;
+}
+
+/// Where one full-MNA unknown lands in the folded system: a reduced
+/// unknown, a pinned (known) value, or neither (ground).
+struct Ref {
+  int var = -1;  ///< Reduced unknown index.
+  int pin = -1;  ///< Pinned-node index.
+};
+
+/// A two-terminal admittance's stamp offsets, (a,a) (b,b) (a,b) (b,a).
+struct Admittance {
+  int aa = -1, bb = -1, ab = -1, ba = -1;
+  int rowA = -1, rowB = -1;  ///< Reduced KCL rows, -1 when dropped.
+};
+
+struct FoldedMos {
+  const circuit::Mos* mos = nullptr;
+  tech::MosModelCard card;  ///< Mismatch knobs applied.
+  int rowD = -1, rowS = -1;
+  int dg = -1, dd = -1, db = -1, ds = -1, sg = -1, sd = -1, sb = -1, ss = -1;
+};
+
+/// The kFast transient's netlist, compiled once per transient() call.
+///
+/// A node held by a grounded V source is pinned: each step fixes it to the
+/// source's value, so its KCL row, its column and the source's branch
+/// current leave the Newton system.  What remains -- free nodes first,
+/// then the branch currents of floating V sources and VCVSs -- is the
+/// reduced system A (n x n).  Stamps into a pinned column land in P
+/// (n x pins) and reach the right-hand side as -P * pinned.  Every stamp
+/// resolves here, once, to a flat offset into one [A | P] buffer (both
+/// row-major); -1 drops a stamp into ground or a pinned row.
+struct FoldedPlan {
+  struct Pin {
+    const circuit::Waveform* wave = nullptr;
+    double sign = 1.0;  ///< -1 when the source's pos terminal is ground.
+    NodeId node = circuit::kGround;
+  };
+  struct Drive {  ///< An RHS entry driven by a source waveform.
+    const circuit::Waveform* wave = nullptr;
+    int row = -1;
+    double sign = 1.0;
+  };
+
+  std::size_t n = 0;          ///< Reduced unknowns.
+  std::size_t freeNodes = 0;  ///< Unknowns [0, freeNodes) are node voltages.
+  std::vector<Ref> node;      ///< Per NodeId.
+  std::vector<NodeId> nodeOf;   ///< Per free-node unknown.
+  std::vector<int> vsourceVar;  ///< Per V source: branch unknown or -1.
+  std::vector<Pin> pins;
+  std::vector<double> base;     ///< [A | P] with the static stamps (gmin, R, branches).
+  std::vector<Drive> drives;    ///< I sources and floating V sources.
+  std::vector<Admittance> caps; ///< Parallel to capBranches().
+  std::vector<FoldedMos> mosfets;
+
+  [[nodiscard]] int slot(Ref row, Ref col) const {
+    if (row.var < 0) return -1;
+    if (col.var >= 0) return row.var * static_cast<int>(n) + col.var;
+    if (col.pin >= 0) {
+      return static_cast<int>(n * n + static_cast<std::size_t>(row.var) * pins.size()) +
+             col.pin;
+    }
+    return -1;
+  }
+  [[nodiscard]] Admittance admittance(NodeId a, NodeId b) const {
+    const Ref ra = node[a], rb = node[b];
+    return {slot(ra, ra), slot(rb, rb), slot(ra, rb), slot(rb, ra), ra.var, rb.var};
+  }
+};
+
+inline void stamp(double* buf, int at, double k) {
+  if (at >= 0) buf[at] += k;
+}
+
+inline void stampAdmittance(double* buf, const Admittance& y, double k) {
+  stamp(buf, y.aa, k);
+  stamp(buf, y.bb, k);
+  stamp(buf, y.ab, -k);
+  stamp(buf, y.ba, -k);
+}
+
+FoldedPlan compileFoldedPlan(const circuit::Circuit& ckt, const tech::Technology& tech,
+                             double gmin) {
+  FoldedPlan plan;
+  plan.node.assign(static_cast<std::size_t>(ckt.nodeCount()), Ref{});
+  // Pin every node a grounded V source holds (the first such source wins;
+  // a second one on the same node stays a branch, as in full MNA).
+  plan.vsourceVar.assign(ckt.vsources.size(), -1);
+  std::vector<bool> folded(ckt.vsources.size(), false);
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    const circuit::VSource& s = ckt.vsources[i];
+    const bool posGround = s.pos == circuit::kGround;
+    if (posGround == (s.neg == circuit::kGround)) continue;
+    const NodeId held = posGround ? s.neg : s.pos;
+    Ref& r = plan.node[static_cast<std::size_t>(held)];
+    if (r.pin >= 0) continue;
+    r.pin = static_cast<int>(plan.pins.size());
+    plan.pins.push_back({&s.wave, posGround ? -1.0 : 1.0, held});
+    folded[i] = true;
+  }
+  for (NodeId n = 1; n < ckt.nodeCount(); ++n) {
+    Ref& r = plan.node[static_cast<std::size_t>(n)];
+    if (r.pin >= 0) continue;
+    r.var = static_cast<int>(plan.nodeOf.size());
+    plan.nodeOf.push_back(n);
+  }
+  plan.freeNodes = plan.nodeOf.size();
+  int next = static_cast<int>(plan.freeNodes);
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    if (!folded[i]) plan.vsourceVar[i] = next++;
+  }
+  const int firstVcvs = next;
+  plan.n = static_cast<std::size_t>(next) + ckt.vcvs.size();
+  plan.base.assign(plan.n * (plan.n + plan.pins.size()), 0.0);
+  double* base = plan.base.data();
+  const auto nodeRef = [&plan](NodeId id) { return plan.node[static_cast<std::size_t>(id)]; };
+
+  for (std::size_t k = 0; k < plan.freeNodes; ++k) base[k * plan.n + k] += gmin;
+  for (const circuit::Resistor& r : ckt.resistors) {
+    stampAdmittance(base, plan.admittance(r.a, r.b), 1.0 / r.ohms);
+  }
+  for (const circuit::ISource& s : ckt.isources) {
+    // Current flows pos -> neg through the source.
+    if (nodeRef(s.pos).var >= 0) plan.drives.push_back({&s.wave, nodeRef(s.pos).var, -1.0});
+    if (nodeRef(s.neg).var >= 0) plan.drives.push_back({&s.wave, nodeRef(s.neg).var, 1.0});
+  }
+  const auto stampBranch = [&](const Ref& br, NodeId pos, NodeId neg) {
+    stamp(base, plan.slot(nodeRef(pos), br), 1.0);
+    stamp(base, plan.slot(nodeRef(neg), br), -1.0);
+    stamp(base, plan.slot(br, nodeRef(pos)), 1.0);
+    stamp(base, plan.slot(br, nodeRef(neg)), -1.0);
+  };
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    if (plan.vsourceVar[i] < 0) continue;
+    const circuit::VSource& s = ckt.vsources[i];
+    stampBranch({plan.vsourceVar[i], -1}, s.pos, s.neg);
+    plan.drives.push_back({&s.wave, plan.vsourceVar[i], 1.0});
+  }
+  for (std::size_t i = 0; i < ckt.vcvs.size(); ++i) {
+    const circuit::Vcvs& e = ckt.vcvs[i];
+    const Ref br{firstVcvs + static_cast<int>(i), -1};
+    stampBranch(br, e.pos, e.neg);
+    stamp(base, plan.slot(br, nodeRef(e.cp)), -e.gain);
+    stamp(base, plan.slot(br, nodeRef(e.cn)), e.gain);
+  }
+
+  for (const CapBranch& cb : capBranches(ckt)) plan.caps.push_back(plan.admittance(cb.a, cb.b));
+
+  for (const circuit::Mos& m : ckt.mosfets) {
+    FoldedMos f;
+    f.mos = &m;
+    f.card = tech.card(m.type);
+    if (m.vtoDelta != 0.0 || m.kpScale != 1.0) {
+      // Per-device mismatch knobs (Monte Carlo statistical verification).
+      f.card.vto += m.vtoDelta;
+      f.card.kp *= m.kpScale;
+    }
+    const Ref d = nodeRef(m.drain), g = nodeRef(m.gate), s = nodeRef(m.source),
+              b = nodeRef(m.bulk);
+    f.rowD = d.var;
+    f.rowS = s.var;
+    f.dg = plan.slot(d, g);
+    f.dd = plan.slot(d, d);
+    f.db = plan.slot(d, b);
+    f.ds = plan.slot(d, s);
+    f.sg = plan.slot(s, g);
+    f.sd = plan.slot(s, d);
+    f.sb = plan.slot(s, b);
+    f.ss = plan.slot(s, s);
+    plan.mosfets.push_back(f);
+  }
+  return plan;
+}
+
+}  // namespace
+
+std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
+  if (tStop <= 0 || dt <= 0) throw std::invalid_argument("transient: bad time arguments");
+  return options_.solver == SolverMode::kFast ? transientFolded(tStop, dt)
+                                              : transientReference(tStop, dt);
+}
+
+std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const {
+  const FoldedPlan plan = compileFoldedPlan(circuit_, tech_, options_.gminFloor);
+  std::vector<CapBranch> caps = capBranches(circuit_);
+  const std::size_t mosCapBase = circuit_.capacitors.size();
+  const std::size_t n = plan.n;
+  const std::size_t nPins = plan.pins.size();
+  const std::size_t nMos = plan.mosfets.size();
+  stats_.tranUnknowns = static_cast<long>(n);
+
+  // Start from the DC operating point.  `v` holds every node voltage by
+  // NodeId (ground included) for device evaluation and capacitor history;
+  // `x` holds the reduced unknowns.
+  const DcSolution op0 = dcOperatingPoint();
+  std::vector<double> v = op0.nodeVoltages;
+  std::vector<double> x(n, 0.0);
+  for (std::size_t k = 0; k < plan.freeNodes; ++k) x[k] = v[plan.nodeOf[k]];
+  for (std::size_t i = 0; i < circuit_.vsources.size(); ++i) {
+    if (plan.vsourceVar[i] >= 0) x[plan.vsourceVar[i]] = op0.vsourceCurrents[i];
+  }
+
+  std::vector<TranPoint> out;
+  out.push_back({0.0, v});
+
+  DenseMatrix<double> a(n);
+  std::vector<double> stepBuf, work, stepRhs(n), rhs(n), pinV(nPins), vPrev;
+  std::vector<std::size_t> perm;
+  std::vector<device::MosConductance> g(nMos);
+
+  const int steps = static_cast<int>(std::ceil(tStop / dt));
+  for (int step = 1; step <= steps; ++step) {
+    const double t = std::min(step * dt, tStop);
+    for (std::size_t k = 0; k < nPins; ++k) {
+      pinV[k] = plan.pins[k].sign * plan.pins[k].wave->at(t);
+    }
+    // Step-start device evaluation: its bias is exactly iteration 0's, so
+    // it sets the capacitances and linearises the first iteration.
+    for (std::size_t i = 0; i < nMos; ++i) {
+      const circuit::Mos& m = *plan.mosfets[i].mos;
+      const double vs = v[m.source];
+      const device::MosOpPoint op = model_.evaluate(plan.mosfets[i].card, m.geo,
+                                                    v[m.gate] - vs, v[m.drain] - vs,
+                                                    v[m.bulk] - vs, options_.tempK);
+      g[i] = {op.id * m.mult, op.gm * m.mult, op.gds * m.mult, op.gmb * m.mult};
+      caps[mosCapBase + 5 * i + 0].c = op.cgs * m.mult;
+      caps[mosCapBase + 5 * i + 1].c = op.cgd * m.mult;
+      caps[mosCapBase + 5 * i + 2].c = op.cgb * m.mult;
+      caps[mosCapBase + 5 * i + 3].c = op.cdb * m.mult;
+      caps[mosCapBase + 5 * i + 4].c = op.csb * m.mult;
+    }
+    stats_.tranDeviceEvaluations += static_cast<long>(nMos);
+    vPrev = v;
+
+    // Everything constant over the step: static stamps, sources at t and
+    // the capacitor companions.
+    stepBuf = plan.base;
+    std::fill(stepRhs.begin(), stepRhs.end(), 0.0);
+    for (const FoldedPlan::Drive& d : plan.drives) stepRhs[d.row] += d.sign * d.wave->at(t);
+    for (std::size_t k = 0; k < caps.size(); ++k) {
+      const CapBranch& cb = caps[k];
+      if (cb.c <= 0) continue;
+      const double geq = 2.0 * cb.c / dt;
+      const double ieq = geq * (vPrev[cb.a] - vPrev[cb.b]) + cb.iPrev;
+      const Admittance& y = plan.caps[k];
+      stampAdmittance(stepBuf.data(), y, geq);
+      if (y.rowA >= 0) stepRhs[y.rowA] += ieq;
+      if (y.rowB >= 0) stepRhs[y.rowB] -= ieq;
+    }
+
+    bool converged = false;
+    for (int iter = 0; iter < options_.maxNewtonIters; ++iter) {
+      if (iter > 0) {
+        for (std::size_t i = 0; i < nMos; ++i) {
+          const circuit::Mos& m = *plan.mosfets[i].mos;
+          const double vs = v[m.source];
+          const device::MosConductance c =
+              model_.conductances(plan.mosfets[i].card, m.geo, v[m.gate] - vs,
+                                  v[m.drain] - vs, v[m.bulk] - vs, options_.tempK);
+          g[i] = {c.id * m.mult, c.gm * m.mult, c.gds * m.mult, c.gmb * m.mult};
+        }
+        stats_.tranDeviceEvaluations += static_cast<long>(nMos);
+      }
+      work = stepBuf;
+      rhs = stepRhs;
+      for (std::size_t i = 0; i < nMos; ++i) {
+        const FoldedMos& f = plan.mosfets[i];
+        const circuit::Mos& m = *f.mos;
+        const device::MosConductance& op = g[i];
+        const double vgs = v[m.gate] - v[m.source];
+        const double vds = v[m.drain] - v[m.source];
+        const double vbs = v[m.bulk] - v[m.source];
+        // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
+        const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
+        double* w = work.data();
+        stamp(w, f.dg, op.gm);
+        stamp(w, f.dd, op.gds);
+        stamp(w, f.db, op.gmb);
+        stamp(w, f.ds, -(op.gm + op.gds + op.gmb));
+        stamp(w, f.sg, -op.gm);
+        stamp(w, f.sd, -op.gds);
+        stamp(w, f.sb, -op.gmb);
+        stamp(w, f.ss, op.gm + op.gds + op.gmb);
+        if (f.rowD >= 0) rhs[f.rowD] -= ieq;
+        if (f.rowS >= 0) rhs[f.rowS] += ieq;
+      }
+      // Pinned columns to the right-hand side: rhs -= P * pinned.
+      const double* p = work.data() + n * n;
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t k = 0; k < nPins; ++k) rhs[r] -= p[r * nPins + k] * pinV[k];
+      }
+      std::copy(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(n * n), a.data());
+      if (!luFactorize(a, perm)) throw SimulationError("transient: singular matrix");
+      luSolveFactored(a, perm, rhs);
+      ++stats_.tranNewtonIterations;
+
+      double maxDelta = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        double delta = rhs[k] - x[k];
+        // Damp voltages only.
+        const double limit = k < plan.freeNodes ? options_.maxStepV : 1e9;
+        delta = std::clamp(delta, -limit, limit);
+        x[k] += delta;
+        maxDelta = std::max(maxDelta, std::abs(delta) / (options_.absTolV +
+                                                         options_.relTol * std::abs(x[k])));
+      }
+      for (std::size_t k = 0; k < plan.freeNodes; ++k) v[plan.nodeOf[k]] = x[k];
+      for (std::size_t k = 0; k < nPins; ++k) v[plan.pins[k].node] = pinV[k];
+      if (maxDelta < 1.0 && iter > 0) {
+        converged = true;
+        break;
+      }
+    }
+    if (!converged) {
+      throw SimulationError("transient: Newton failed at t=" + std::to_string(t));
+    }
+    // Commit capacitor branch currents for the next step.
+    for (CapBranch& cb : caps) {
+      if (cb.c <= 0) continue;
+      const double geq = 2.0 * cb.c / dt;
+      const double vPrevAb = vPrev[cb.a] - vPrev[cb.b];
+      const double vNow = v[cb.a] - v[cb.b];
+      cb.iPrev = geq * (vNow - vPrevAb) - cb.iPrev;
+    }
+    ++stats_.tranSteps;
+    out.push_back({t, v});
+  }
+  return out;
+}
+
+std::vector<TranPoint> Simulator::transientReference(double tStop, double dt) const {
+  std::vector<CapBranch> caps = capBranches(circuit_);
+  const std::size_t mosCapBase = circuit_.capacitors.size();
 
   const std::size_t nUnknowns = unknownCount();
   const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
   auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };
+  stats_.tranUnknowns = static_cast<long>(nUnknowns);
 
   // Start from the DC operating point (sources at their t=0 values; the
   // Waveform DC value is the t=0 value for all supported kinds).
@@ -886,6 +1223,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
       caps[mosCapBase + 5 * i + 3].c = op.cdb;
       caps[mosCapBase + 5 * i + 4].c = op.csb;
     }
+    stats_.tranDeviceEvaluations += static_cast<long>(circuit_.mosfets.size());
     const std::vector<double> xPrev = x;
 
     bool converged = false;
@@ -942,6 +1280,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         if (d >= 0) rhs[d] -= ieq;
         if (s >= 0) rhs[s] += ieq;
       }
+      stats_.tranDeviceEvaluations += static_cast<long>(circuit_.mosfets.size());
       // Trapezoidal capacitor companions.
       for (const CapBranch& cb : caps) {
         if (cb.c <= 0) continue;
@@ -956,15 +1295,9 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         if (idx(cb.b) >= 0) rhs[idx(cb.b)] -= ieq;
       }
 
-      std::vector<double> xNewLocal;
-      std::vector<double>& xNew =
-          options_.solver == SolverMode::kFast ? ws().xNew : xNewLocal;
-      if (options_.solver == SolverMode::kFast) {
-        xNew.assign(rhs.begin(), rhs.end());
-      } else {
-        xNewLocal = rhs;
-      }
+      std::vector<double> xNew = rhs;
       if (!luSolve(a, xNew)) throw SimulationError("transient: singular matrix");
+      ++stats_.tranNewtonIterations;
       double maxDelta = 0.0;
       for (std::size_t i = 0; i < nUnknowns; ++i) {
         double delta = xNew[i] - x[i];
@@ -990,6 +1323,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
       const double vNow = vOf(x, cb.a) - vOf(x, cb.b);
       cb.iPrev = geq * (vNow - vPrev) - cb.iPrev;
     }
+    ++stats_.tranSteps;
     record(t);
   }
   return out;

@@ -18,18 +18,20 @@
 
 namespace lo::sim {
 
-/// Solve-path selector.  Both modes produce bit-identical results (the
-/// golden solver tests prove it); they differ only in how much work and
-/// memory traffic they spend getting there.
+/// Solve-path selector.  DC operating points, sweeps, AC and noise are
+/// bit-identical across the modes; transients agree within the Newton
+/// tolerance (the golden solver tests prove both).  The modes differ in
+/// how much work and memory traffic they spend getting there.
 enum class SolverMode {
   /// LU factor reuse across the AC excitation block, skeleton re-stamping
-  /// of only the reactive matrix entries per frequency, and a
-  /// simulator-owned workspace so the Newton loop allocates nothing.
+  /// of only the reactive matrix entries per frequency, a simulator-owned
+  /// workspace so the Newton loop allocates nothing, and the folded
+  /// transient (see Simulator::transient).
   kFast,
   /// The pre-optimization path: one-shot LU per solve, full re-assembly
-  /// per frequency, fresh buffers per call.  Kept alive verbatim as the
-  /// golden baseline the fast path is benchmarked and bit-compared
-  /// against.
+  /// per frequency or Newton iteration, fresh buffers per call.  Kept
+  /// alive verbatim as the golden baseline the fast path is benchmarked
+  /// and compared against.
   kReference,
 };
 
@@ -52,6 +54,10 @@ struct SimStats {
   long acPoints = 0;          ///< (frequency, excitation) pairs solved.
   long warmStartHits = 0;     ///< Warm operating points solved from the seed.
   long warmStartMisses = 0;   ///< Warm attempts that fell back to the cold ladder.
+  long tranSteps = 0;              ///< Transient time steps taken.
+  long tranNewtonIterations = 0;   ///< Newton steps across every transient step.
+  long tranDeviceEvaluations = 0;  ///< MOS model evaluations inside transients.
+  long tranUnknowns = 0;           ///< Newton system size of the latest transient.
 };
 
 /// One excitation of the shared AC small-signal system.  The system matrix
@@ -213,6 +219,16 @@ class Simulator {
                                               double fStop, int pointsPerDecade) const;
 
   /// Fixed-step trapezoidal transient from the DC operating point.
+  ///
+  /// kFast solves a folded system: a node held by a grounded V source is
+  /// pinned to the source's value at each step, so its KCL row, its
+  /// column and the source's branch current leave the Newton system.  A
+  /// pinned node therefore follows its source exactly, even across an
+  /// edge larger than SimOptions::maxStepV, where kReference damps it like
+  /// any other node and reaches the same point in more iterations.  Each
+  /// MOS is evaluated once per Newton iteration: the step-start
+  /// evaluation that sets the capacitances is iteration 0's bias, and
+  /// later iterations need only MosModel::conductances().
   [[nodiscard]] std::vector<TranPoint> transient(double tStop, double dt) const;
 
   [[nodiscard]] const SimOptions& options() const { return options_; }
@@ -235,6 +251,8 @@ class Simulator {
                                        const std::vector<std::complex<double>>& sol) const;
   [[nodiscard]] std::size_t vsourceIndexOrThrow(const std::string& name,
                                                 const char* context) const;
+  [[nodiscard]] std::vector<TranPoint> transientFolded(double tStop, double dt) const;
+  [[nodiscard]] std::vector<TranPoint> transientReference(double tStop, double dt) const;
   [[nodiscard]] std::vector<std::vector<AcPoint>> acSolveGridFast(
       const DcSolution& op, const std::vector<AcExcitation>& excitations,
       const std::vector<double>& freqs, const std::string& failPrefix) const;

@@ -6,16 +6,14 @@
 
 namespace lo::sizing {
 
-namespace {
-
 using circuit::Circuit;
 using circuit::FoldedCascodeOtaDesign;
 using circuit::NodeId;
 using circuit::Waveform;
 
-Circuit buildSlewTestbench(const AmpInstantiateFn& instantiate, double inputCm,
-                           const layout::ParasiticReport* parasitics,
-                           const VerifyOptions& options) {
+Circuit buildAmpSlewTestbench(const AmpInstantiateFn& instantiate, double inputCm,
+                              const layout::ParasiticReport* parasitics,
+                              const VerifyOptions& options) {
   Circuit c;
   c.title = "amplifier slew testbench";
   instantiate(c);
@@ -30,8 +28,6 @@ Circuit buildSlewTestbench(const AmpInstantiateFn& instantiate, double inputCm,
   if (parasitics) layout::annotateCircuit(c, *parasitics);
   return c;
 }
-
-}  // namespace
 
 FoldedCascodeOtaDesign applyExtractedGeometry(
     FoldedCascodeOtaDesign design,
@@ -190,7 +186,7 @@ OtaPerformance measureAmplifier(const tech::Technology& t, const device::MosMode
 
   // --- Slew rate: hard unity feedback, +/- step. ---
   {
-    const Circuit c = buildSlewTestbench(instantiate, inputCm, parasitics, options);
+    const Circuit c = buildAmpSlewTestbench(instantiate, inputCm, parasitics, options);
     sim::Simulator sim(c, t, model, simOpt);
     const auto tran = sim.transient(options.tranStop, options.tranStep);
     const NodeId out = *c.findNode("out");

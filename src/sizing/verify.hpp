@@ -64,6 +64,13 @@ using AmpInstantiateFn = std::function<void(circuit::Circuit&)>;
                                                    double diffAcMag, double cmAcMag,
                                                    double routProbeAcMag);
 
+/// The slew-rate testbench: the amplifier in hard unity feedback driven by
+/// a +/- options.stepAmplitude / 2 input pulse (exposed for benches).
+[[nodiscard]] circuit::Circuit buildAmpSlewTestbench(const AmpInstantiateFn& instantiate,
+                                                     double inputCm,
+                                                     const layout::ParasiticReport* parasitics,
+                                                     const VerifyOptions& options);
+
 class OtaVerifier {
  public:
   OtaVerifier(const tech::Technology& t, const device::MosModel& model,

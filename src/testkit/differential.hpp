@@ -7,6 +7,10 @@
 // agree exactly:
 //
 //   engine_direct  a private SynthesisEngine, no service layer at all;
+//   engine_reference_solver
+//                  the same engine run on the simulator's reference solve
+//                  path, whose full-MNA transient parts from the folded one
+//                  at LU rounding: the one path compared within a relTol;
 //   scheduler      a JobScheduler submission (worker pool, job isolation);
 //   cache_warm     the same submission served back from the result cache
 //                  (via the on-disk JSON store when the scheduler has one,
@@ -15,8 +19,9 @@
 //                  explorer's space/coordinate machinery is on the hook
 //                  for reproducing the exact specs.
 //
-// Agreement means: all paths succeed with byte-identical canonical JSON,
-// or all paths fail with the same error text.  On divergence the report
+// Agreement means: all paths succeed with byte-identical canonical JSON
+// (or, for a path registered with a relTol, numbers within it), or all
+// paths fail with the same error text.  On divergence the report
 // carries testkit::FieldDiff's first-diverging-field description instead
 // of a bare "bytes differ".  Extra paths register through registerPath().
 #pragma once
@@ -63,20 +68,26 @@ struct DiffReport {
 class DifferentialDriver {
  public:
   /// Register a path; order of registration is comparison order (the first
-  /// path is the reference).  Throws std::invalid_argument on a duplicate
-  /// name or a null runner.
-  void registerPath(std::string name, PathRunner runner);
+  /// path is the reference).  relTol > 0 lets this path's numbers differ
+  /// from the reference's by that relative amount (testkit::diffResults).
+  /// Throws std::invalid_argument on a duplicate name or a null runner.
+  void registerPath(std::string name, PathRunner runner, double relTol = 0.0);
 
   [[nodiscard]] std::vector<std::string> pathNames() const;
 
   /// Run every corpus point through every path.  relTol > 0 loosens the
-  /// number comparison (for cross-platform corpora); the default demands
-  /// byte identity.
+  /// number comparison of every path (for cross-platform corpora); the
+  /// default demands byte identity except where a path set its own.
   [[nodiscard]] DiffReport run(const std::vector<CorpusPoint>& corpus,
                                double relTol = 0.0) const;
 
  private:
-  std::vector<std::pair<std::string, PathRunner>> paths_;
+  struct Path {
+    std::string name;
+    PathRunner runner;
+    double relTol = 0.0;
+  };
+  std::vector<Path> paths_;
 };
 
 /// The four standard paths over one scheduler.  The scheduler should be

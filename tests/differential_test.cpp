@@ -1,8 +1,9 @@
 // The differential oracle over a seeded corpus: every route through the
 // stack -- engine-direct, scheduler, cache-warm (through the on-disk JSON
-// store), explore-cell -- must produce byte-identical canonical results,
-// and a fault-injected run must leave every job in a definite terminal
-// state, reproducibly from the seed.
+// store), explore-cell -- must produce byte-identical canonical results
+// (the reference-solver path within its registered relTol), and a
+// fault-injected run must leave every job in a definite terminal state,
+// reproducibly from the seed.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "service/serialize.hpp"
 #include "testkit/differential.hpp"
 #include "testkit/faults.hpp"
 
@@ -61,6 +63,34 @@ TEST(DifferentialDriverApi, RejectsDuplicateAndNullPaths) {
       std::invalid_argument);
   EXPECT_THROW(driver.registerPath("q", nullptr), std::invalid_argument);
   EXPECT_THROW((void)driver.run({}), std::logic_error);  // One path only.
+}
+
+TEST(DifferentialDriverApi, PathRelTolLoosensOnlyThatPath) {
+  // Three paths: the reference, a path whose gbw differs by 1e-8
+  // relative and is registered to tolerate 1e-6, and the same result
+  // registered exact.  Only the exact one may diverge.
+  const auto outcome = [](double gbwHz) {
+    PathOutcome out;
+    out.ok = true;
+    out.result.measured.gbwHz = gbwHz;
+    out.canonical = service::toJson(out.result).dump();
+    return out;
+  };
+  const std::vector<CorpusPoint> corpus = generateCorpus(1);
+  const CorpusPoint& point = corpus.front();
+
+  DifferentialDriver loose;
+  loose.registerPath("ref", [&](const CorpusPoint&) { return outcome(1e6); });
+  loose.registerPath("near", [&](const CorpusPoint&) { return outcome(1e6 * (1 + 1e-8)); },
+                     1e-6);
+  EXPECT_TRUE(loose.run({point}).allAgree());
+
+  DifferentialDriver exact;
+  exact.registerPath("ref", [&](const CorpusPoint&) { return outcome(1e6); });
+  exact.registerPath("near", [&](const CorpusPoint&) { return outcome(1e6 * (1 + 1e-8)); });
+  const DiffReport report = exact.run({point});
+  ASSERT_EQ(report.divergences.size(), 1u);
+  EXPECT_NE(report.divergences.front().detail.find("near vs ref"), std::string::npos);
 }
 
 /// One fault-injected pass over a small corpus; returns the terminal

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "circuit/spice_io.hpp"
 #include "core/flow.hpp"
@@ -69,7 +70,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz, ::testing::Range(1, 13));
 
 // --- Device model invariants over a bias/geometry grid. ---
 
-class ModelGrid : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+// The model name is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put a per-process address into the
+// test's name.
+class ModelGrid : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ModelGrid, InvariantsHoldAcrossTheGrid) {
   const auto model = device::MosModel::create(std::get<0>(GetParam()));
@@ -110,7 +114,8 @@ TEST_P(ModelGrid, InvariantsHoldAcrossTheGrid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelsAndSeeds, ModelGrid,
-                         ::testing::Combine(::testing::Values("level1", "ekv"),
+                         ::testing::Combine(::testing::Values(std::string("level1"),
+                                                              std::string("ekv")),
                                             ::testing::Values(7, 11)));
 
 // --- Slicing invariants on random trees. ---

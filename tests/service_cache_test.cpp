@@ -99,6 +99,12 @@ TEST(CacheKey, HooksAndSchedulingMetadataAreExcluded) {
   EXPECT_EQ(keyText(sizing::OtaSpecs{}, hooked), keyText(sizing::OtaSpecs{}));
 }
 
+TEST(CacheKey, CanonicalTextCarriesSchemaVersion4) {
+  // v4: analytic device derivatives and the folded transient moved result
+  // bits, so no v3 disk entry may be served as a v4 result.
+  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v4|", 0), 0u);
+}
+
 TEST(CacheKey, TechFingerprintSeparatesTechnologies) {
   const std::string p060 = ResultCache::techFingerprint(tech::Technology::generic060());
   const std::string p100 = ResultCache::techFingerprint(tech::Technology::generic100());
@@ -260,6 +266,40 @@ TEST_F(DiskCacheTest, InjectedWriteFailureIsCountedAndToleratedOnRead) {
   EXPECT_FALSE(reader.lookup("00000000deadc0de").has_value());
   EXPECT_EQ(reader.stats().diskCorrupt, 1u);
   EXPECT_TRUE(reader.lookup("00000000feedf00d").has_value());
+}
+
+TEST_F(DiskCacheTest, InsertReportsDurabilityAndPeekLeavesNoTrace) {
+  ResultCache memoryOnly;
+  EXPECT_FALSE(memoryOnly.insert("k0", makeResult(0)));  // No store to be durable in.
+
+  CacheOptions options = diskOptions();
+  options.capacity = 2;
+  options.diskWriteFault = [](const std::string& key) { return key == "torn"; };
+  ResultCache cache(options);
+  EXPECT_TRUE(cache.insert("k1", makeResult(1)));
+  EXPECT_FALSE(cache.insert("torn", makeResult(9)));  // Store write failed.
+  const CacheStats before = cache.stats();
+
+  // A memory-tier peek must not refresh k1: the next insert still evicts it.
+  ASSERT_TRUE(cache.peek("k1").has_value());
+  EXPECT_TRUE(cache.insert("k2", makeResult(2)));
+  EXPECT_EQ(cache.stats().evictions, before.evictions + 1);
+
+  // Now k1 is on disk only: peek reads it without re-inserting it.
+  const auto fromDisk = cache.peek("k1");
+  ASSERT_TRUE(fromDisk.has_value());
+  EXPECT_EQ(toJson(*fromDisk).dump(), toJson(makeResult(1)).dump());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.peek("absent").has_value());
+  cache.clear();
+  EXPECT_FALSE(cache.peek("torn").has_value());  // Unreadable entry: absent.
+
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.diskHits, before.diskHits);
+  EXPECT_EQ(after.diskCorrupt, before.diskCorrupt);
+  EXPECT_EQ(after.inserts, before.inserts + 1);  // Only k2's insert.
 }
 
 TEST_F(DiskCacheTest, ClearDropsMemoryButDiskSurvives) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -504,6 +507,70 @@ TEST(SchedulerTrace, StagesAndTimingsAreRecorded) {
   const MetricsSnapshot metrics = scheduler.metrics();
   EXPECT_GT(metrics.stageSeconds.at("verification"), 0.0);
   EXPECT_EQ(metrics.stageCalls.at("generation"), 1u);
+}
+
+/// Everything status()/wait() report, serialised.
+std::string statusText(const JobStatus& status) {
+  Json out = Json::object();
+  out.set("id", status.id);
+  out.set("label", status.label);
+  out.set("state", jobStateName(status.state));
+  out.set("cache_key", status.cacheKey);
+  out.set("cache_hit", status.cacheHit);
+  out.set("coalesced", status.coalesced);
+  out.set("recovered", status.recovered);
+  out.set("attempts", status.attempts);
+  out.set("retries", status.retries);
+  out.set("error", status.error);
+  out.set("result", toJson(status.result));
+  out.set("trace", traceToJson(status.id, status.label, jobStateName(status.state),
+                               status.cacheHit, status.attempts, status.retries,
+                               status.trace));
+  return out.dump();
+}
+
+TEST(SchedulerMemory, FinishedJobsServedFromTheStoreAnswerByteIdentically) {
+  // An engine-run job whose result is durable on disk keeps only a
+  // compact record; status() and wait() re-read its result by key.  With
+  // a one-entry memory tier the first job's result is on disk only by the
+  // time it is asked for again, and re-serving it moves no cache stats.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("lo_sched_archive_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    SchedulerOptions options;
+    options.threads = 1;
+    options.cache.capacity = 1;
+    options.cache.diskDir = dir.string();
+    JobScheduler scheduler(kTech, options);
+    const JobRequest first = fastJob("first");
+    const std::uint64_t id = scheduler.submit(first);
+    const JobStatus original = scheduler.wait(id);
+    ASSERT_EQ(original.state, JobState::kDone) << original.error;
+    EXPECT_FALSE(original.cacheHit);
+    // The engine's own answer, independent of any record the scheduler kept.
+    const core::SynthesisEngine engine(kTech, first.options);
+    EXPECT_EQ(toJson(original.result).dump(), toJson(engine.run(first.specs)).dump());
+
+    for (const double gbwMhz : {55.0, 60.0, 70.0}) {
+      ASSERT_EQ(scheduler.wait(scheduler.submit(fastJob("later", gbwMhz))).state,
+                JobState::kDone);
+    }
+    const CacheStats before = scheduler.cacheStats();
+    EXPECT_EQ(statusText(scheduler.wait(id)), statusText(original));
+    const std::optional<JobStatus> snapshot = scheduler.status(id);
+    ASSERT_TRUE(snapshot.has_value());
+    EXPECT_EQ(statusText(*snapshot), statusText(original));
+    EXPECT_FALSE(scheduler.cancel(id));  // Terminal, archived or not.
+
+    const CacheStats after = scheduler.cacheStats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.diskHits, before.diskHits);
+    EXPECT_EQ(after.inserts, before.inserts);
+    EXPECT_EQ(after.evictions, before.evictions);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

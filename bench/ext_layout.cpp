@@ -105,7 +105,7 @@ Sample runTwoStage(layout::RowSearch search) {
   opt.placerCandidates = gCandidates;
   opt.placerThreads = 4;
   const char* mode = search == layout::RowSearch::kDeclared ? "declared" : "seeded";
-  return measure("two_stage_ota", mode, [&] {
+  return measure("two_stage", mode, [&] {
     return layout::generateTwoStageLayout(tech060(), twoStageDesign(), opt, false);
   });
 }

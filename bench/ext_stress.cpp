@@ -33,9 +33,10 @@ testkit::SoakOptions baseOptions() {
   return options;
 }
 
-void printReport(const char* name, const testkit::SoakReport& report) {
+void printReport(const char* name, const testkit::SoakReport& report,
+                 const testkit::ServiceSoak& soak) {
   std::uint64_t faults = 0;
-  for (const auto& [site, count] : report.faultsFired) faults += count;
+  for (const auto& [site, count] : soak.findings().faultsFired) faults += count;
   std::printf("%-8s %5llu requests in %.2fs (%.0f req/s), %llu jobs, "
               "%llu faults, %llu transport errors, %zu violation(s)\n",
               name, static_cast<unsigned long long>(report.requests),
@@ -59,13 +60,15 @@ bool runStressStudy() {
 
   testkit::SoakOptions clean = baseOptions();
   clean.faults = testkit::FaultPlanOptions::none(clean.seed);
-  const testkit::SoakReport cleanReport = testkit::runSoak(technology, clean);
-  printReport("clean:", cleanReport);
+  testkit::ServiceSoak cleanSoak(technology, clean);
+  const testkit::SoakReport cleanReport = testkit::runSoak(cleanSoak);
+  printReport("clean:", cleanReport, cleanSoak);
 
   testkit::SoakOptions faulted = baseOptions();
   faulted.faults = testkit::FaultPlanOptions::basic(faulted.seed);
-  const testkit::SoakReport faultedReport = testkit::runSoak(technology, faulted);
-  printReport("faulted:", faultedReport);
+  testkit::ServiceSoak faultedSoak(technology, faulted);
+  const testkit::SoakReport faultedReport = testkit::runSoak(faultedSoak);
+  printReport("faulted:", faultedReport, faultedSoak);
 
   const std::uint64_t expected =
       static_cast<std::uint64_t>(clean.clients) *
@@ -76,10 +79,10 @@ bool runStressStudy() {
               static_cast<unsigned long long>(expected),
               requestsExact ? "yes" : "NO -- BUG");
   std::printf("faults actually fired under the basic plan: %s\n",
-              faultedReport.faultsFired.empty() ? "NO -- BUG" : "yes");
+              faultedSoak.findings().faultsFired.empty() ? "NO -- BUG" : "yes");
 
   const bool ok = cleanReport.ok() && cleanReport.transportErrors == 0 &&
-                  faultedReport.ok() && !faultedReport.faultsFired.empty() &&
+                  faultedReport.ok() && !faultedSoak.findings().faultsFired.empty() &&
                   requestsExact;
   std::printf("ext_stress acceptance: %s\n", ok ? "PASS" : "FAIL");
   return ok;

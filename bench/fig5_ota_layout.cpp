@@ -9,7 +9,8 @@
 
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/drc.hpp"
 #include "layout/writers.hpp"
 
@@ -20,11 +21,12 @@ using namespace lo::core;
 
 void printFigure5() {
   const tech::Technology t = tech::Technology::generic060();
-  FlowOptions opt;
+  EngineOptions opt;
   opt.sizingCase = SizingCase::kCase4;
-  SynthesisFlow flow(t, opt);
-  const FlowResult r = flow.run(sizing::OtaSpecs{});
-  const layout::OtaLayoutResult& lay = r.layout;
+  const SynthesisEngine engine(t, opt);
+  FoldedCascodeOtaTopology topology(t, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const layout::OtaLayoutResult& lay = topology.layout();
 
   std::printf("\n=== Fig. 5: generated layout of the case-4 OTA ===\n");
   std::printf("outline: %.1f x %.1f um (aspect %.2f)\n", lay.width / 1e3,
@@ -87,12 +89,12 @@ void BM_OtaLayoutParasiticMode(benchmark::State& state) {
   // The paper requires the layout tool to be "fast as it is normally called
   // several times during circuit sizing".
   const tech::Technology t = tech::Technology::generic060();
-  FlowOptions opt;
-  SynthesisFlow flow(t, opt);
-  const FlowResult r = flow.run(sizing::OtaSpecs{});
+  const SynthesisEngine engine(t, EngineOptions{});
+  FoldedCascodeOtaTopology topology(t, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
   for (auto _ : state) {
-    const auto lay = layout::generateOtaLayout(t, r.sizing.design,
-                                               opt.layoutOptions, false);
+    const auto lay = layout::generateOtaLayout(t, topology.sizingResult().design,
+                                               layout::OtaLayoutOptions{}, false);
     benchmark::DoNotOptimize(lay);
   }
 }
@@ -100,12 +102,12 @@ BENCHMARK(BM_OtaLayoutParasiticMode)->Unit(benchmark::kMillisecond);
 
 void BM_OtaLayoutGenerationMode(benchmark::State& state) {
   const tech::Technology t = tech::Technology::generic060();
-  FlowOptions opt;
-  SynthesisFlow flow(t, opt);
-  const FlowResult r = flow.run(sizing::OtaSpecs{});
+  const SynthesisEngine engine(t, EngineOptions{});
+  FoldedCascodeOtaTopology topology(t, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
   for (auto _ : state) {
-    const auto lay = layout::generateOtaLayout(t, r.sizing.design,
-                                               opt.layoutOptions, true);
+    const auto lay = layout::generateOtaLayout(t, topology.sizingResult().design,
+                                               layout::OtaLayoutOptions{}, true);
     benchmark::DoNotOptimize(lay);
   }
 }

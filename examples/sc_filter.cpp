@@ -16,7 +16,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -24,15 +25,15 @@ int main() {
   using circuit::Waveform;
 
   const tech::Technology tech = tech::Technology::generic060();
-  core::FlowOptions options;
-  core::SynthesisFlow flow(tech, options);
-  const core::FlowResult ota = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(tech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(tech, engine.model());
+  const core::EngineResult ota = engine.run(topology, sizing::OtaSpecs{});
   std::printf("OTA ready: %.1f dB, %.1f MHz GBW\n", ota.measured.dcGainDb,
               ota.measured.gbwHz / 1e6);
 
   circuit::Circuit c;
   c.title = "switched-capacitor first-order low-pass";
-  circuit::FoldedCascodeOtaDesign d = ota.extractedDesign;
+  circuit::FoldedCascodeOtaDesign d = topology.extractedDesign();
   d.cload = 1e-12;
   const circuit::OtaNodes nodes = circuit::instantiateOta(c, d);
 

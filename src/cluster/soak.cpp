@@ -1,41 +1,25 @@
 #include "cluster/soak.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
+#include <csignal>
 #include <random>
-#include <thread>
-
-#include "core/engine.hpp"
-#include "service/serialize.hpp"
-#include "tech/technology.hpp"
-#include "testkit/generators.hpp"
 
 namespace lo::cluster {
 
 namespace {
 
 using service::Json;
-
 using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-Json submitRequest(const testkit::CorpusPoint& point, bool async, bool summary) {
-  Json req = Json::object();
-  req.set("op", "synthesize");
-  if (async) req.set("async", true);
-  if (summary) req.set("summary", true);
-  req.set("label", point.label);
-  req.set("topology", point.options.topology);
-  req.set("case", core::sizingCaseName(point.options.sizingCase));
-  req.set("spec", service::toJson(point.specs));
-  req.set("corner", tech::cornerName(point.corner));
-  return req;
-}
+/// Case 4 for the same reason as the explore smoke: its grid is feasible,
+/// so the front is non-trivial.
+constexpr const char* kExploreLine =
+    R"({"op":"explore","async":true,"case":4,"budget":12,"max_rounds":1,)"
+    R"("tolerance":0.05,"axes":[{"field":"gbw","lo":55e6,"hi":65e6,)"
+    R"("points":2},{"field":"cload","lo":2e-12,"hi":3e-12,"points":2}]})";
 
 /// A front with per-point provenance stripped: `cache_hit` says where a
 /// value came from (cold run vs warm replay), not what it is, so the
@@ -52,343 +36,179 @@ std::string frontFingerprint(const Json& front) {
   return scrubbed.dump();
 }
 
-/// Everything the client threads share, all guarded by one mutex: the
-/// router itself is single-threaded by contract, so the soak's concurrency
-/// lives in the *shards*, not in the router's front door.
-struct Shared {
-  explicit Shared(ClusterRouter& r) : router(r) {}
-
-  ClusterRouter& router;
-  std::mutex mutex;
-  std::vector<std::uint64_t> pendingIds;
-  std::map<std::string, std::uint64_t> terminalStates;
-  std::vector<std::string> violations;
-  /// High-water marks for the monotonicity probe.
-  std::uint64_t lastSubmitted = 0;
-  std::uint64_t lastCompleted = 0;
-
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<std::uint64_t> transportErrors{0};
-  std::atomic<std::uint64_t> trackedJobs{0};
-};
+/// The router a soak boots: the soak's journal and cache directories.
+RouterOptions soakRouter(const testkit::SoakOptions& soak, RouterOptions router) {
+  router.journalRoot = soak.journalDir;
+  router.cacheDir = soak.cacheDir;
+  return router;
+}
 
 }  // namespace
 
-Json ClusterSoakReport::toJson() const {
-  Json out = Json::object();
-  out.set("ok", ok());
-  out.set("requests", requests);
-  out.set("rejected", rejected);
-  out.set("transport_errors", transportErrors);
-  out.set("tracked_jobs", trackedJobs);
-  out.set("elapsed_seconds", elapsedSeconds);
-  out.set("killed_shard", killedShard);
-  out.set("restarts", restarts);
-  out.set("rerouted", rerouted);
-  out.set("resubmitted_hits", resubmittedHits);
-  out.set("chaos_kills", chaosKills);
-  out.set("chaos_wedges", chaosWedges);
-  out.set("chaos_drains", chaosDrains);
-  out.set("chaos_adds", chaosAdds);
-  out.set("job_failovers", jobFailovers);
-  out.set("explore_failovers", exploreFailovers);
-  out.set("explore_front_matched", exploreFrontMatched);
-
-  Json states = Json::object();
-  for (const auto& [state, count] : terminalStates) states.set(state, count);
-  out.set("terminal_states", std::move(states));
-
-  Json issues = Json::array();
-  for (const std::string& v : violations) issues.push(v);
-  out.set("violations", std::move(issues));
-  return out;
-}
-
-ClusterSoakReport runClusterSoak(const ClusterSoakOptions& options) {
-  ClusterSoakReport report;
-  const auto start = Clock::now();
-
-  testkit::CorpusOptions corpusOptions;
-  corpusOptions.size = options.poolSize;
-  const std::vector<testkit::CorpusPoint> pool =
-      testkit::generateCorpus(options.seed, corpusOptions);
-
-  ClusterRouter router(options.router);
-  Shared shared(router);
-
-  // One handleLine under the lock; parse failures are transport errors
-  // (the router must never emit a half line or garbage).
-  auto call = [&shared](const std::string& line,
-                        std::unique_lock<std::mutex>& lock) -> Json {
-    const std::string response = shared.router.handleLine(line);
-    shared.requests.fetch_add(1, std::memory_order_relaxed);
-    try {
-      return Json::parse(response);
-    } catch (const service::JsonParseError&) {
-      shared.transportErrors.fetch_add(1, std::memory_order_relaxed);
-      (void)lock;
-      return Json();
-    }
+ClusterSoak::ClusterSoak(testkit::SoakOptions soakOptions,
+                         ClusterSoakOptions clusterOptions)
+    : clusterOptions_(std::move(clusterOptions)),
+      router_(soakRouter(soakOptions, clusterOptions_.router)) {
+  options = std::move(soakOptions);
+  target = [this](const std::string& line) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    lines_.fetch_add(1, std::memory_order_relaxed);
+    return router_.handleLine(line);
   };
-
-  auto recordTerminal = [&shared](const Json& response) {
-    const std::string state = response.at("state").asString("unknown");
-    ++shared.terminalStates[state];
-  };
-
-  // Restarted or drained shards legitimately reset their counters, so the
-  // monotonicity probe only runs in fault-free configurations.
-  const bool checkMonotonic = !options.killOneShard && !options.chaos;
-
-  // Chaos mode: start an async exploration before the clients so the
-  // whole fault schedule plays out underneath a live session.  Case 4 for
-  // the same reason as the explore smoke -- its grid is feasible, so the
-  // front is non-trivial.
-  const std::string exploreLine =
-      R"({"op":"explore","async":true,"case":4,"budget":12,"max_rounds":1,)"
-      R"("tolerance":0.05,"axes":[{"field":"gbw","lo":55e6,"hi":65e6,)"
-      R"("points":2},{"field":"cload","lo":2e-12,"hi":3e-12,"points":2}]})";
-  std::uint64_t exploreId = 0;
-  if (options.chaos) {
-    std::unique_lock<std::mutex> lock(shared.mutex);
-    const Json ack = call(exploreLine, lock);
-    if (ack.at("ok").asBool()) {
-      exploreId = ack.at("explore_id").asUint64();
-    } else {
-      shared.violations.push_back("chaos: explore submission failed: " +
-                                  ack.dump());
-    }
-  }
-  auto clientLoop = [&](int clientIndex) {
-    std::mt19937 rng(static_cast<std::uint32_t>(options.seed * 7919 +
-                                                static_cast<std::uint64_t>(clientIndex)));
-    int sent = 0;
-    while (secondsSince(start) < options.durationSeconds &&
-           (options.maxRequestsPerClient == 0 ||
-            sent < options.maxRequestsPerClient)) {
-      const int roll = static_cast<int>(rng() % 100);
-      const testkit::CorpusPoint& point =
-          pool[rng() % static_cast<std::uint32_t>(pool.size())];
-      std::unique_lock<std::mutex> lock(shared.mutex);
-      if (roll < 60) {
-        const Json response =
-            call(submitRequest(point, /*async=*/true, /*summary=*/false).dump(),
-                 lock);
-        if (response.at("ok").asBool()) {
-          shared.pendingIds.push_back(response.at("id").asUint64());
-          shared.trackedJobs.fetch_add(1, std::memory_order_relaxed);
-        } else if (!response.isNull()) {
-          shared.rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (roll < 85 && !shared.pendingIds.empty()) {
-        const std::uint64_t id = shared.pendingIds.back();
-        shared.pendingIds.pop_back();
-        Json wait = Json::object();
-        wait.set("op", "wait");
-        wait.set("id", id);
-        wait.set("summary", true);
-        const Json response = call(wait.dump(), lock);
-        if (response.at("ok").asBool()) {
-          recordTerminal(response);
-        } else if (!response.isNull()) {
-          shared.rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (roll < 95) {
-        const Json response =
-            call(submitRequest(point, /*async=*/false, /*summary=*/true).dump(),
-                 lock);
-        if (response.at("ok").asBool()) {
-          recordTerminal(response);
-        } else if (!response.isNull()) {
-          shared.rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        const Json response = call(R"({"op":"stats"})", lock);
-        if (response.at("ok").asBool() && checkMonotonic) {
-          const Json& jobs = response.at("stats").at("cluster").at("jobs");
-          const std::uint64_t submitted = jobs.at("submitted").asUint64();
-          const std::uint64_t completed = jobs.at("completed").asUint64();
-          if (submitted < shared.lastSubmitted ||
-              completed < shared.lastCompleted) {
-            shared.violations.push_back(
-                "cluster stats went backwards: submitted " +
-                std::to_string(shared.lastSubmitted) + " -> " +
-                std::to_string(submitted) + ", completed " +
-                std::to_string(shared.lastCompleted) + " -> " +
-                std::to_string(completed));
-          }
-          shared.lastSubmitted = std::max(shared.lastSubmitted, submitted);
-          shared.lastCompleted = std::max(shared.lastCompleted, completed);
-        }
-      }
-      ++sent;
-    }
-  };
-
-  std::thread killer;
-  if (options.killOneShard && router.shardCount() > 0) {
-    report.killedShard = static_cast<int>(options.seed) %
-                         router.shardCount();
-    killer = std::thread([&router, &options, &report, start] {
-      const double at = options.durationSeconds * options.killAtFraction;
-      while (secondsSince(start) < at) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      // Pure SIGKILL from outside the protocol: the router finds out the
-      // hard way, via EOF on the next request it routes there.
-      router.killShard(report.killedShard);
-    });
+  mix = {.asyncSubmit = 60, .wait = 25, .syncSubmit = 10, .summary = true};
+  testkit::CorpusOptions corpus;
+  corpus.size = options.poolSize;
+  pool = testkit::generateCorpus(options.seed, corpus);
+  if (!clusterOptions_.killOneShard && !clusterOptions_.chaos) {
+    monotoneCounters = {"cluster.jobs.submitted", "cluster.jobs.completed"};
   }
 
-  // The chaos schedule: each event fires once the clients' request count
+  if (clusterOptions_.killOneShard && router_.shardCount() > 0) {
+    findings_.killedShard = static_cast<int>(options.seed) % router_.shardCount();
+  }
+  // The chaos schedule: each event fires once the routed line count
   // crosses its (seeded, deterministic) index.  Kinds rotate so every run
   // covers kill -9, SIGSTOP wedge and drain-under-load; the shard choice
-  // comes from the same RNG stream.  Signals and membership ops alike run
-  // under the shared mutex, so an event lands *between* client requests
-  // -- a deterministic op boundary, not a random instant mid-write.
-  struct ChaosEvent {
-    std::uint64_t atRequest = 0;
-    int kind = 0;  ///< 0 = kill, 1 = drain + re-add, 2 = wedge.
-    std::uint64_t pick = 0;
-  };
-  std::vector<ChaosEvent> plan;
-  if (options.chaos) {
-    std::mt19937_64 chaosRng(options.chaosSeed != 0
-                                 ? options.chaosSeed
+  // comes from the same RNG stream.
+  if (clusterOptions_.chaos) {
+    std::mt19937_64 chaosRng(clusterOptions_.chaosSeed != 0
+                                 ? clusterOptions_.chaosSeed
                                  : options.seed ^ 0x9E3779B97F4A7C15ULL);
     // Kill and drain lead the rotation: a wedge stalls the clients for a
     // full request timeout, so in a short run everything scheduled after
     // one may never fire.
     std::uint64_t at = 6 + chaosRng() % 6;
-    for (int k = 0; k < options.chaosEvents; ++k) {
+    for (int k = 0; k < clusterOptions_.chaosEvents; ++k) {
       ChaosEvent event;
       event.atRequest = at;
       event.kind = k % 3;
       event.pick = chaosRng();
-      plan.push_back(event);
+      schedule_.push_back(event);
       at += 10 + chaosRng() % 10;
     }
   }
-  std::thread chaosThread;
-  if (!plan.empty()) {
-    chaosThread = std::thread([&] {
-      std::size_t next = 0;
-      while (next < plan.size() &&
-             secondsSince(start) < options.durationSeconds + 1.0) {
-        if (shared.requests.load(std::memory_order_relaxed) <
-            plan[next].atRequest) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          continue;
-        }
-        const ChaosEvent& event = plan[next++];
-        std::unique_lock<std::mutex> lock(shared.mutex);
-        const int victim = static_cast<int>(
-            event.pick % static_cast<std::uint64_t>(router.shardCount()));
-        if (event.kind == 0) {
-          router.killShard(victim);
-          ++report.chaosKills;
-        } else if (event.kind == 2) {
-          router.wedgeShard(victim);
-          ++report.chaosWedges;
-        } else {
-          Json drain = Json::object();
-          drain.set("op", "drain");
-          drain.set("shard", victim);
-          Json drained;
-          try {
-            drained = Json::parse(router.handleLine(drain.dump()));
-          } catch (const service::JsonParseError&) {
-          }
-          // A refused drain (last member standing, already drained) is a
-          // legal no-op; an accepted one must re-admit cleanly.
-          if (drained.at("ok").asBool()) {
-            ++report.chaosDrains;
-            Json add = Json::object();
-            add.set("op", "add");
-            add.set("shard", victim);
-            Json added;
-            try {
-              added = Json::parse(router.handleLine(add.dump()));
-            } catch (const service::JsonParseError&) {
-            }
-            if (added.at("ok").asBool()) {
-              ++report.chaosAdds;
-            } else {
-              shared.violations.push_back(
-                  "chaos: re-admitting drained shard " +
-                  std::to_string(victim) + " failed: " + added.dump());
-            }
-          }
-        }
-      }
-    });
-  }
+}
 
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<std::size_t>(options.clients));
-  for (int c = 0; c < options.clients; ++c) {
-    clients.emplace_back(clientLoop, c);
-  }
-  for (std::thread& client : clients) client.join();
-  if (killer.joinable()) killer.join();
-  if (chaosThread.joinable()) chaosThread.join();
+ClusterSoak::~ClusterSoak() {
+  if (faults_.joinable()) faults_.join();
+}
 
-  // Drain: every ack the clients collected must reach a terminal state.
-  {
-    const auto drainStart = Clock::now();
-    std::unique_lock<std::mutex> lock(shared.mutex);
-    while (!shared.pendingIds.empty()) {
-      if (secondsSince(drainStart) > options.drainTimeoutSeconds) {
-        shared.violations.push_back(
-            "drain timed out with " +
-            std::to_string(shared.pendingIds.size()) + " job(s) outstanding");
-        break;
-      }
-      const std::uint64_t id = shared.pendingIds.back();
-      shared.pendingIds.pop_back();
-      Json wait = Json::object();
-      wait.set("op", "wait");
-      wait.set("id", id);
-      wait.set("summary", true);
-      const Json response = call(wait.dump(), lock);
-      if (response.at("ok").asBool()) {
-        recordTerminal(response);
-      } else {
-        shared.violations.push_back("job " + std::to_string(id) +
-                                    " was lost: " + response.dump());
-      }
+void ClusterSoak::begin(testkit::SoakReport& report) {
+  start_ = Clock::now();
+  if (findings_.killedShard >= 0) killPid_ = router_.shardPid(findings_.killedShard);
+  // Chaos mode: start an async exploration before the clients so the
+  // whole fault schedule plays out underneath a live session.
+  if (clusterOptions_.chaos) {
+    const Json ack = send(kExploreLine);
+    if (ack.at("ok").asBool()) {
+      exploreId_ = ack.at("explore_id").asUint64();
+    } else {
+      report.violations.push_back("chaos: explore submission failed: " + ack.dump());
     }
   }
+  if (clusterOptions_.killOneShard || !schedule_.empty()) {
+    faults_ = std::thread([this] { injectFaults(); });
+  }
+}
+
+void ClusterSoak::injectFaults() {
+  bool killPending = findings_.killedShard >= 0;
+  const double killAt = options.durationSeconds * clusterOptions_.killAtFraction;
+  std::size_t next = 0;
+  while (killPending || (next < schedule_.size() &&
+                         secondsSince(start_) < options.durationSeconds + 1.0)) {
+    if (killPending && secondsSince(start_) >= killAt) {
+      // SIGKILL off the router's mutex, so the shard may die mid-request
+      // and the router finds out via EOF.  Only chaos events restart a
+      // shard before this, so under chaos the kill reads the live pid at
+      // a request boundary instead of the one begin() took.
+      if (clusterOptions_.chaos) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        router_.killShard(findings_.killedShard);
+      } else if (killPid_ > 0) {  // 0 and -1 would signal whole groups.
+        ::kill(killPid_, SIGKILL);
+      }
+      killPending = false;
+    } else if (next < schedule_.size() &&
+               lines_.load(std::memory_order_relaxed) >= schedule_[next].atRequest) {
+      // Under the router's mutex, so an event lands *between* requests --
+      // a deterministic op boundary, not a random instant mid-write.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      fire(schedule_[next++]);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+}
+
+void ClusterSoak::fire(const ChaosEvent& event) {
+  const int victim =
+      static_cast<int>(event.pick % static_cast<std::uint64_t>(router_.shardCount()));
+  if (event.kind == 0) {
+    router_.killShard(victim);
+    ++findings_.chaosKills;
+    return;
+  }
+  if (event.kind == 2) {
+    router_.wedgeShard(victim);
+    ++findings_.chaosWedges;
+    return;
+  }
+  const auto membership = [&](const char* op) {
+    Json req = Json::object();
+    req.set("op", op);
+    req.set("shard", victim);
+    try {
+      return Json::parse(router_.handleLine(req.dump()));
+    } catch (const service::JsonParseError&) {
+      return Json();
+    }
+  };
+  // A refused drain (last member standing, already drained) is a legal
+  // no-op; an accepted one must re-admit cleanly.
+  if (!membership("drain").at("ok").asBool()) return;
+  ++findings_.chaosDrains;
+  const Json added = membership("add");
+  if (added.at("ok").asBool()) {
+    ++findings_.chaosAdds;
+  } else {
+    faultViolations_.push_back("chaos: re-admitting drained shard " +
+                               std::to_string(victim) + " failed: " + added.dump());
+  }
+}
+
+void ClusterSoak::finish(testkit::SoakReport& report) {
+  if (faults_.joinable()) faults_.join();
+  report.violations.insert(report.violations.end(), faultViolations_.begin(),
+                           faultViolations_.end());
 
   // Chaos exploration invariants: the session that lived through the
   // fault schedule must deliver its full front (no lost explore budget),
   // and that front must be byte-identical to a clean, equal-budget re-run
   // of the same request -- failover is invisible in the result.
-  if (options.chaos && exploreId != 0) {
-    std::unique_lock<std::mutex> lock(shared.mutex);
+  if (exploreId_ != 0) {
     Json resultReq = Json::object();
     resultReq.set("op", "explore_result");
-    resultReq.set("explore_id", exploreId);
-    const Json stormy = call(resultReq.dump(), lock);
+    resultReq.set("explore_id", exploreId_);
+    const Json stormy = send(resultReq.dump());
     const Json* stormyFront = stormy.find("front");
     if (!stormy.at("ok").asBool() || stormyFront == nullptr ||
         stormyFront->items().empty()) {
-      shared.violations.push_back(
+      report.violations.push_back(
           "chaos: the exploration lost its front to the fault schedule: " +
           stormy.dump());
     } else {
-      Json rerun = Json::parse(exploreLine);
+      Json rerun = Json::parse(kExploreLine);
       rerun.set("async", false);
-      const Json clean = call(rerun.dump(), lock);
+      const Json clean = send(rerun.dump());
       const Json* cleanFront = clean.find("front");
       if (cleanFront == nullptr ||
           frontFingerprint(*stormyFront) != frontFingerprint(*cleanFront)) {
-        shared.violations.push_back(
+        report.violations.push_back(
             "chaos: the failed-over front diverged from a clean re-run of "
             "the same request");
       } else {
-        report.exploreFrontMatched = true;
+        findings_.exploreFrontMatched = true;
       }
     }
   }
@@ -396,73 +216,74 @@ ClusterSoakReport runClusterSoak(const ClusterSoakOptions& options) {
   // Exactly-once at the cache-key level: whatever the cluster ran -- or a
   // dead shard owed and a reboot replayed -- each pool point is now in the
   // cache, so a fresh synchronous pass must be all hits and no reruns.
-  {
-    std::unique_lock<std::mutex> lock(shared.mutex);
-    for (const testkit::CorpusPoint& point : pool) {
-      const Json response =
-          call(submitRequest(point, /*async=*/false, /*summary=*/true).dump(),
-               lock);
-      if (response.at("ok").asBool() && response.at("cache_hit").asBool()) {
-        ++report.resubmittedHits;
-      } else {
-        shared.violations.push_back("pool point \"" + point.label +
-                                    "\" was not a cache hit after the soak: " +
-                                    response.dump());
-      }
-    }
-
-    Json health = call(R"({"op":"health"})", lock);
-    auto fullyAlive = [](const Json& h) {
-      return h.at("ok").asBool() &&
-             h.at("health").at("cluster").at("all_alive").asBool();
-    };
-    if (options.chaos) {
-      // Late chaos faults can leave a member inside its (short) restart
-      // backoff window; "stats" revives dead members, so probe until the
-      // membership heals or the grace runs out.
-      const auto healStart = Clock::now();
-      while (!fullyAlive(health) && secondsSince(healStart) < 10.0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        (void)call(R"({"op":"stats"})", lock);
-        health = call(R"({"op":"health"})", lock);
-      }
-    }
-    if (!fullyAlive(health)) {
-      shared.violations.push_back("cluster is not fully alive after the soak: " +
-                                  health.dump());
+  for (const testkit::CorpusPoint& point : pool) {
+    Json req = testkit::synthesizeRequest(point);
+    req.set("summary", true);
+    const Json response = send(req.dump());
+    if (response.at("ok").asBool() && response.at("cache_hit").asBool()) {
+      ++findings_.resubmittedHits;
+    } else {
+      report.violations.push_back("pool point \"" + point.label +
+                                  "\" was not a cache hit after the soak: " +
+                                  response.dump());
     }
   }
 
-  if (options.killOneShard && router.restarts() == 0) {
-    shared.violations.push_back(
+  Json health = send(R"({"op":"health"})");
+  const auto fullyAlive = [](const Json& h) {
+    return h.at("ok").asBool() && h.at("health").at("cluster").at("all_alive").asBool();
+  };
+  if (clusterOptions_.chaos) {
+    // Late chaos faults can leave a member inside its (short) restart
+    // backoff window; "stats" revives dead members, so probe until the
+    // membership heals or the grace runs out.
+    const auto healStart = Clock::now();
+    while (!fullyAlive(health) && secondsSince(healStart) < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      (void)send(R"({"op":"stats"})");
+      health = send(R"({"op":"health"})");
+    }
+  }
+  if (!fullyAlive(health)) {
+    report.violations.push_back("cluster is not fully alive after the soak: " +
+                                health.dump());
+  }
+
+  if (clusterOptions_.killOneShard && router_.restarts() == 0) {
+    report.violations.push_back(
         "a shard was SIGKILLed but the router never restarted anything");
   }
-  if ((report.chaosKills + report.chaosWedges) > 0 && router.restarts() == 0) {
-    shared.violations.push_back(
+  if (findings_.chaosKills + findings_.chaosWedges > 0 && router_.restarts() == 0) {
+    report.violations.push_back(
         "chaos killed or wedged shards but the router never restarted any");
   }
-  if (const std::uint64_t t = shared.transportErrors.load()) {
-    shared.violations.push_back(std::to_string(t) +
+  if (transportErrors > 0) {
+    report.violations.push_back(std::to_string(transportErrors.load()) +
                                 " unparseable response(s) from the router");
   }
-  if (const std::uint64_t r = shared.rejected.load()) {
-    shared.violations.push_back(
-        std::to_string(r) +
+  if (report.rejected > 0) {
+    report.violations.push_back(
+        std::to_string(report.rejected) +
         " request(s) answered {\"ok\":false}: shard failure leaked through");
   }
 
-  report.requests = shared.requests.load();
-  report.rejected = shared.rejected.load();
-  report.transportErrors = shared.transportErrors.load();
-  report.trackedJobs = shared.trackedJobs.load();
-  report.terminalStates = std::move(shared.terminalStates);
-  report.restarts = router.restarts();
-  report.rerouted = router.rerouted();
-  report.jobFailovers = router.jobFailovers();
-  report.exploreFailovers = router.exploreFailovers();
-  report.violations = std::move(shared.violations);
-  report.elapsedSeconds = secondsSince(start);
-  return report;
+  Findings& f = findings_;
+  f.restarts = router_.restarts();
+  f.rerouted = router_.rerouted();
+  f.jobFailovers = router_.jobFailovers();
+  f.exploreFailovers = router_.exploreFailovers();
+  Json& out = report.extra;
+  out.set("killed_shard", f.killedShard);
+  out.set("restarts", f.restarts);
+  out.set("rerouted", f.rerouted);
+  out.set("resubmitted_hits", f.resubmittedHits);
+  out.set("chaos_kills", f.chaosKills);
+  out.set("chaos_wedges", f.chaosWedges);
+  out.set("chaos_drains", f.chaosDrains);
+  out.set("chaos_adds", f.chaosAdds);
+  out.set("job_failovers", f.jobFailovers);
+  out.set("explore_failovers", f.exploreFailovers);
+  out.set("explore_front_matched", f.exploreFrontMatched);
 }
 
 }  // namespace lo::cluster

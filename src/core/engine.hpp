@@ -12,8 +12,8 @@
 // generation/extraction/verification tail; the Topology supplies the
 // circuit-specific design plan and layout program.
 //
-// SynthesisFlow (flow.hpp) and runTwoStageFlow (two_stage_flow.hpp) are
-// thin wrappers over this engine that preserve the original result types.
+// run(specs) creates the topology by registry name; run(topology, specs)
+// leaves the sized design, layout and extracted design on the caller's.
 #pragma once
 
 #include <functional>

@@ -3,8 +3,8 @@
 // trip, EOF on death, timeout on wedge), and -- when a losynthd binary is
 // available (LOSYNTHD_BIN, or the build-time default) -- a real
 // multi-process ClusterRouter end to end: duplicate co-location, sweep
-// partitioning, aggregated stats, structured errors and kill-one-shard
-// revival.
+// partitioning, aggregated stats, structured errors, kill-one-shard
+// revival, and the failure paths of sweep fan-out and multiplexed wait.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -130,7 +130,9 @@ TEST(ShardProcessTest, DeathSurfacesAsEofNotAHang) {
 
 TEST(ShardProcessTest, WedgedChildTimesOutAndKill9Reaps) {
   ShardProcess child;
-  child.spawn({"sh", "-c", "sleep 30"});
+  // exec, so the SIGKILL reaches the sleeper itself: a forked grandchild
+  // would outlive sh and hold the test's inherited stderr open.
+  child.spawn({"sh", "-c", "exec sleep 30"});
   std::string line;
   EXPECT_EQ(child.readLine(line, 0.2), ReadStatus::kTimeout);
   child.kill9();
@@ -192,6 +194,40 @@ class ClusterRouterTest : public ::testing::Test {
            std::to_string(gbwMHz) + R"(e6}})";
   }
 
+  /// A summary sweep of case-1 points, entry i labelled "g<gbws[i]>".
+  static std::string sweepLine(const std::vector<int>& gbws) {
+    Json jobs = Json::array();
+    for (int gbw : gbws) {
+      Json job = Json::object();
+      job.set("case", 1);
+      job.set("label", "g" + std::to_string(gbw));
+      Json spec = Json::object();
+      spec.set("gbw", static_cast<double>(gbw) * 1e6);
+      job.set("spec", std::move(spec));
+      jobs.push(std::move(job));
+    }
+    Json request = Json::object();
+    request.set("op", "sweep");
+    request.set("summary", true);
+    request.set("jobs", std::move(jobs));
+    return request.dump();
+  }
+
+  /// Each outcome's shard, after asserting it succeeded under its label.
+  static std::vector<int> sweepShards(const Json& response,
+                                      const std::vector<int>& gbws) {
+    std::vector<int> shards;
+    EXPECT_TRUE(response.at("ok").asBool()) << response.dump();
+    const auto& outcomes = response.at("outcomes").items();
+    EXPECT_EQ(outcomes.size(), gbws.size());
+    for (std::size_t i = 0; i < outcomes.size() && i < gbws.size(); ++i) {
+      EXPECT_TRUE(outcomes[i].at("ok").asBool()) << outcomes[i].dump();
+      EXPECT_EQ(outcomes[i].at("label").asString(), "g" + std::to_string(gbws[i]));
+      shards.push_back(outcomes[i].at("shard").asInt(-1));
+    }
+    return shards;
+  }
+
   std::string bin_;
   std::filesystem::path scratch_;
 };
@@ -215,34 +251,16 @@ TEST_F(ClusterRouterTest, DuplicatesLandOnTheSameShardAndHitItsCache) {
 
 TEST_F(ClusterRouterTest, SweepPartitionsAcrossShardsAndKeepsRequestOrder) {
   ClusterRouter router(makeOptions(2));
-  Json jobs = Json::array();
-  std::vector<std::string> labels;
-  for (int gbw : {62, 63, 64, 62, 63, 64}) {
-    Json job = Json::object();
-    job.set("case", 1);
-    job.set("label", "g" + std::to_string(gbw));
-    labels.push_back("g" + std::to_string(gbw));
-    Json spec = Json::object();
-    spec.set("gbw", static_cast<double>(gbw) * 1e6);
-    job.set("spec", std::move(spec));
-    jobs.push(std::move(job));
-  }
-  Json request = Json::object();
-  request.set("op", "sweep");
-  request.set("summary", true);
-  request.set("jobs", std::move(jobs));
-
-  const Json response = call(router, request.dump());
-  ASSERT_TRUE(response.at("ok").asBool()) << response.dump();
+  const std::vector<int> gbws{62, 63, 64, 62, 63, 64};
+  const Json response = call(router, sweepLine(gbws));
+  // Outcomes come back in request order: every label still matches.
+  (void)sweepShards(response, gbws);
   const auto& outcomes = response.at("outcomes").items();
   ASSERT_EQ(outcomes.size(), 6u);
   std::set<std::uint64_t> ids;
   std::map<std::string, int> keyShard;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const Json& outcome = outcomes[i];
-    ASSERT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
-    // Outcomes come back in request order: the label still matches.
-    EXPECT_EQ(outcome.at("label").asString(), labels[i]);
     ids.insert(outcome.at("id").asUint64());
     const std::string key = outcome.at("cache_key").asString();
     ASSERT_FALSE(key.empty());
@@ -579,6 +597,96 @@ TEST_F(ClusterRouterTest, ExplorationFailsOverWhenItsShardCannotRevive) {
     return scrubbed.dump();
   };
   EXPECT_EQ(fingerprint(stormy.at("front")), fingerprint(clean.at("front")));
+}
+
+// ------------------------------------------------- router failure paths --
+
+TEST_F(ClusterRouterTest, SweepAfterAKillRevivesTheShardAndKeepsRequestOrder) {
+  ClusterRouter router(makeOptions(2));
+  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  const std::vector<int> before = sweepShards(call(router, sweepLine(gbws)), gbws);
+  ASSERT_EQ(std::set<int>(before.begin(), before.end()).size(), 2u)
+      << "the sweep must span both shards";
+
+  router.killShard(before.front());
+  // The dead shard's sub-sweep fails mid-fan-out; the recovery pass
+  // revives it and retries there, so ownership and order are unchanged.
+  EXPECT_EQ(sweepShards(call(router, sweepLine(gbws)), gbws), before);
+  EXPECT_EQ(router.restarts(), 1u);
+}
+
+TEST_F(ClusterRouterTest, SweepAfterAKillWithoutRestartsReroutesToTheSurvivor) {
+  RouterOptions options = makeOptions(2);
+  options.restartDeadShards = false;
+  ClusterRouter router(options);
+  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  const std::vector<int> before = sweepShards(call(router, sweepLine(gbws)), gbws);
+  ASSERT_EQ(std::set<int>(before.begin(), before.end()).size(), 2u)
+      << "the sweep must span both shards";
+
+  const int victim = before.front();
+  router.killShard(victim);
+  const std::vector<int> after = sweepShards(call(router, sweepLine(gbws)), gbws);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    // Survivor entries stay home; the victim's move to the survivor.
+    EXPECT_NE(after[i], victim) << "entry " << i;
+    if (before[i] != victim) {
+      EXPECT_EQ(after[i], before[i]) << "entry " << i;
+    }
+  }
+  EXPECT_EQ(router.restarts(), 0u);
+  EXPECT_GE(router.rerouted(), 1u);
+}
+
+TEST_F(ClusterRouterTest, MultiplexedWaitRecyclesAWedgedShardAndResolvesEveryId) {
+  RouterOptions options = makeOptions(2);
+  options.requestTimeoutSeconds = 1.0;
+  ClusterRouter router(options);
+  Json ids = Json::array();
+  std::map<std::uint64_t, int> owner;
+  for (int gbw : {81, 82, 83, 84, 85, 86}) {
+    const Json ack =
+        call(router, R"({"op":"synthesize","async":true,"case":1,"spec":{"gbw":)" +
+                         std::to_string(gbw) + R"(e6}})");
+    ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
+    owner[ack.at("id").asUint64()] = ack.at("shard").asInt(-1);
+    ids.push(ack.at("id").asUint64());
+  }
+  std::set<int> shards;
+  for (const auto& [id, shard] : owner) shards.insert(shard);
+  ASSERT_EQ(shards.size(), 2u) << "the jobs must span both shards";
+
+  // Settle every job first, so only the wedge can hold an answer back.
+  Json wait = Json::object();
+  wait.set("op", "wait");
+  wait.set("ids", ids);
+  ASSERT_TRUE(call(router, wait.dump()).at("ok").asBool());
+
+  const int wedged = owner.begin()->second;
+  router.wedgeShard(wedged);
+  const Json response = call(router, wait.dump());
+  ASSERT_TRUE(response.at("ok").asBool()) << response.dump();
+  const auto& outcomes = response.at("outcomes").items();
+  ASSERT_EQ(outcomes.size(), owner.size());
+  for (const Json& outcome : outcomes) {
+    // Every id resolves, the wedged shard's ones included.
+    ASSERT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
+    EXPECT_EQ(outcome.at("state").asString(), "done");
+    const std::uint64_t id = outcome.at("id").asUint64();
+    ASSERT_EQ(owner.count(id), 1u) << outcome.dump();
+    if (owner.at(id) != wedged) {
+      // The healthy shard answered its own ids over its own stream.
+      EXPECT_EQ(outcome.at("shard").asInt(-1), owner.at(id)) << outcome.dump();
+    }
+  }
+
+  const Json health = call(router, R"({"op":"health"})");
+  const Json& entry =
+      health.at("health").at("shards").at("shard" + std::to_string(wedged));
+  EXPECT_EQ(entry.at("last_restart_reason").asString(), "request timeout (wedged)")
+      << entry.dump();
+  EXPECT_TRUE(entry.at("alive").asBool()) << entry.dump();
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/flow.hpp"
+#include "core/ota_topology.hpp"
 #include "core/sweep.hpp"
 
 namespace lo::core {
@@ -231,11 +231,11 @@ TEST(Engine, RegistryRunMatchesWrapperRun) {
   EngineOptions opt;
   const SynthesisEngine engine(kTech, opt);
   const EngineResult viaRegistry = engine.run(sizing::OtaSpecs{});
-  FlowOptions flowOpt;
-  const FlowResult viaWrapper = SynthesisFlow(kTech, flowOpt).run(sizing::OtaSpecs{});
-  EXPECT_DOUBLE_EQ(viaRegistry.measured.gbwHz, viaWrapper.measured.gbwHz);
-  EXPECT_DOUBLE_EQ(viaRegistry.predicted.dcGainDb, viaWrapper.predicted.dcGainDb);
-  EXPECT_EQ(viaRegistry.layoutCalls, viaWrapper.layoutCalls);
+  FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const EngineResult viaTopology = engine.run(topology, sizing::OtaSpecs{});
+  EXPECT_DOUBLE_EQ(viaRegistry.measured.gbwHz, viaTopology.measured.gbwHz);
+  EXPECT_DOUBLE_EQ(viaRegistry.predicted.dcGainDb, viaTopology.predicted.dcGainDb);
+  EXPECT_EQ(viaRegistry.layoutCalls, viaTopology.layoutCalls);
 }
 
 TEST(Engine, TwoStageConvergenceWatchesCompensationNets) {

@@ -4,7 +4,8 @@
 
 #include <cstring>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/writers.hpp"
 #include "sizing/montecarlo.hpp"
 #include "sizing/ota_sizer.hpp"
@@ -103,13 +104,14 @@ TEST(Resistance, TrunkResistanceScalesWithLength) {
 }
 
 TEST(Resistance, ReportCarriesRoutingResistance) {
-  const core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const layout::ParasiticReport& parasitics = topology.layout().parasitics;
   for (const char* net : {"x1", "out", "tail"}) {
-    ASSERT_TRUE(r.layout.parasitics.nets.count(net)) << net;
-    EXPECT_GT(r.layout.parasitics.nets.at(net).routingRes, 0.1) << net;
-    EXPECT_LT(r.layout.parasitics.nets.at(net).routingRes, 500.0) << net;
+    ASSERT_TRUE(parasitics.nets.count(net)) << net;
+    EXPECT_GT(parasitics.nets.at(net).routingRes, 0.1) << net;
+    EXPECT_LT(parasitics.nets.at(net).routingRes, 500.0) << net;
   }
 }
 
@@ -132,9 +134,11 @@ TEST(Corners, DesignSurvivesAllCorners) {
   // Design at typical, verify the extracted netlist at every corner: the
   // amplifier must stay functional (this is the statistical-reliability
   // angle of the paper's verification interface).
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const auto& design = topology.extractedDesign();
+  const auto& parasitics = topology.layout().parasitics;
   const auto model = device::MosModel::create("ekv");
 
   // Same-direction corners keep the branch currents balanced, so the fixed
@@ -147,7 +151,7 @@ TEST(Corners, DesignSurvivesAllCorners) {
                                 tech::ProcessCorner::kFast}) {
     const tech::Technology corner = kTech.atCorner(c);
     sizing::OtaVerifier verifier(corner, *model);
-    const auto m = verifier.verify(r.extractedDesign, &r.layout.parasitics);
+    const auto m = verifier.verify(design, &parasitics);
     EXPECT_GT(m.dcGainDb, 55.0) << tech::cornerName(c);
     EXPECT_GT(m.phaseMarginDeg, 45.0) << tech::cornerName(c);
     EXPECT_GT(m.gbwHz, 30e6) << tech::cornerName(c);
@@ -161,7 +165,7 @@ TEST(Corners, DesignSurvivesAllCorners) {
        {tech::ProcessCorner::kSlowNFastP, tech::ProcessCorner::kFastNSlowP}) {
     const tech::Technology corner = kTech.atCorner(c);
     sizing::OtaVerifier verifier(corner, *model);
-    EXPECT_NO_THROW((void)verifier.verify(r.extractedDesign, &r.layout.parasitics))
+    EXPECT_NO_THROW((void)verifier.verify(design, &parasitics))
         << tech::cornerName(c);
   }
 }
@@ -170,21 +174,20 @@ TEST(Corners, BiasGeneratorRescuesCrossCorners) {
   // With the transistor-level bias generator the bias voltages track the
   // process, so even the cross corners that break fixed ideal biases keep
   // the amplifier healthy.
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  const auto bias = sizing::designOtaBias(kTech, flow.model(), r.extractedDesign);
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const auto& design = topology.extractedDesign();
+  const auto bias = sizing::designOtaBias(kTech, engine.model(), design);
   for (tech::ProcessCorner c :
        {tech::ProcessCorner::kTypical, tech::ProcessCorner::kSlow,
         tech::ProcessCorner::kFast, tech::ProcessCorner::kSlowNFastP,
         tech::ProcessCorner::kFastNSlowP}) {
     const tech::Technology corner = kTech.atCorner(c);
     const auto m = sizing::measureAmplifier(
-        corner, flow.model(),
-        [&](circuit::Circuit& ck) {
-          circuit::instantiateOtaWithBias(ck, r.extractedDesign, bias);
-        },
-        r.extractedDesign.inputCm, r.extractedDesign.vdd, &r.layout.parasitics);
+        corner, engine.model(),
+        [&](circuit::Circuit& ck) { circuit::instantiateOtaWithBias(ck, design, bias); },
+        design.inputCm, design.vdd, &topology.layout().parasitics);
     EXPECT_GT(m.dcGainDb, 60.0) << tech::cornerName(c);
     EXPECT_GT(m.phaseMarginDeg, 55.0) << tech::cornerName(c);
     EXPECT_NEAR(m.gbwHz, 65e6, 65e6 * 0.12) << tech::cornerName(c);
@@ -192,16 +195,15 @@ TEST(Corners, BiasGeneratorRescuesCrossCorners) {
 }
 
 TEST(Corners, BiasGeneratorMatchesIdealBiasAtTypical) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  const auto bias = sizing::designOtaBias(kTech, flow.model(), r.extractedDesign);
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, sizing::OtaSpecs{});
+  const auto& design = topology.extractedDesign();
+  const auto bias = sizing::designOtaBias(kTech, engine.model(), design);
   const auto m = sizing::measureAmplifier(
-      kTech, flow.model(),
-      [&](circuit::Circuit& ck) {
-        circuit::instantiateOtaWithBias(ck, r.extractedDesign, bias);
-      },
-      r.extractedDesign.inputCm, r.extractedDesign.vdd, &r.layout.parasitics);
+      kTech, engine.model(),
+      [&](circuit::Circuit& ck) { circuit::instantiateOtaWithBias(ck, design, bias); },
+      design.inputCm, design.vdd, &topology.layout().parasitics);
   // Within a few percent of the ideal-bias measurement.
   EXPECT_NEAR(m.gbwHz, r.measured.gbwHz, r.measured.gbwHz * 0.06);
   EXPECT_NEAR(m.dcGainDb, r.measured.dcGainDb, 1.5);
@@ -211,14 +213,16 @@ TEST(Corners, BiasGeneratorMatchesIdealBiasAtTypical) {
 }
 
 TEST(Corners, FlowDrawsTheBiasGenerator) {
-  core::FlowOptions opt;
+  core::EngineOptions opt;
   opt.includeBiasGenerator = true;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, opt);
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, sizing::OtaSpecs{});
+  const layout::OtaLayoutResult& lay = topology.layout();
   // Bias devices drawn and DRC-clean.
-  EXPECT_TRUE(r.layout.floorplan.leaves.count("MNB1"));
-  EXPECT_TRUE(r.layout.floorplan.leaves.count("MPB2"));
-  const auto violations = layout::runDrc(kTech, r.layout.cell.shapes);
+  EXPECT_TRUE(lay.floorplan.leaves.count("MNB1"));
+  EXPECT_TRUE(lay.floorplan.leaves.count("MPB2"));
+  const auto violations = layout::runDrc(kTech, lay.cell.shapes);
   std::size_t shorts = 0;
   for (const auto& v : violations) {
     if (v.detail.find("short") != std::string::npos) ++shorts;
@@ -227,26 +231,27 @@ TEST(Corners, FlowDrawsTheBiasGenerator) {
   // Verified with the generator in the loop; bias nets now carry routing
   // parasitics.
   EXPECT_NEAR(r.measured.gbwHz, 65e6, 65e6 * 0.06);
-  EXPECT_GT(r.layout.parasitics.capOn("vbn"), 1e-15);
-  EXPECT_GT(r.bias.biasCurrent, 1e-6);
+  EXPECT_GT(lay.parasitics.capOn("vbn"), 1e-15);
+  EXPECT_GT(topology.bias().biasCurrent, 1e-6);
 }
 
 // --- Monte Carlo. ---
 
 TEST(MonteCarlo, OffsetSpreadScalesWithMismatch) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const auto& design = topology.extractedDesign();
+  const auto& parasitics = topology.layout().parasitics;
 
   sizing::MonteCarloOptions small;
   small.samples = 25;
   small.avt = 5e-9;
   sizing::MonteCarloOptions big = small;
   big.avt = 20e-9;
-  const auto rs = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign,
-                                        &r.layout.parasitics, small);
-  const auto rb = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign,
-                                        &r.layout.parasitics, big);
+  const auto rs =
+      sizing::runMonteCarlo(kTech, engine.model(), design, &parasitics, small);
+  const auto rb = sizing::runMonteCarlo(kTech, engine.model(), design, &parasitics, big);
   EXPECT_EQ(rs.failures, 0);
   EXPECT_EQ(static_cast<int>(rs.offsetsMv.size()), small.samples);
   EXPECT_GT(rb.offsetSigmaMv, 2.0 * rs.offsetSigmaMv);
@@ -256,13 +261,14 @@ TEST(MonteCarlo, OffsetSpreadScalesWithMismatch) {
 }
 
 TEST(MonteCarlo, Deterministic) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
   sizing::MonteCarloOptions mc;
   mc.samples = 10;
-  const auto a = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign, nullptr, mc);
-  const auto b = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign, nullptr, mc);
+  const auto& design = topology.extractedDesign();
+  const auto a = sizing::runMonteCarlo(kTech, engine.model(), design, nullptr, mc);
+  const auto b = sizing::runMonteCarlo(kTech, engine.model(), design, nullptr, mc);
   ASSERT_EQ(a.offsetsMv.size(), b.offsetsMv.size());
   for (std::size_t i = 0; i < a.offsetsMv.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.offsetsMv[i], b.offsetsMv[i]);
@@ -272,20 +278,20 @@ TEST(MonteCarlo, Deterministic) {
 // --- Usable range (input CM range / output swing intersection). ---
 
 TEST(Range, BufferTracksInsideTheDesignWindow) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  const auto& design = topology.extractedDesign();
   const auto range = sizing::measureUsableRange(
-      kTech, flow.model(),
-      [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, r.extractedDesign); },
-      r.extractedDesign.vdd);
+      kTech, engine.model(),
+      [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, design); }, design.vdd);
   // A healthy window around the design common mode.
   EXPECT_LT(range.low, 1.0);
   EXPECT_GT(range.high, 1.6);
   EXPECT_GT(range.span(), 0.8);
   // The design common mode sits inside it.
-  EXPECT_GT(r.extractedDesign.inputCm, range.low);
-  EXPECT_LT(r.extractedDesign.inputCm, range.high);
+  EXPECT_GT(design.inputCm, range.low);
+  EXPECT_LT(design.inputCm, range.high);
 }
 
 TEST(Range, TwoStageBufferHasItsOwnWindow) {
@@ -330,13 +336,14 @@ TEST(Temperature, SubthresholdCurrentRisesWithHeat) {
 }
 
 TEST(Temperature, VerificationFollowsTechnologyTemperature) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, sizing::OtaSpecs{});
   tech::Technology hot = kTech;
   hot.temperature = 273.15 + 125.0;
-  sizing::OtaVerifier hotVerifier(hot, flow.model());
-  const auto m = hotVerifier.verify(r.extractedDesign, &r.layout.parasitics);
+  sizing::OtaVerifier hotVerifier(hot, engine.model());
+  const auto m =
+      hotVerifier.verify(topology.extractedDesign(), &topology.layout().parasitics);
   // The amplifier must survive 125 C with degraded but sane numbers, and the
   // hot run must differ measurably from nominal.
   EXPECT_GT(m.dcGainDb, 55.0);
@@ -352,13 +359,13 @@ TEST(Temperature, VerificationFollowsTechnologyTemperature) {
 // --- Operating-point report. ---
 
 TEST(OpReport, ListsEveryDeviceAndNode) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  sizing::OtaVerifier v(kTech, flow.model());
-  const circuit::Circuit c =
-      v.buildAcTestbench(r.extractedDesign, &r.layout.parasitics, 1, 0, 0);
-  sim::Simulator sim(c, kTech, flow.model());
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
+  sizing::OtaVerifier v(kTech, engine.model());
+  const circuit::Circuit c = v.buildAcTestbench(topology.extractedDesign(),
+                                                &topology.layout().parasitics, 1, 0, 0);
+  sim::Simulator sim(c, kTech, engine.model());
   const auto op = sim.dcOperatingPoint();
   const std::string report = sim::opReport(c, op);
   for (const char* token : {"MP1", "MN2C", "saturation", "node voltages", "VDD", "out"}) {
@@ -376,9 +383,9 @@ TEST(OpReport, ListsEveryDeviceAndNode) {
 // --- PSRR / settling (measured vs analytic). ---
 
 TEST(Psrr, MeasuredAndPredictedAgreeOnScale) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, sizing::OtaSpecs{});
   EXPECT_GT(r.measured.psrrDb, 55.0);
   // The analytic PSRR is an order-of-magnitude figure (the tail and mirror
   // supply paths partially cancel in ways the closed form cannot see), and

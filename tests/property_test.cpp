@@ -6,7 +6,8 @@
 #include <string>
 
 #include "circuit/spice_io.hpp"
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/drc.hpp"
 #include "layout/router.hpp"
 #include "layout/slicing.hpp"
@@ -171,20 +172,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SlicingFuzz, ::testing::Range(100, 110));
 // --- Netlist round trip through text preserves simulation results. ---
 
 TEST(Integration, ExtractedNetlistRoundTripSimulatesIdentically) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
+  (void)engine.run(topology, sizing::OtaSpecs{});
 
   // Build the extracted AC testbench, write it to SPICE text, parse it back.
-  sizing::OtaVerifier verifier(kTech, flow.model());
-  const circuit::Circuit direct =
-      verifier.buildAcTestbench(r.extractedDesign, &r.layout.parasitics, 1.0, 0.0, 0.0);
+  sizing::OtaVerifier verifier(kTech, engine.model());
+  const circuit::Circuit direct = verifier.buildAcTestbench(
+      topology.extractedDesign(), &topology.layout().parasitics, 1.0, 0.0, 0.0);
   const circuit::Circuit reparsed = circuit::parseNetlist(circuit::writeNetlist(direct));
   ASSERT_EQ(reparsed.mosfets.size(), direct.mosfets.size());
   ASSERT_EQ(reparsed.capacitors.size(), direct.capacitors.size());
 
-  sim::Simulator simA(direct, kTech, flow.model());
-  sim::Simulator simB(reparsed, kTech, flow.model());
+  sim::Simulator simA(direct, kTech, engine.model());
+  sim::Simulator simB(reparsed, kTech, engine.model());
   const auto opA = simA.dcOperatingPoint();
   const auto opB = simB.dcOperatingPoint();
   const auto outA = *direct.findNode("out");
@@ -202,11 +203,10 @@ TEST(Integration, ExtractedNetlistRoundTripSimulatesIdentically) {
 
 TEST(Integration, TechFileRoundTripPreservesFlowResult) {
   const tech::Technology reparsed = tech::Technology::parse(kTech.toText());
-  core::FlowOptions opt;
-  core::SynthesisFlow flowA(kTech, opt);
-  core::SynthesisFlow flowB(reparsed, opt);
-  const auto a = flowA.run(sizing::OtaSpecs{});
-  const auto b = flowB.run(sizing::OtaSpecs{});
+  const core::EngineOptions opt;
+  const core::EngineResult a = core::SynthesisEngine(kTech, opt).run(sizing::OtaSpecs{});
+  const core::EngineResult b =
+      core::SynthesisEngine(reparsed, opt).run(sizing::OtaSpecs{});
   EXPECT_NEAR(a.measured.gbwHz, b.measured.gbwHz, a.measured.gbwHz * 1e-6);
   EXPECT_NEAR(a.measured.dcGainDb, b.measured.dcGainDb, 1e-6);
   EXPECT_EQ(a.layoutCalls, b.layoutCalls);

@@ -1,9 +1,11 @@
 // lo_testkit unit tests: fault-plan determinism, seeded generators, the
-// structured diff, each injection seam end to end, and a short soak.
+// structured diff, each injection seam end to end, the soak harness over a
+// scripted target, and short in-process soaks.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -274,6 +276,59 @@ TEST(FaultInjection, TruncatedResponseLeavesTheDaemonStateIntact) {
 
 // ------------------------------------------------------------------ soak --
 
+/// A scripted line target: every submission is acknowledged, job 2 is
+/// unknown to every wait, and "jobs.submitted" counts the lines answered
+/// until the client loop's 40 are past, then reads 0.
+struct ScriptedMode final : SoakMode {
+  ScriptedMode() {
+    options.clients = 1;
+    options.maxRequestsPerClient = 40;
+    options.durationSeconds = 30.0;
+    mix = {.asyncSubmit = 50, .wait = 30};
+    CorpusOptions corpus;
+    corpus.size = 2;
+    pool = generateCorpus(3, corpus);
+    monotoneCounters = {"jobs.submitted"};
+    target = [this](const std::string& line) -> std::string {
+      const int n = ++lines;
+      const service::Json request = service::Json::parse(line);
+      const std::string op = request.at("op").asString();
+      if (op == "synthesize") return R"({"ok":true,"id":)" + std::to_string(++acks) + "}";
+      if (op == "wait" && request.at("id").asUint64() == 2) {
+        return R"({"ok":false,"error":"unknown job"})";
+      }
+      if (op == "wait") return R"({"ok":true,"state":"done"})";
+      ++probes;
+      return R"({"ok":true,"stats":{"jobs":{"submitted":)" + std::to_string(n <= 40 ? n : 0) +
+             "}}}";
+    };
+  }
+  void finish(SoakReport& /*report*/) override {}
+
+  std::atomic<int> lines{0};
+  std::atomic<int> acks{0};
+  std::atomic<int> probes{0};
+};
+
+TEST(Soak, HarnessReportsLostJobsAndFallingCounters) {
+  ScriptedMode mode;
+  const SoakReport report = runSoak(mode);
+  EXPECT_EQ(report.requests, 40u);
+  ASSERT_GE(mode.acks.load(), 2);
+  ASSERT_GE(mode.probes.load(), 3);
+  EXPECT_EQ(report.trackedJobs, static_cast<std::uint64_t>(mode.acks.load()));
+  // Every other ack settles "done"; job 2 is lost, and said so.
+  EXPECT_EQ(report.terminalStates.at("done"), report.trackedJobs - 1);
+  // Only the probes after the client loop can read 0: the drain is sampled.
+  bool lost = false, fell = false;
+  for (const std::string& v : report.violations) {
+    lost |= v.rfind("job 2 was lost", 0) == 0;
+    fell |= v.rfind("monotonicity: jobs.submitted fell", 0) == 0 && v.ends_with(" to 0");
+  }
+  EXPECT_TRUE(lost) << report.toJson().dump();
+  EXPECT_TRUE(fell) << report.toJson().dump();
+}
+
 TEST(Soak, ShortCappedRunHoldsEveryInvariant) {
   SoakOptions options;
   options.seed = 5;
@@ -287,7 +342,8 @@ TEST(Soak, ShortCappedRunHoldsEveryInvariant) {
        ("lo_testkit_soak_" + std::to_string(::getpid())))
           .string();
 
-  const SoakReport report = runSoak(kTech, options);
+  ServiceSoak mode(kTech, options);
+  const SoakReport report = runSoak(mode);
   std::filesystem::remove_all(options.cacheDir);
 
   EXPECT_TRUE(report.ok()) << report.toJson().dump();
@@ -316,17 +372,18 @@ TEST(Soak, CrashRecoveryPhaseLosesAndDuplicatesNothing) {
   options.faults.rate = 0.0;
   options.faults.explicitOps[FaultSite::kProcessKill] = {13};
 
-  const SoakReport report = runSoak(kTech, options);
+  ServiceSoak mode(kTech, options);
+  const SoakReport report = runSoak(mode);
   std::filesystem::remove_all(scratch);
 
   EXPECT_TRUE(report.ok()) << report.toJson().dump();
-  ASSERT_TRUE(report.recovery.ran);
-  EXPECT_TRUE(report.recovery.crashed);
+  const RecoveryReport& recovery = mode.findings().recovery;
+  ASSERT_TRUE(recovery.ran);
+  EXPECT_TRUE(recovery.crashed);
   // Every pending job was accounted for, one way or the other.
-  EXPECT_EQ(report.recovery.servedFromCache + report.recovery.reRun,
-            report.recovery.pendingAtBoot);
-  if (report.recovery.pendingAtBoot > 0) {
-    EXPECT_GE(report.recovery.compactions, 1u);
+  EXPECT_EQ(recovery.servedFromCache + recovery.reRun, recovery.pendingAtBoot);
+  if (recovery.pendingAtBoot > 0) {
+    EXPECT_GE(recovery.compactions, 1u);
   }
   const service::Json json = report.toJson();
   EXPECT_TRUE(json.at("recovery").at("crashed").asBool());
@@ -347,17 +404,18 @@ TEST(Soak, TornWritePresetSurvivesRecovery) {
   options.journalDir = scratch + "/journal";
   options.faults = FaultPlanOptions::journalTorn(23);
 
-  const SoakReport report = runSoak(kTech, options);
+  ServiceSoak mode(kTech, options);
+  const SoakReport report = runSoak(mode);
   std::filesystem::remove_all(scratch);
 
   EXPECT_TRUE(report.ok()) << report.toJson().dump();
-  ASSERT_TRUE(report.recovery.ran);
+  const RecoveryReport& recovery = mode.findings().recovery;
+  ASSERT_TRUE(recovery.ran);
   // The torn append froze the journal; the reboot truncated the half-frame
   // and recovered what the log still held.
-  EXPECT_TRUE(report.recovery.crashed);
-  EXPECT_TRUE(report.recovery.tornTail);
-  EXPECT_EQ(report.recovery.servedFromCache + report.recovery.reRun,
-            report.recovery.pendingAtBoot);
+  EXPECT_TRUE(recovery.crashed);
+  EXPECT_TRUE(recovery.tornTail);
+  EXPECT_EQ(recovery.servedFromCache + recovery.reRun, recovery.pendingAtBoot);
 }
 
 }  // namespace

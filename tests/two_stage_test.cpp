@@ -1,7 +1,7 @@
-#include "core/two_stage_flow.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/engine.hpp"
+#include "core/two_stage_topology.hpp"
 #include "layout/drc.hpp"
 #include "layout/passives.hpp"
 
@@ -147,23 +147,27 @@ TEST(TwoStage, LayoutIsDrcCleanAndReportsPassives) {
 }
 
 TEST(TwoStage, FullFlowConvergesAndMeetsSpecShape) {
-  core::TwoStageFlowOptions opt;
-  const auto r = core::runTwoStageFlow(kTech, opt, twoStageSpecs());
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::TwoStageTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, twoStageSpecs());
   EXPECT_TRUE(r.parasiticConverged);
   EXPECT_LE(r.layoutCalls, 5);
   // Extracted simulation within 12% of the (compensated) target.
   EXPECT_NEAR(r.measured.gbwHz, 30e6, 30e6 * 0.12);
   EXPECT_GE(r.measured.phaseMarginDeg, 58.0);
   // Drawn passives replaced the ideal ones in the extracted design.
-  EXPECT_NEAR(r.extractedDesign.cc, r.layout.ccInfo.drawnFarads, 1e-18);
+  EXPECT_NEAR(topology.extractedDesign().cc, topology.layout().ccInfo.drawnFarads,
+              1e-18);
 }
 
 TEST(TwoStage, Case1MissesWithoutLayoutKnowledge) {
-  core::TwoStageFlowOptions c1;
+  core::EngineOptions c1;
+  c1.topology = core::kTwoStageTopologyName;
   c1.sizingCase = core::SizingCase::kCase1;
-  core::TwoStageFlowOptions c4;
-  const auto r1 = core::runTwoStageFlow(kTech, c1, twoStageSpecs());
-  const auto r4 = core::runTwoStageFlow(kTech, c4, twoStageSpecs());
+  core::EngineOptions c4;
+  c4.topology = core::kTwoStageTopologyName;
+  const auto r1 = core::SynthesisEngine(kTech, c1).run(twoStageSpecs());
+  const auto r4 = core::SynthesisEngine(kTech, c4).run(twoStageSpecs());
   // Case 4's extracted GBW must be at least as close to target as case 1's.
   EXPECT_LE(std::abs(r4.measured.gbwHz - 30e6), std::abs(r1.measured.gbwHz - 30e6) + 1e5);
   EXPECT_EQ(r1.layoutCalls, 0);

@@ -135,7 +135,9 @@ TEST(Verify, AnnotateCircuitRoundTripThroughSimulation) {
       v.buildAcTestbench(sized().result.design, &report, 1, 0, 0);
   double rparX1 = 0.0, rparX2 = 0.0, cparX1 = 0.0, cparX2 = 0.0;
   for (const circuit::Resistor& r : tb.resistors) {
-    if (r.name == "RPAR_out") EXPECT_DOUBLE_EQ(r.ohms, 3000.0);
+    if (r.name == "RPAR_out") {
+      EXPECT_DOUBLE_EQ(r.ohms, 3000.0);
+    }
     if (r.name == "RPAR_x1") rparX1 = r.ohms;
     if (r.name == "RPAR_x2") rparX2 = r.ohms;
   }

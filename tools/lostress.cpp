@@ -27,11 +27,9 @@
 //   --drain-timeout T    bound on the post-soak drain (default 60s)
 //   --tech PATH          technology file (default: built-in generic060)
 //
-// Cluster mode (--worker): instead of an in-process daemon, the soak
+// Cluster mode (--worker): instead of an in-process daemon, the same soak
 // boots a ClusterRouter over real losynthd child shards and drives it
-// through the same line protocol; see cluster/soak.hpp for the invariants
-// (no lost jobs, no leaked shard failures, post-drain resubmission all
-// cache hits, kill evidence).
+// through the line protocol; cluster/soak.hpp lists its invariants.
 //
 //   $ lostress --worker ./losynthd --shards 3 --kill-shard --duration 5s
 //              --journal-dir /tmp/ls/journal --cache-dir /tmp/ls/cache
@@ -45,6 +43,7 @@
 //                        indices, with an async exploration riding through
 //                        the storm (its front must match a clean re-run
 //                        byte for byte); SEED 0 derives one from --seed
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -131,14 +130,18 @@ int main(int argc, char** argv) {
   }
 
   try {
+    const auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
+    testkit::SoakReport report;
+    const auto summarize = [&] {
+      std::printf("%s\n", report.toJson().dump().c_str());
+      std::fprintf(stderr,
+                   "lostress: %llu requests from %d clients in %.2fs, %llu jobs "
+                   "tracked (%llu rejected), %zu violation(s)\n",
+                   u(report.requests), options.clients, report.elapsedSeconds,
+                   u(report.trackedJobs), u(report.rejected), report.violations.size());
+    };
     if (!workerBin.empty()) {
       cluster::ClusterSoakOptions clusterOptions;
-      clusterOptions.seed = options.seed;
-      clusterOptions.clients = options.clients;
-      clusterOptions.durationSeconds = options.durationSeconds;
-      clusterOptions.maxRequestsPerClient = options.maxRequestsPerClient;
-      clusterOptions.poolSize = options.poolSize;
-      clusterOptions.drainTimeoutSeconds = options.drainTimeoutSeconds;
       clusterOptions.killOneShard = killShard;
       clusterOptions.chaos = chaos;
       clusterOptions.chaosSeed = chaosSeed;
@@ -149,8 +152,6 @@ int main(int argc, char** argv) {
         clusterOptions.router.requestTimeoutSeconds = 3.0;
         if (chaosSeed != 0) clusterOptions.router.backoffJitterSeed = chaosSeed;
       }
-      clusterOptions.router.journalRoot = options.journalDir;
-      clusterOptions.router.cacheDir = options.cacheDir;
       clusterOptions.router.workerArgv = {workerBin, "--threads",
                                           std::to_string(options.schedulerThreads)};
       if (!techPath.empty()) {
@@ -159,58 +160,34 @@ int main(int argc, char** argv) {
         clusterOptions.router.workerArgv.push_back(techPath);
       }
 
-      const cluster::ClusterSoakReport report = cluster::runClusterSoak(clusterOptions);
-      std::printf("%s\n", report.toJson().dump().c_str());
+      cluster::ClusterSoak mode(options, std::move(clusterOptions));
+      report = testkit::runSoak(mode);
+      summarize();
       std::fprintf(stderr,
-                   "lostress: cluster: %llu requests over %d shard(s) in "
-                   "%.2fs, %llu jobs tracked, %llu restart(s), %llu "
-                   "rerouted, %zu violation(s)\n",
-                   static_cast<unsigned long long>(report.requests), shards,
-                   report.elapsedSeconds,
-                   static_cast<unsigned long long>(report.trackedJobs),
-                   static_cast<unsigned long long>(report.restarts),
-                   static_cast<unsigned long long>(report.rerouted),
-                   report.violations.size());
-      for (const std::string& v : report.violations) {
-        std::fprintf(stderr, "lostress: VIOLATION: %s\n", v.c_str());
+                   "lostress: cluster: %d shard(s), %llu restart(s), %llu rerouted\n",
+                   shards, u(mode.findings().restarts), u(mode.findings().rerouted));
+    } else {
+      options.faults = testkit::FaultPlanOptions::preset(faultsName, options.seed);
+      const tech::Technology technology = techPath.empty()
+                                              ? tech::Technology::generic060()
+                                              : tech::Technology::fromFile(techPath);
+      testkit::ServiceSoak mode(technology, options);
+      report = testkit::runSoak(mode);
+      summarize();
+      const testkit::ServiceSoak::Findings& found = mode.findings();
+      std::uint64_t faults = 0;
+      for (const auto& [site, n] : found.faultsFired) faults += n;
+      std::fprintf(stderr, "lostress: %llu shed, %llu faults fired\n",
+                   u(found.metrics.shed), u(faults));
+      const testkit::RecoveryReport& recovery = found.recovery;
+      if (recovery.ran) {
+        std::fprintf(stderr,
+                     "lostress: recovery: crashed=%d replayed=%llu pending=%llu "
+                     "cache_served=%llu re_run=%llu compactions=%llu torn_tail=%d\n",
+                     recovery.crashed ? 1 : 0, u(recovery.replayedRecords),
+                     u(recovery.pendingAtBoot), u(recovery.servedFromCache),
+                     u(recovery.reRun), u(recovery.compactions), recovery.tornTail ? 1 : 0);
       }
-      return report.ok() ? 0 : 1;
-    }
-
-    options.faults = testkit::FaultPlanOptions::preset(faultsName, options.seed);
-    const tech::Technology technology = techPath.empty()
-                                            ? tech::Technology::generic060()
-                                            : tech::Technology::fromFile(techPath);
-
-    const testkit::SoakReport report = testkit::runSoak(technology, options);
-    std::printf("%s\n", report.toJson().dump().c_str());
-    std::fprintf(stderr,
-                 "lostress: %llu requests from %d clients in %.2fs, %llu jobs "
-                 "tracked (%llu shed, %llu rejected), %llu faults fired, "
-                 "%zu violation(s)\n",
-                 static_cast<unsigned long long>(report.requests),
-                 options.clients, report.elapsedSeconds,
-                 static_cast<unsigned long long>(report.trackedJobs),
-                 static_cast<unsigned long long>(report.metrics.shed),
-                 static_cast<unsigned long long>(report.rejected),
-                 static_cast<unsigned long long>(
-                     [&] {
-                       std::uint64_t total = 0;
-                       for (const auto& [site, n] : report.faultsFired) total += n;
-                       return total;
-                     }()),
-                 report.violations.size());
-    if (report.recovery.ran) {
-      std::fprintf(stderr,
-                   "lostress: recovery: crashed=%d replayed=%llu pending=%llu "
-                   "cache_served=%llu re_run=%llu compactions=%llu torn_tail=%d\n",
-                   report.recovery.crashed ? 1 : 0,
-                   static_cast<unsigned long long>(report.recovery.replayedRecords),
-                   static_cast<unsigned long long>(report.recovery.pendingAtBoot),
-                   static_cast<unsigned long long>(report.recovery.servedFromCache),
-                   static_cast<unsigned long long>(report.recovery.reRun),
-                   static_cast<unsigned long long>(report.recovery.compactions),
-                   report.recovery.tornTail ? 1 : 0);
     }
     for (const std::string& v : report.violations) {
       std::fprintf(stderr, "lostress: VIOLATION: %s\n", v.c_str());

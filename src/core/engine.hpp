@@ -135,7 +135,7 @@ struct EngineIteration {
 /// How a parasitic loop that fell out of `maxLayoutCalls` actually failed
 /// (or how it succeeded).  Downstream layers treat anything other than
 /// kConverged as a degraded result: the scheduler surfaces it, the Pareto
-/// archive refuses the point, and the sweep driver reports it.
+/// archive refuses the point, and the serialized result carries it.
 enum class ConvergenceVerdict {
   kConverged,    ///< Critical-net caps settled below the tolerance.
   kOscillating,  ///< The cap vector revisits an earlier state (a cycle).

@@ -258,6 +258,11 @@ void writeFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
   out << content;
+  if (!out) throw std::runtime_error("write failed: " + path);
+  // Buffered bytes reach the file only at close, so a full disk may show
+  // up only here.
+  out.close();
+  if (!out) throw std::runtime_error("write failed at close: " + path);
 }
 
 std::string outputPath(const std::string& name) {

@@ -38,7 +38,6 @@
 #include <unordered_map>
 
 #include "core/engine.hpp"
-#include "core/sweep.hpp"
 
 namespace lo::service {
 

@@ -1,10 +1,10 @@
 // JobScheduler: the request-serving shell over SynthesisEngine.
 //
-// A bounded submission queue feeds a worker pool; every job runs with the
-// SweepDriver's isolation pattern (a private Technology at the job's
+// A bounded submission queue feeds a worker pool; every job runs in
+// per-job isolation (a private Technology at the job's
 // corner, a private MosModel inside the engine), so workers share no
 // mutable engine state.  On top of the plain pool the scheduler adds what
-// a service needs and a batch driver does not:
+// a service needs and a bare thread pool does not:
 //
 //  * priorities -- higher runs first, FIFO within a priority class;
 //  * per-job deadlines -- expired jobs are dropped before they run, and a

@@ -118,5 +118,19 @@ TEST(Writers, FileRoundTrip) {
   EXPECT_THROW(writeFile("/nonexistent-dir/x.svg", "x"), std::runtime_error);
 }
 
+TEST(Writers, FailedWriteThrowsWithThePath) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  for (const std::size_t size : {std::size_t{1}, std::size_t{64} * 1024}) {
+    SCOPED_TRACE(size);
+    try {
+      writeFile("/dev/full", std::string(size, 'x'));
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lo::layout

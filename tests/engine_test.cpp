@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "core/ota_topology.hpp"
-#include "core/sweep.hpp"
+#include "service/scheduler.hpp"
 
 namespace lo::core {
 namespace {
@@ -303,15 +303,27 @@ TEST(EngineHooks, HookedRunIsBitIdenticalToUnhooked) {
   EXPECT_EQ(plain.layoutCalls, hooked.layoutCalls);
 }
 
-// --- Sweep driver. ---
+// --- Batches through the scheduler. ---
 
-std::vector<SweepJob> sweepJobs() {
-  std::vector<SweepJob> jobs;
+using service::JobRequest;
+using service::JobScheduler;
+using service::JobState;
+using service::JobStatus;
+
+std::vector<JobStatus> runBatchWith(int threads, const std::vector<JobRequest>& jobs) {
+  service::SchedulerOptions options;
+  options.threads = threads;
+  JobScheduler scheduler(kTech, options);
+  return scheduler.runBatch(jobs);
+}
+
+std::vector<JobRequest> sweepJobs() {
+  std::vector<JobRequest> jobs;
   for (double gbwMhz : {40.0, 65.0}) {
     for (tech::ProcessCorner corner :
          {tech::ProcessCorner::kTypical, tech::ProcessCorner::kSlow,
           tech::ProcessCorner::kFast}) {
-      SweepJob job;
+      JobRequest job;
       job.label = "ota_" + std::to_string(static_cast<int>(gbwMhz)) + "_" +
                   tech::cornerName(corner);
       job.specs.gbw = gbwMhz * 1e6;
@@ -320,7 +332,7 @@ std::vector<SweepJob> sweepJobs() {
     }
   }
   for (double gbwMhz : {20.0, 30.0}) {
-    SweepJob job;
+    JobRequest job;
     job.label = "two_stage_" + std::to_string(static_cast<int>(gbwMhz));
     job.options.topology = kTwoStageTopologyName;
     job.specs.gbw = gbwMhz * 1e6;
@@ -330,19 +342,22 @@ std::vector<SweepJob> sweepJobs() {
 }
 
 TEST(SweepDriver, DeterministicAcrossThreadCounts) {
-  const std::vector<SweepJob> jobs = sweepJobs();
+  const std::vector<JobRequest> jobs = sweepJobs();
   ASSERT_GE(jobs.size(), 8u);
-  const auto serial = SweepDriver(kTech, 1).run(jobs);
-  const auto threaded = SweepDriver(kTech, 4).run(jobs);
+  // A fresh scheduler per run: its cache starts empty, so every job of
+  // both runs goes through the engine.
+  const auto serial = runBatchWith(1, jobs);
+  const auto threaded = runBatchWith(4, jobs);
   ASSERT_EQ(serial.size(), jobs.size());
   ASSERT_EQ(threaded.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(jobs[i].label);
-    EXPECT_EQ(serial[i].index, i);
-    EXPECT_EQ(threaded[i].index, i);
     EXPECT_EQ(serial[i].label, jobs[i].label);
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
-    ASSERT_TRUE(threaded[i].ok) << threaded[i].error;
+    EXPECT_EQ(threaded[i].label, jobs[i].label);
+    ASSERT_EQ(serial[i].state, JobState::kDone) << serial[i].error;
+    ASSERT_EQ(threaded[i].state, JobState::kDone) << threaded[i].error;
+    EXPECT_FALSE(serial[i].cacheHit);
+    EXPECT_FALSE(threaded[i].cacheHit);
     // Bit-for-bit: the performance records and convergence history must be
     // byte-identical regardless of scheduling.
     EXPECT_EQ(std::memcmp(&serial[i].result.measured, &threaded[i].result.measured,
@@ -365,26 +380,27 @@ TEST(SweepDriver, DeterministicAcrossThreadCounts) {
 }
 
 TEST(SweepDriver, BadJobReportsErrorWithoutAbortingSweep) {
-  std::vector<SweepJob> jobs;
-  SweepJob good;
+  std::vector<JobRequest> jobs;
+  JobRequest good;
   good.label = "good";
   jobs.push_back(good);
-  SweepJob bad;
+  JobRequest bad;
   bad.label = "bad";
   bad.options.topology = "no_such_topology";
   jobs.push_back(bad);
-  const auto outcomes = SweepDriver(kTech, 2).run(jobs);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_NE(outcomes[1].error.find("no_such_topology"), std::string::npos);
+  const auto statuses = runBatchWith(2, jobs);
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].state, JobState::kDone) << statuses[0].error;
+  EXPECT_EQ(statuses[1].state, JobState::kFailed);
+  EXPECT_NE(statuses[1].error.find("no_such_topology"), std::string::npos);
 }
 
 TEST(SweepDriver, WorkerCountClampsToJobsAndFloorsAtOne) {
-  const SweepDriver driver(kTech, 8);
-  EXPECT_EQ(driver.workerCount(3), 3);
-  EXPECT_EQ(driver.workerCount(100), 8);
-  EXPECT_EQ(SweepDriver(kTech, -5).workerCount(0), 1);
+  service::SchedulerOptions options;
+  options.threads = 8;
+  EXPECT_EQ(JobScheduler(kTech, options).workerCount(), 8);
+  options.threads = -5;  // Non-positive picks hardware_concurrency(), at least 1.
+  EXPECT_GE(JobScheduler(kTech, options).workerCount(), 1);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/sweep.hpp"
 #include "service/serialize.hpp"
 
 namespace lo::service {
@@ -66,33 +65,30 @@ struct Gate {
 };
 
 TEST(SchedulerBatch, MatchesSweepDriverBitForBit) {
-  std::vector<core::SweepJob> sweepJobs(2);
-  sweepJobs[0].label = "ota";
-  sweepJobs[1].label = "two_stage";
-  sweepJobs[1].options.topology = core::kTwoStageTopologyName;
-  sweepJobs[1].specs.gbw = 30e6;
-  const auto sweep = core::SweepDriver(kTech, 2).run(sweepJobs);
-
   std::vector<JobRequest> requests(2);
   requests[0].label = "ota";
+  requests[0].corner = tech::ProcessCorner::kFast;
   requests[1].label = "two_stage";
   requests[1].options.topology = core::kTwoStageTopologyName;
   requests[1].specs.gbw = 30e6;
   JobScheduler scheduler(kTech, SchedulerOptions{});
   const auto statuses = scheduler.runBatch(requests);
 
-  ASSERT_EQ(statuses.size(), sweep.size());
+  ASSERT_EQ(statuses.size(), requests.size());
   for (std::size_t i = 0; i < statuses.size(); ++i) {
     SCOPED_TRACE(statuses[i].label);
-    ASSERT_TRUE(sweep[i].ok) << sweep[i].error;
     ASSERT_EQ(statuses[i].state, JobState::kDone) << statuses[i].error;
-    EXPECT_EQ(std::memcmp(&statuses[i].result.measured, &sweep[i].result.measured,
+    // The reference: a direct engine run at the job's corner.
+    const core::EngineResult direct =
+        core::SynthesisEngine(kTech.atCorner(requests[i].corner), requests[i].options)
+            .run(requests[i].specs);
+    EXPECT_EQ(std::memcmp(&statuses[i].result.measured, &direct.measured,
                           sizeof(sizing::OtaPerformance)),
               0);
-    EXPECT_EQ(std::memcmp(&statuses[i].result.predicted, &sweep[i].result.predicted,
+    EXPECT_EQ(std::memcmp(&statuses[i].result.predicted, &direct.predicted,
                           sizeof(sizing::OtaPerformance)),
               0);
-    EXPECT_EQ(statuses[i].result.layoutCalls, sweep[i].result.layoutCalls);
+    EXPECT_EQ(statuses[i].result.layoutCalls, direct.layoutCalls);
   }
 }
 

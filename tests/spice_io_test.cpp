@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "circuit/ota.hpp"
+
 namespace lo::circuit {
 namespace {
 
@@ -55,6 +66,15 @@ TEST(SpiceNumber, MalformedSuffixesThrowInsteadOfParsingThePrefix) {
   EXPECT_THROW((void)parseSpiceNumber(""), NetlistParseError);
   EXPECT_THROW((void)parseSpiceNumber("meg"), NetlistParseError);
   EXPECT_THROW((void)parseSpiceNumber("1.5 k"), NetlistParseError);
+}
+
+TEST(SpiceNumber, RejectsNonFiniteValues) {
+  // std::stod reads "nan" and "inf"; a suffix can also scale a finite
+  // literal out of range.
+  for (const char* token : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e400",
+                            "1e300t", "1e-300f"}) {
+    EXPECT_THROW((void)parseSpiceNumber(token), NetlistParseError) << token;
+  }
 }
 
 TEST(SpiceNumber, FormatRoundTrips) {
@@ -126,13 +146,37 @@ TEST(NetlistParse, ErrorsCarryLineContext) {
   }
 }
 
+TEST(NetlistParse, RejectsOutOfRangeValuesNamingTheLine) {
+  for (const char* card :
+       {"R1 a b 0", "R1 a b -1k", "R1 a b nan", "C1 a b -1p", "C1 a b inf",
+        "M1 d g s 0 nmos W=-1u", "M1 d g s 0 nmos W=nan", "M1 d g s 0 nmos L=0",
+        "M1 d g s 0 nmos NF=1e30", "M1 d g s 0 nmos NF=-3", "M1 d g s 0 nmos NF=0",
+        "M1 d g s 0 nmos NF=2.5", "M1 d g s 0 nmos M=0", "M1 d g s 0 nmos AD=-1p",
+        "M1 d g s 0 nmos AS=-1p", "M1 d g s 0 nmos PD=-1u", "M1 d g s 0 nmos PS=-1u",
+        "V1 a 0 DC inf", "I1 a 0 AC nan", "E1 a 0 b 0 1e999"}) {
+    SCOPED_TRACE(card);
+    try {
+      (void)parseNetlist(std::string("* t\n") + card + "\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const NetlistParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+  // The range boundaries that stay legal.
+  const Circuit c = parseNetlist(
+      "* t\nC1 a 0 0\nM1 d g s 0 pmos W=1u L=1u NF=1 AD=0 AS=0 PD=0 PS=0 M=0.5\n");
+  EXPECT_DOUBLE_EQ(c.capacitors.at(0).farads, 0.0);
+  EXPECT_DOUBLE_EQ(c.mosfets.at(0).mult, 0.5);
+}
+
 TEST(NetlistParse, RejectsUnknownElementsAndModels) {
   EXPECT_THROW((void)parseNetlist("* t\nQ1 a b c model\n"), NetlistParseError);
   EXPECT_THROW((void)parseNetlist("* t\nM1 d g s 0 bjt W=1u L=1u\n"), NetlistParseError);
   EXPECT_THROW((void)parseNetlist("* t\nM1 d g s 0 nmos BOGUS=3\n"), NetlistParseError);
 }
 
-TEST(NetlistRoundTrip, WriteThenParsePreservesCircuit) {
+/// One element of every kind the reader knows.
+Circuit everyElementCircuit() {
   Circuit c;
   c.title = "roundtrip";
   const NodeId in = c.node("in"), out = c.node("out");
@@ -151,8 +195,11 @@ TEST(NetlistRoundTrip, WriteThenParsePreservesCircuit) {
                0.5, 45.0);
   c.addISource("I1", in, out, Waveform::makeDc(1e-6));
   c.addVcvs("E1", out, kGround, in, kGround, 12.0);
+  return c;
+}
 
-  const Circuit u = parseNetlist(writeNetlist(c));
+TEST(NetlistRoundTrip, WriteThenParsePreservesCircuit) {
+  const Circuit u = parseNetlist(writeNetlist(everyElementCircuit()));
   EXPECT_EQ(u.title, "roundtrip");
   ASSERT_EQ(u.mosfets.size(), 1u);
   EXPECT_DOUBLE_EQ(u.mosfets[0].geo.w, 33e-6);
@@ -166,6 +213,163 @@ TEST(NetlistRoundTrip, WriteThenParsePreservesCircuit) {
   // Node wiring preserved.
   EXPECT_EQ(u.mosfets[0].gate, *u.findNode("in"));
   EXPECT_EQ(u.mosfets[0].drain, *u.findNode("out"));
+}
+
+// --- Seeded fuzzing. ---
+
+/// Netlists the writer produces for circuits built above and by the OTA
+/// builder.
+std::vector<std::string> fuzzCorpus() {
+  Circuit ota;
+  (void)instantiateOta(ota, FoldedCascodeOtaDesign{});
+  return {writeNetlist(everyElementCircuit()), writeNetlist(ota)};
+}
+
+/// One seeded edit: swap a number for an out-of-range value, drop or
+/// repeat a token, truncate a line, or flip a byte.  Draws only through
+/// rng() (whose sequence the standard fixes), so each seed replays exactly.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::vector<std::pair<std::size_t, std::size_t>> tokens, numbers;  // [begin, end)
+  for (std::size_t i = 0; i < text.size();) {
+    if (std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && !std::isspace(static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    tokens.emplace_back(i, end);
+    // A bare number or the value of a key=value token.
+    std::size_t value = text.find('=', i);
+    value = value < end ? value + 1 : i;
+    if (value < end && (std::isdigit(static_cast<unsigned char>(text[value])) ||
+                        text[value] == '-' || text[value] == '.')) {
+      numbers.emplace_back(value, end);
+    }
+    i = end;
+  }
+  if (tokens.empty()) return text;
+  switch (pick(5)) {
+    case 0: {
+      if (numbers.empty()) break;
+      static const char* const kValues[] = {"nan", "inf", "-1", "0", "1e30"};
+      const auto [begin, end] = numbers[pick(numbers.size())];
+      text.replace(begin, end - begin, kValues[pick(5)]);
+      break;
+    }
+    case 1: {
+      const auto [begin, end] = tokens[pick(tokens.size())];
+      text.erase(begin, end - begin);
+      break;
+    }
+    case 2: {
+      const auto [begin, end] = tokens[pick(tokens.size())];
+      text.insert(end, " " + text.substr(begin, end - begin));
+      break;
+    }
+    case 3: {
+      const std::size_t cut = pick(text.size());
+      const std::size_t eol = text.find('\n', cut);
+      text.erase(cut, eol == std::string::npos ? std::string::npos : eol - cut);
+      break;
+    }
+    default: {
+      char& byte = text[pick(text.size())];
+      byte = static_cast<char>(byte ^ static_cast<char>(1 + pick(255)));
+      break;
+    }
+  }
+  return text;
+}
+
+/// parseNetlist with a NetlistParseError mapped to nullopt; any other
+/// exception escapes and fails the test.
+std::optional<Circuit> tryParse(const std::string& text) {
+  try {
+    return parseNetlist(text);
+  } catch (const NetlistParseError&) {
+    return std::nullopt;
+  }
+}
+
+/// Every value the reader stored is finite and inside its element's range.
+bool representable(const Circuit& c) {
+  const auto finite = [](std::initializer_list<double> values) {
+    for (const double v : values) {
+      if (!std::isfinite(v)) return false;
+    }
+    return true;
+  };
+  const auto finiteWave = [&](const Waveform& w) {
+    return finite({w.dc, w.v1, w.v2, w.delay, w.rise, w.fall, w.width, w.period, w.offset,
+                   w.amplitude, w.freq});
+  };
+  for (const Mos& m : c.mosfets) {
+    const device::MosGeometry& g = m.geo;
+    if (!finite({g.w, g.l, g.ad, g.as, g.pd, g.ps, m.mult}) || g.w <= 0 || g.l <= 0 ||
+        g.nf < 1 || g.ad < 0 || g.as < 0 || g.pd < 0 || g.ps < 0 || m.mult <= 0) {
+      return false;
+    }
+  }
+  for (const Resistor& r : c.resistors) {
+    if (!finite({r.ohms}) || r.ohms <= 0) return false;
+  }
+  for (const Capacitor& cap : c.capacitors) {
+    if (!finite({cap.farads}) || cap.farads < 0) return false;
+  }
+  for (const VSource& v : c.vsources) {
+    if (!finiteWave(v.wave) || !finite({v.acMag, v.acPhase})) return false;
+  }
+  for (const ISource& i : c.isources) {
+    if (!finiteWave(i.wave) || !finite({i.acMag})) return false;
+  }
+  for (const Vcvs& e : c.vcvs) {
+    if (!finite({e.gain})) return false;
+  }
+  return true;
+}
+
+TEST(SpiceFuzz, MutatedNetlistsFailCleanlyOrRoundTrip) {
+  const std::vector<std::string> corpus = fuzzCorpus();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    int parsed = 0, rejected = 0;
+    for (int iter = 0; iter < 600; ++iter) {
+      std::string text = corpus[static_cast<std::size_t>(iter) % corpus.size()];
+      for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+        text = mutate(text, rng);
+      }
+      const std::optional<Circuit> c = tryParse(text);
+      if (!c) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      ASSERT_TRUE(representable(*c)) << text;
+      const std::string written = writeNetlist(*c);
+      const std::optional<Circuit> again = tryParse(written);
+      ASSERT_TRUE(again.has_value()) << "input:\n" << text << "\nwritten:\n" << written;
+      ASSERT_TRUE(representable(*again)) << written;
+    }
+    // Both outcomes occur, so neither check above is vacuous.
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(SpiceFuzz, MutationsAreDeterministicPerSeed) {
+  const std::string base = fuzzCorpus().front();
+  const auto mutations = [&base](std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> out;
+    for (int i = 0; i < 50; ++i) out.push_back(mutate(base, rng));
+    return out;
+  };
+  EXPECT_EQ(mutations(7), mutations(7));
+  EXPECT_NE(mutations(7), mutations(8));
 }
 
 }  // namespace

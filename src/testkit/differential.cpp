@@ -1,6 +1,5 @@
 #include "testkit/differential.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "explore/diffpath.hpp"
@@ -73,8 +72,7 @@ std::vector<std::string> DifferentialDriver::pathNames() const {
   return names;
 }
 
-DiffReport DifferentialDriver::run(const std::vector<CorpusPoint>& corpus,
-                                   double relTol) const {
+DiffReport DifferentialDriver::run(const std::vector<CorpusPoint>& corpus) const {
   if (paths_.size() < 2) {
     throw std::logic_error("differential driver needs at least two paths");
   }
@@ -90,7 +88,7 @@ DiffReport DifferentialDriver::run(const std::vector<CorpusPoint>& corpus,
     for (std::size_t i = 1; i < pr.outcomes.size(); ++i) {
       const std::string detail =
           compareOutcomes(refName, ref, pr.outcomes[i].first, pr.outcomes[i].second,
-                          std::max(relTol, paths_[i].relTol));
+                          paths_[i].relTol);
       if (!detail.empty()) {
         pr.agree = false;
         pr.detail = pr.label + ": " + detail;

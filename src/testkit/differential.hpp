@@ -75,11 +75,9 @@ class DifferentialDriver {
 
   [[nodiscard]] std::vector<std::string> pathNames() const;
 
-  /// Run every corpus point through every path.  relTol > 0 loosens the
-  /// number comparison of every path (for cross-platform corpora); the
-  /// default demands byte identity except where a path set its own.
-  [[nodiscard]] DiffReport run(const std::vector<CorpusPoint>& corpus,
-                               double relTol = 0.0) const;
+  /// Run every corpus point through every path.  Byte identity is
+  /// demanded except where a path registered its own relTol.
+  [[nodiscard]] DiffReport run(const std::vector<CorpusPoint>& corpus) const;
 
  private:
   struct Path {

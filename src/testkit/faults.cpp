@@ -18,6 +18,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Sleep length of a kDeadlineOverrun firing [s].
+constexpr double kOverrunSeconds = 0.05;
+
 }  // namespace
 
 const std::vector<FaultSite>& allFaultSites() {
@@ -122,8 +125,7 @@ void installSchedulerFaults(service::SchedulerOptions& options, FaultPlan& plan)
                            const service::JobRequest& request, int attempt) {
     if (upstream) upstream(request, attempt);
     if (plan.shouldFire(FaultSite::kDeadlineOverrun)) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          plan.options().overrunSeconds));
+      std::this_thread::sleep_for(std::chrono::duration<double>(kOverrunSeconds));
     }
     if (plan.shouldFire(FaultSite::kEngineTransient)) {
       throw service::TransientError("injected fault: engine_transient");

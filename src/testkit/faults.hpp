@@ -68,8 +68,6 @@ struct FaultPlanOptions {
   /// Exact 0-based operation indices that fire regardless of the rate --
   /// the way unit tests pin a fault onto "the third engine attempt".
   std::map<FaultSite, std::vector<std::uint64_t>> explicitOps;
-  /// Sleep length of a kDeadlineOverrun firing [s].
-  double overrunSeconds = 0.05;
 
   /// The standard `--faults basic` plan: every recoverable site enabled at
   /// 10%.  The crash sites (kJournalTornWrite, kProcessKill) stay off --

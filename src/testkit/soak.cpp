@@ -18,6 +18,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using service::Json;
 
+/// Bound on the post-soak drain, the wait for idle and the recovery phase.
+constexpr double kDrainTimeoutSeconds = 60.0;
+
 Clock::time_point after(double s) {
   return Clock::now() +
          std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(s));
@@ -196,7 +199,7 @@ SoakReport runSoak(SoakMode& mode) {
     // Drain: every id this client was acknowledged must reach a terminal
     // state before the deadline.  A wait is idempotent, so a truncated
     // answer is simply retried.
-    const auto drainDeadline = after(options.drainTimeoutSeconds);
+    const auto drainDeadline = after(kDrainTimeoutSeconds);
     while (!mine.empty() && Clock::now() < drainDeadline) {
       const std::uint64_t id = mine.back();
       const Json response = wait(id);
@@ -222,7 +225,7 @@ SoakReport runSoak(SoakMode& mode) {
   clients.reserve(static_cast<std::size_t>(options.clients));
   for (int c = 0; c < options.clients; ++c) clients.emplace_back(client, c);
   for (std::thread& t : clients) t.join();
-  const auto idleDeadline = after(options.drainTimeoutSeconds);
+  const auto idleDeadline = after(kDrainTimeoutSeconds);
   while (!mode.idle() && Clock::now() < idleDeadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -391,7 +394,7 @@ void ServiceSoak::recover(SoakReport& report) {
   service::JobScheduler recovered(technology_, bootOptions);
   recovery.replayedRecords = recovered.health().journal.replayedRecords;
 
-  const auto recoverDeadline = after(options.drainTimeoutSeconds);
+  const auto recoverDeadline = after(kDrainTimeoutSeconds);
   while (Clock::now() < recoverDeadline) {
     const service::HealthSnapshot h = recovered.health();
     if (h.journal.recoveredRemaining == 0 && h.queueDepth == 0 && h.running == 0) {

@@ -13,7 +13,7 @@
 // Invariants checked in every mode:
 //
 //   * no lost jobs -- every acknowledged id reaches a terminal state
-//     through wait before the drain deadline (a bounded drain);
+//     through wait within 60 s of the drain's start (a bounded drain);
 //   * stats monotonicity -- the mode's counters never decrease across the
 //     stats responses the clients receive, plus one probe at the end of
 //     each client's drain and one once the mode is idle.
@@ -74,7 +74,6 @@ struct SoakOptions {
   /// kJournalTornWrite tears an append) and finishes with the recovery
   /// phase.  Empty = journalling off, no recovery phase.
   std::string journalDir;
-  double drainTimeoutSeconds = 60.0;
 };
 
 /// What the post-crash restart found and did (journalDir soaks only).

@@ -238,7 +238,6 @@ TEST(FaultInjection, StageTransientFiresMidEngineAndRetries) {
 TEST(FaultInjection, DeadlineOverrunExpiresTheJob) {
   FaultPlanOptions faultOptions;
   faultOptions.explicitOps[FaultSite::kDeadlineOverrun] = {0};
-  faultOptions.overrunSeconds = 0.05;
   FaultPlan plan(faultOptions);
 
   service::SchedulerOptions options;
@@ -351,6 +350,31 @@ TEST(Soak, ShortCappedRunHoldsEveryInvariant) {
   const service::Json json = report.toJson();
   EXPECT_TRUE(json.at("ok").asBool());
   EXPECT_EQ(json.at("requests").asUint64(), report.requests);
+}
+
+TEST(Soak, CleanPlanRunsErrorFreeAndBasicPlanFiresFaults) {
+  // Four clients capped at 40 requests each on two workers, once with no
+  // fault plan and once under `basic`.
+  SoakOptions options;
+  options.seed = 1;
+  options.clients = 4;
+  options.schedulerThreads = 2;
+  options.durationSeconds = 30.0;  // The cap ends the soak, not the clock.
+  options.maxRequestsPerClient = 40;
+
+  options.faults = FaultPlanOptions::none(options.seed);
+  ServiceSoak clean(kTech, options);
+  const SoakReport cleanReport = runSoak(clean);
+  EXPECT_TRUE(cleanReport.ok()) << cleanReport.toJson().dump();
+  EXPECT_EQ(cleanReport.transportErrors, 0u);
+  EXPECT_EQ(cleanReport.requests, 160u);  // 4 clients x 40, exact under the cap.
+
+  options.faults = FaultPlanOptions::basic(options.seed);
+  ServiceSoak faulted(kTech, options);
+  const SoakReport faultedReport = runSoak(faulted);
+  EXPECT_TRUE(faultedReport.ok()) << faultedReport.toJson().dump();
+  EXPECT_EQ(faultedReport.requests, 160u);
+  EXPECT_FALSE(faulted.findings().faultsFired.empty());
 }
 
 TEST(Soak, CrashRecoveryPhaseLosesAndDuplicatesNothing) {

@@ -24,7 +24,6 @@
 //   --cache-dir PATH     on-disk result store for the run
 //   --journal-dir PATH   write-ahead job journal; arms the crash sites and
 //                        adds a kill -> restart -> replay recovery phase
-//   --drain-timeout T    bound on the post-soak drain (default 60s)
 //   --tech PATH          technology file (default: built-in generic060)
 //
 // Cluster mode (--worker): instead of an in-process daemon, the same soak
@@ -59,7 +58,7 @@ void usage(const char* argv0) {
                "usage: %s [--seed N] [--faults basic|none|journal_torn_write]\n"
                "          [--duration T] [--clients N] [--threads N] [--pool N]\n"
                "          [--max-requests N] [--cache-dir PATH]\n"
-               "          [--journal-dir PATH] [--drain-timeout T] [--tech PATH]\n"
+               "          [--journal-dir PATH] [--tech PATH]\n"
                "          [--worker LOSYNTHD [--shards N] [--kill-shard]\n"
                "           [--chaos SEED]]\n",
                argv0);
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
     else if (arg == "--max-requests") options.maxRequestsPerClient = std::stoi(value());
     else if (arg == "--cache-dir") options.cacheDir = value();
     else if (arg == "--journal-dir") options.journalDir = value();
-    else if (arg == "--drain-timeout") options.drainTimeoutSeconds = parseDuration(value());
     else if (arg == "--tech") techPath = value();
     else if (arg == "--worker") workerBin = value();
     else if (arg == "--shards") shards = std::stoi(value());

@@ -1,6 +1,7 @@
 // Simulator hot-path snapshot: cold DC latency distribution, warm-start
-// Monte-Carlo-style chain throughput, batched-AC throughput and the slew
-// transient, each measured against the pre-optimization reference path
+// Monte-Carlo-style chain throughput, batched-AC throughput, the
+// verification noise sweep and the slew transient, each measured against
+// the pre-optimization reference path
 // kept alive as SolverMode::kReference -- the baseline is recorded in the
 // same run, on the same machine, so the speedups in BENCH_sim.json are
 // self-contained.
@@ -11,6 +12,7 @@
 //   * AC (frequency, excitation) points/sec, batched fast vs one-at-a-time
 //     reference,
 //   * heap allocation counts per AC point and per warm solve vs reference,
+//   * noise frequency points/sec, folded fast vs full-MNA reference,
 //   * slew-transient steps/sec, Newton iterations, device evaluations per
 //     step and Newton unknowns, folded fast vs full-MNA reference.
 //
@@ -21,6 +23,7 @@
 //     warm solve,
 //   * fast Newton iters/sec >= 0.9x the reference (device evaluation
 //     must not regress per-iteration cost),
+//   * noise points/sec      >= 3.0x the reference,
 //   * transient steps/sec   >= 1.5x the reference.
 //
 // CI runs a short-budget pass: ext_sim --sim-reps=30 --benchmark_filter=none.
@@ -42,6 +45,7 @@
 #include "layout/writers.hpp"
 #include "sim/simulator.hpp"
 #include "sizing/ota_sizer.hpp"
+#include "sizing/ota_spec.hpp"
 #include "sizing/verify.hpp"
 #include "tech/technology.hpp"
 
@@ -341,6 +345,44 @@ AcSample runAcBatch(const Workload& w) {
   return s;
 }
 
+struct NoiseSample {
+  int freqPoints = 0;
+  double fastPointsPerSec = 0.0;
+  double refPointsPerSec = 0.0;
+  double speedup = 0.0;
+};
+
+/// The verification tier's noise sweep (input-referred to VDIFF, 1 Hz to
+/// 100 MHz at 10 points per decade), per solver mode.  Fast side: one
+/// folded factorization per frequency, the adjoint solved on the same
+/// factors.  Baseline: two full-MNA assemblies and factorizations.
+NoiseSample runNoise(const Workload& w) {
+  NoiseSample s;
+  const int reps = std::max(gSimReps / 3, 5);
+  const circuit::NodeId out = *w.testbench.findNode("out");
+  const auto side = [&](sim::SolverMode mode) {
+    sim::Simulator sim(w.testbench, Workload::technology(), *w.model, w.options(mode));
+    const sim::DcSolution op = sim.dcOperatingPoint();
+    benchmark::DoNotOptimize(sim.noise(op, out, "VDIFF", 1.0, 1e2, 2).size());
+    double sec = 0.0;
+    std::size_t points = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      const auto t0 = Clock::now();
+      const auto nz = sim.noise(op, out, "VDIFF", sizing::kNoiseBandLowHz,
+                                sizing::kNoiseBandHighHz, 10);
+      sec += secondsSince(t0);
+      points = nz.size();
+      benchmark::DoNotOptimize(nz.data());
+    }
+    s.freqPoints = static_cast<int>(points);
+    return sec > 0.0 ? static_cast<double>(points) * reps / sec : 0.0;
+  };
+  s.fastPointsPerSec = side(sim::SolverMode::kFast);
+  s.refPointsPerSec = side(sim::SolverMode::kReference);
+  s.speedup = s.refPointsPerSec > 0.0 ? s.fastPointsPerSec / s.refPointsPerSec : 0.0;
+  return s;
+}
+
 struct TranSample {
   struct Side {
     double stepsPerSec = 0.0;
@@ -385,7 +427,7 @@ TranSample runTransient(const Workload& w) {
 }
 
 std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample& ac,
-                   const TranSample& tran, int failures) {
+                   const NoiseSample& noise, const TranSample& tran, int failures) {
   std::ostringstream out;
   out.precision(10);
   out << "{\n  \"bench\": \"ext_sim\",\n  \"reps\": " << gSimReps
@@ -409,6 +451,10 @@ std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample&
       << ", \"solver_allocs_per_point_fast\": " << ac.allocsPerPointFast
       << ", \"solver_allocs_per_point_ref\": " << ac.allocsPerPointRef
       << ", \"alloc_ratio\": " << ac.allocRatio
+      << "},\n  \"noise\": {\"freq_points\": " << noise.freqPoints
+      << ", \"fast_points_per_sec\": " << noise.fastPointsPerSec
+      << ", \"ref_points_per_sec\": " << noise.refPointsPerSec
+      << ", \"speedup\": " << noise.speedup
       << "},\n  \"tran\": {\"steps\": " << tran.steps
       << ", \"steps_per_sec_fast\": " << tran.fast.stepsPerSec
       << ", \"steps_per_sec_ref\": " << tran.ref.stepsPerSec
@@ -421,7 +467,7 @@ std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample&
       << ", \"unknowns_ref\": " << tran.ref.unknowns
       << "},\n  \"gates\": {\"ac_speedup_min\": 2.0, \"sweep_speedup_min\": 1.5,"
       << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9,"
-      << " \"tran_speedup_min\": 1.5, \"pass\": "
+      << " \"noise_speedup_min\": 3.0, \"tran_speedup_min\": 1.5, \"pass\": "
       << (failures == 0 ? "true" : "false") << "}\n}\n";
   return out.str();
 }
@@ -431,6 +477,7 @@ int runSnapshot() {
   const DcSample dc = runColdDc(w);
   const SweepSample sweep = runWarmSweep(w);
   const AcSample ac = runAcBatch(w);
+  const NoiseSample noise = runNoise(w);
   const TranSample tran = runTransient(w);
 
   std::printf("\n=== ext_sim: simulator hot-path snapshot (%d reps) ===\n", gSimReps);
@@ -445,6 +492,8 @@ int runSnapshot() {
               "  speedup=%.2fx  solver allocs/pt fast=%.2f ref=%.2f (%.2fx)\n",
               ac.freqPoints, ac.excitations, ac.fastPointsPerSec, ac.refPointsPerSec,
               ac.speedup, ac.allocsPerPointFast, ac.allocsPerPointRef, ac.allocRatio);
+  std::printf("noise      %d freqs  fast=%.3g pts/s ref=%.3g pts/s  speedup=%.2fx\n",
+              noise.freqPoints, noise.fastPointsPerSec, noise.refPointsPerSec, noise.speedup);
   std::printf("transient  %d steps  fast=%.3g steps/s ref=%.3g steps/s  speedup=%.2fx"
               "  iters/step fast=%.2f ref=%.2f  evals/step fast=%.1f ref=%.1f"
               "  unknowns fast=%ld ref=%ld\n",
@@ -475,6 +524,10 @@ int runSnapshot() {
                 dc.itersRatio);
     ++failures;
   }
+  if (noise.speedup < 3.0) {
+    std::printf("ACCEPTANCE FAIL: noise speedup %.2fx < 3.0x\n", noise.speedup);
+    ++failures;
+  }
   if (tran.speedup < 1.5) {
     std::printf("ACCEPTANCE FAIL: transient speedup %.2fx < 1.5x\n", tran.speedup);
     ++failures;
@@ -486,11 +539,11 @@ int runSnapshot() {
   }
   if (failures == 0) {
     std::printf("acceptance: AC >= 2x, sweep >= 1.5x, allocs <= 50%%, "
-                "iters/sec >= 0.9x, transient >= 1.5x -- all gates hold\n");
+                "iters/sec >= 0.9x, noise >= 3x, transient >= 1.5x -- all gates hold\n");
   }
 
   const std::string path = layout::outputPath("BENCH_sim.json");
-  layout::writeFile(path, toJson(dc, sweep, ac, tran, failures));
+  layout::writeFile(path, toJson(dc, sweep, ac, noise, tran, failures));
   std::printf("wrote %s\n", path.c_str());
   return failures;
 }

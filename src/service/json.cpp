@@ -104,7 +104,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json document() {
-    const Json value = parseValue();
+    const Json value = parseValue(0);
     skipWs();
     if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return value;
@@ -136,11 +136,19 @@ class Parser {
     pos_ += literal.size();
   }
 
-  Json parseValue() {
+  /// The parser recurses once per nesting level, so a document nested
+  /// deeper than this is refused instead of overflowing the stack.  The
+  /// protocol's deepest request (a sweep's jobs[].spec) is four levels down.
+  static constexpr int kMaxDepth = 64;
+
+  /// `depth` counts the objects and arrays around the value.
+  Json parseValue(int depth) {
     skipWs();
-    switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxDepth) fail("nesting deeper than 64 levels");
+    switch (c) {
+      case '{': return parseObject(depth + 1);
+      case '[': return parseArray(depth + 1);
       case '"': return Json(parseString());
       case 't': expect("true"); return Json(true);
       case 'f': expect("false"); return Json(false);
@@ -149,7 +157,7 @@ class Parser {
     }
   }
 
-  Json parseObject() {
+  Json parseObject(int depth) {
     ++pos_;  // '{'
     Json obj = Json::object();
     skipWs();
@@ -164,7 +172,7 @@ class Parser {
       skipWs();
       if (peek() != ':') fail("expected ':' after object key");
       ++pos_;
-      obj.set(key, parseValue());
+      obj.set(key, parseValue(depth));
       skipWs();
       const char c = peek();
       ++pos_;
@@ -173,7 +181,7 @@ class Parser {
     }
   }
 
-  Json parseArray() {
+  Json parseArray(int depth) {
     ++pos_;  // '['
     Json arr = Json::array();
     skipWs();
@@ -182,7 +190,7 @@ class Parser {
       return arr;
     }
     while (true) {
-      arr.push(parseValue());
+      arr.push(parseValue(depth));
       skipWs();
       const char c = peek();
       ++pos_;

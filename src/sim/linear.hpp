@@ -127,6 +127,34 @@ void luSolveFactored(const DenseMatrix<T>& lu, const std::vector<std::size_t>& p
   }
 }
 
+/// Apply a luFactorize result of A to one RHS of the transposed system
+/// A^T x = b, in place (b becomes x), so an adjoint solve reuses the
+/// forward factors.  luFactorize leaves E A = U, with E its row swaps and
+/// elimination steps in order; A^T = U^T E^-T, so this runs forward
+/// substitution through U^T, then applies E^T: each elimination step's
+/// transpose, then that step's swap, last step first.  The transpose is
+/// plain, not conjugate.  Agrees with factoring A^T to rounding, not bit
+/// for bit: the pivots differ.
+template <typename T>
+void luSolveFactoredTransposed(const DenseMatrix<T>& lu, const std::vector<std::size_t>& perm,
+                               std::vector<T>& b) {
+  const std::size_t n = lu.size();
+  if (b.size() != n || perm.size() != n) {
+    throw std::invalid_argument("luSolveFactoredTransposed: dimension mismatch");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    T sum = b[i];
+    for (std::size_t r = 0; r < i; ++r) sum -= lu.at(r, i) * b[r];
+    b[i] = sum / lu.at(i, i);
+  }
+  for (std::size_t col = n; col-- > 0;) {
+    T sum = b[col];
+    for (std::size_t r = col + 1; r < n; ++r) sum -= lu.at(r, col) * b[r];
+    b[col] = sum;
+    if (perm[col] != col) std::swap(b[col], b[perm[col]]);
+  }
+}
+
 /// Solve A x = b in place by LU with partial pivoting; returns false when
 /// the matrix is numerically singular.  A is destroyed; b becomes x.
 template <typename T>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 
 #include "sim/linear.hpp"
 #include "tech/units.hpp"
@@ -30,6 +31,29 @@ device::MosOpPoint scaleByMult(device::MosOpPoint op, double mult) {
   return op;
 }
 
+/// `mos`'s model card with its per-device mismatch knobs (Monte Carlo
+/// statistical verification) applied.
+tech::MosModelCard deviceCard(const tech::Technology& tech, const circuit::Mos& mos) {
+  tech::MosModelCard card = tech.card(mos.type);
+  card.vto += mos.vtoDelta;
+  card.kp *= mos.kpScale;
+  return card;
+}
+
+/// Call `eval(card, vgs, vds, vbs)` for `mos` at the bias held in the
+/// full-MNA unknowns `x`, copying the card only when mismatch applies.
+template <typename Eval>
+auto evalAtBias(const tech::Technology& tech, const circuit::Mos& mos,
+                const std::vector<double>& x, Eval eval) {
+  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
+  const double vs = v(mos.source);
+  const double vgs = v(mos.gate) - vs, vds = v(mos.drain) - vs, vbs = v(mos.bulk) - vs;
+  if (mos.vtoDelta != 0.0 || mos.kpScale != 1.0) {
+    return eval(deviceCard(tech, mos), vgs, vds, vbs);
+  }
+  return eval(tech.card(mos.type), vgs, vds, vbs);
+}
+
 /// Log-spaced frequency grid, inclusive of both endpoints.
 std::vector<double> logGrid(double fStart, double fStop, int pointsPerDecade) {
   if (fStart <= 0 || fStop <= fStart || pointsPerDecade < 1) {
@@ -44,18 +68,223 @@ std::vector<double> logGrid(double fStart, double fStop, int pointsPerDecade) {
   return freqs;
 }
 
-/// One reactive entry of the AC system: the fast solve path replays these
-/// per frequency as `a(r, c) += j * w * value` over a frequency-independent
-/// skeleton, in the exact program order assembleAc stamps them.  That
-/// replay is bit-identical to a full re-stamp: capacitor stamps add a pure
-/// imaginary to the accumulating entry, and the +0.0 real additions they
-/// carry along in assembleAc are IEEE no-ops (no skeleton entry's real
-/// part can be -0.0: every entry starts at +0.0 and addition never turns
-/// +0.0 negative).
-struct CapStampOp {
-  std::size_t r = 0;
-  std::size_t c = 0;
-  double value = 0.0;  ///< Signed capacitance [F].
+/// Trapezoidal capacitor companion state.
+struct CapBranch {
+  NodeId a = circuit::kGround, b = circuit::kGround;
+  double c = 0.0;
+  double iPrev = 0.0;
+};
+
+/// Explicit capacitors first, then five per MOS (cgs, cgd, cgb, cdb, csb)
+/// whose values every step refreshes from the device evaluation.
+std::vector<CapBranch> capBranches(const circuit::Circuit& ckt) {
+  std::vector<CapBranch> caps;
+  for (const circuit::Capacitor& c : ckt.capacitors) caps.push_back({c.a, c.b, c.farads, 0});
+  for (const circuit::Mos& m : ckt.mosfets) {
+    caps.push_back({m.gate, m.source, 0, 0});
+    caps.push_back({m.gate, m.drain, 0, 0});
+    caps.push_back({m.gate, m.bulk, 0, 0});
+    caps.push_back({m.drain, m.bulk, 0, 0});
+    caps.push_back({m.source, m.bulk, 0, 0});
+  }
+  return caps;
+}
+
+/// Where one full-MNA unknown lands in the folded system: a reduced
+/// unknown, a pinned (known) value, or neither (ground).
+struct Ref {
+  int var = -1;  ///< Reduced unknown index.
+  int pin = -1;  ///< Pinned-node index.
+};
+
+/// A two-terminal admittance's stamp offsets, (a,a) (b,b) (a,b) (b,a).
+struct Admittance {
+  int aa = -1, bb = -1, ab = -1, ba = -1;
+  int rowA = -1, rowB = -1;  ///< Reduced KCL rows, -1 when dropped.
+};
+
+/// A MOSFET's conductance stamp offsets and reduced KCL rows.
+struct MosSlots {
+  int rowD = -1, rowS = -1;
+  int dg = -1, dd = -1, db = -1, ds = -1, sg = -1, sd = -1, sb = -1, ss = -1;
+};
+
+inline void stamp(double* buf, int at, double k) {
+  if (at >= 0) buf[at] += k;
+}
+
+inline void stampAdmittance(double* buf, const Admittance& y, double k) {
+  stamp(buf, y.aa, k);
+  stamp(buf, y.bb, k);
+  stamp(buf, y.ab, -k);
+  stamp(buf, y.ba, -k);
+}
+
+/// Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs: the
+/// conductance half of the stamp.
+inline void stampMos(double* buf, const MosSlots& f, double gm, double gds, double gmb) {
+  stamp(buf, f.dg, gm);
+  stamp(buf, f.dd, gds);
+  stamp(buf, f.db, gmb);
+  stamp(buf, f.ds, -(gm + gds + gmb));
+  stamp(buf, f.sg, -gm);
+  stamp(buf, f.sd, -gds);
+  stamp(buf, f.sb, -gmb);
+  stamp(buf, f.ss, gm + gds + gmb);
+}
+
+/// The folded system the kFast transient and small-signal analyses solve,
+/// compiled once per Simulator.
+///
+/// A node held by a grounded V source is pinned: its value is known (the
+/// source's value at a transient step, its excitation in a small-signal
+/// analysis), so its KCL row, its column and the source's branch current
+/// leave the LU.  What remains -- free nodes first, then the branch
+/// currents of floating V sources and VCVSs -- is the reduced system A
+/// (n x n).  Stamps into a pinned column land in P (n x pins) and reach the
+/// right-hand side as -P * pinned.  The pinned nodes' own KCL rows land in
+/// Q (pins x (n + pins)), which nothing factors: a pinned source's branch
+/// current is what its node's row leaves over once the solve is done.
+/// Every stamp resolves here, once, to a flat offset into one [A | P ; Q]
+/// buffer (each block row-major, in that order); -1 drops a stamp into
+/// ground.  Element values are not part of the plan: each analysis stamps
+/// them afresh.
+struct StampPlan {
+  struct Pin {
+    std::size_t vsource = 0;  ///< The pinning source's circuit.vsources index.
+    double sign = 1.0;        ///< -1 when the source's pos terminal is ground.
+    NodeId node = circuit::kGround;
+  };
+  struct Drive {  ///< A reduced RHS entry driven by a source waveform.
+    const circuit::Waveform* wave = nullptr;
+    int row = -1;
+    double sign = 1.0;
+  };
+
+  std::size_t n = 0;          ///< Reduced unknowns.
+  std::size_t freeNodes = 0;  ///< Unknowns [0, freeNodes) are node voltages.
+  std::vector<Ref> node;      ///< Per NodeId.
+  std::vector<NodeId> nodeOf;   ///< Per free-node unknown.
+  std::vector<int> vsourceVar;  ///< Per V source: branch unknown or -1.
+  std::vector<int> vsourcePin;  ///< Per V source: the pin it holds or -1.
+  std::vector<Pin> pins;
+  std::vector<Drive> drives;     ///< I sources and floating V sources.
+  std::vector<Admittance> caps;  ///< Parallel to capBranches().
+  std::vector<MosSlots> mosfets;
+
+  [[nodiscard]] std::size_t width() const { return n + pins.size(); }
+  [[nodiscard]] std::size_t entries() const { return width() * width(); }
+
+  [[nodiscard]] int slot(Ref row, Ref col) const {
+    const int nn = static_cast<int>(n), w = static_cast<int>(width());
+    const int c = col.var >= 0 ? col.var : col.pin >= 0 ? nn + col.pin : -1;
+    if (c < 0) return -1;
+    if (row.var >= 0) return c < nn ? row.var * nn + c : nn * nn + row.var * (w - nn) + c - nn;
+    if (row.pin >= 0) return nn * w + row.pin * w + c;
+    return -1;
+  }
+  [[nodiscard]] Admittance admittance(NodeId a, NodeId b) const {
+    const Ref ra = node[a], rb = node[b];
+    return {slot(ra, ra), slot(rb, rb), slot(ra, rb), slot(rb, ra), ra.var, rb.var};
+  }
+  /// Node `id`'s row (and column) in [A | P ; Q] order: its reduced
+  /// unknown, n + its pin, or -1 for ground.
+  [[nodiscard]] int row(NodeId id) const {
+    const Ref r = node[id];
+    return r.var >= 0 ? r.var : r.pin >= 0 ? static_cast<int>(n) + r.pin : -1;
+  }
+  /// Node `id`'s phasor given the reduced solution and the pinned values.
+  [[nodiscard]] Cplx value(NodeId id, const std::vector<Cplx>& x,
+                           const std::vector<Cplx>& pinned) const {
+    const Ref r = node[id];
+    return r.var >= 0 ? x[r.var] : r.pin >= 0 ? pinned[r.pin] : Cplx{};
+  }
+
+  /// The value-independent stamps: gmin on every node, resistors, branch
+  /// incidences and VCVS gains.
+  void stampStatic(const circuit::Circuit& ckt, double gmin, double* buf) const {
+    for (NodeId id = 1; id < ckt.nodeCount(); ++id) stamp(buf, slot(node[id], node[id]), gmin);
+    for (const circuit::Resistor& r : ckt.resistors) {
+      stampAdmittance(buf, admittance(r.a, r.b), 1.0 / r.ohms);
+    }
+    const auto stampBranch = [&](Ref br, NodeId pos, NodeId neg) {
+      stamp(buf, slot(node[pos], br), 1.0);
+      stamp(buf, slot(node[neg], br), -1.0);
+      stamp(buf, slot(br, node[pos]), 1.0);
+      stamp(buf, slot(br, node[neg]), -1.0);
+    };
+    for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+      const circuit::VSource& s = ckt.vsources[i];
+      if (vsourceVar[i] >= 0) stampBranch({vsourceVar[i], -1}, s.pos, s.neg);
+    }
+    const int firstVcvs = static_cast<int>(n - ckt.vcvs.size());
+    for (std::size_t i = 0; i < ckt.vcvs.size(); ++i) {
+      const circuit::Vcvs& e = ckt.vcvs[i];
+      const Ref br{firstVcvs + static_cast<int>(i), -1};
+      stampBranch(br, e.pos, e.neg);
+      stamp(buf, slot(br, node[e.cp]), -e.gain);
+      stamp(buf, slot(br, node[e.cn]), e.gain);
+    }
+  }
+};
+
+StampPlan compileStampPlan(const circuit::Circuit& ckt) {
+  StampPlan plan;
+  plan.node.assign(static_cast<std::size_t>(ckt.nodeCount()), Ref{});
+  // Pin every node a grounded V source holds (the first such source wins;
+  // a second one on the same node stays a branch, as in full MNA).
+  plan.vsourceVar.assign(ckt.vsources.size(), -1);
+  plan.vsourcePin.assign(ckt.vsources.size(), -1);
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    const circuit::VSource& s = ckt.vsources[i];
+    const bool posGround = s.pos == circuit::kGround;
+    if (posGround == (s.neg == circuit::kGround)) continue;
+    const NodeId held = posGround ? s.neg : s.pos;
+    Ref& r = plan.node[static_cast<std::size_t>(held)];
+    if (r.pin >= 0) continue;
+    r.pin = static_cast<int>(plan.pins.size());
+    plan.vsourcePin[i] = r.pin;
+    plan.pins.push_back({i, posGround ? -1.0 : 1.0, held});
+  }
+  for (NodeId n = 1; n < ckt.nodeCount(); ++n) {
+    Ref& r = plan.node[static_cast<std::size_t>(n)];
+    if (r.pin >= 0) continue;
+    r.var = static_cast<int>(plan.nodeOf.size());
+    plan.nodeOf.push_back(n);
+  }
+  plan.freeNodes = plan.nodeOf.size();
+  int next = static_cast<int>(plan.freeNodes);
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    if (plan.vsourcePin[i] < 0) plan.vsourceVar[i] = next++;
+  }
+  plan.n = static_cast<std::size_t>(next) + ckt.vcvs.size();
+
+  for (const circuit::ISource& s : ckt.isources) {
+    // Current flows pos -> neg through the source.
+    if (const int r = plan.node[s.pos].var; r >= 0) plan.drives.push_back({&s.wave, r, -1.0});
+    if (const int r = plan.node[s.neg].var; r >= 0) plan.drives.push_back({&s.wave, r, 1.0});
+  }
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    const int var = plan.vsourceVar[i];
+    if (var >= 0) plan.drives.push_back({&ckt.vsources[i].wave, var, 1.0});
+  }
+  for (const CapBranch& cb : capBranches(ckt)) plan.caps.push_back(plan.admittance(cb.a, cb.b));
+  for (const circuit::Mos& m : ckt.mosfets) {
+    const Ref d = plan.node[m.drain], g = plan.node[m.gate], s = plan.node[m.source],
+              b = plan.node[m.bulk];
+    plan.mosfets.push_back({d.var, s.var, plan.slot(d, g), plan.slot(d, d), plan.slot(d, b),
+                            plan.slot(d, s), plan.slot(s, g), plan.slot(s, d), plan.slot(s, b),
+                            plan.slot(s, s)});
+  }
+  return plan;
+}
+
+/// A small-signal excitation on the plan: the current it injects into
+/// each row ([A | P ; Q] row order) and the value it holds each pinned
+/// node at.
+struct FoldedDrive {
+  std::vector<Cplx> inject;
+  std::vector<Cplx> pinned;
 };
 
 }  // namespace
@@ -65,21 +294,26 @@ struct CapStampOp {
 /// perform no heap allocation; kReference deliberately keeps the original
 /// per-call allocation shape instead.
 struct Simulator::Workspace {
-  // DC / transient Newton buffers.
+  // DC Newton buffers.
   DenseMatrix<double> a;
   std::vector<double> rhs;
   std::vector<double> xNew;
-  // AC skeleton: frequency-independent stamps plus the reactive replay
-  // list and the excite-mode source vector.
-  DenseMatrix<Cplx> acBase;
-  std::vector<CapStampOp> capOps;
-  std::vector<Cplx> acSourceRhs;
-  // Per-frequency realised matrix, factorization pivots and RHS.
+  // The folded plan, compiled on first use.
+  std::optional<StampPlan> plan;
+  // Small-signal: one operating point's conductance and capacitance
+  // stamps, each frequency's factored A and realised P and Q blocks, the
+  // excitations and the reduced solution.
+  std::vector<double> g, c;
   DenseMatrix<Cplx> acA;
-  DenseMatrix<Cplx> acAdj;
-  std::vector<Cplx> acRhs;
+  std::vector<Cplx> acPQ;
+  std::vector<FoldedDrive> drives;
+  std::vector<Cplx> acX;
   std::vector<std::size_t> perm;
-  std::vector<std::size_t> permAdj;
+
+  const StampPlan& planFor(const circuit::Circuit& ckt) {
+    if (!plan) plan = compileStampPlan(ckt);
+    return *plan;
+  }
 };
 
 Simulator::Simulator(const circuit::Circuit& circuit, const tech::Technology& technology,
@@ -100,20 +334,13 @@ std::size_t Simulator::unknownCount() const {
 
 device::MosOpPoint Simulator::evalMos(const circuit::Mos& mos,
                                       const std::vector<double>& x) const {
-  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
-  const double vd = v(mos.drain), vg = v(mos.gate), vs = v(mos.source), vb = v(mos.bulk);
-  if (mos.vtoDelta != 0.0 || mos.kpScale != 1.0) {
-    // Per-device mismatch knobs (Monte Carlo statistical verification).
-    tech::MosModelCard card = tech_.card(mos.type);
-    card.vto += mos.vtoDelta;
-    card.kp *= mos.kpScale;
-    const device::MosOpPoint op =
-        model_.evaluate(card, mos.geo, vg - vs, vd - vs, vb - vs, options_.tempK);
-    return scaleByMult(op, mos.mult);
-  }
-  const device::MosOpPoint op = model_.evaluate(tech_.card(mos.type), mos.geo, vg - vs,
-                                                vd - vs, vb - vs, options_.tempK);
-  return scaleByMult(op, mos.mult);
+  return scaleByMult(evalAtBias(tech_, mos, x,
+                                [&](const tech::MosModelCard& card, double vgs, double vds,
+                                    double vbs) {
+                                  return model_.evaluate(card, mos.geo, vgs, vds, vbs,
+                                                         options_.tempK);
+                                }),
+                     mos.mult);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +405,20 @@ bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale
     }
 
     for (const circuit::Mos& m : circuit_.mosfets) {
-      const device::MosOpPoint op = evalMos(m, x);
+      // The stamps need only id/gm/gds/gmb: kFast asks the model for
+      // exactly those (conductances() is that part of evaluate()), scaled
+      // by the multiplier as scaleByMult scales them.
+      device::MosConductance op;
+      if (fast) {
+        op = evalAtBias(tech_, m, x,
+                        [&](const tech::MosModelCard& card, double vgs, double vds, double vbs) {
+                          return model_.conductances(card, m.geo, vgs, vds, vbs, options_.tempK);
+                        });
+        op = {op.id * m.mult, op.gm * m.mult, op.gds * m.mult, op.gmb * m.mult};
+      } else {
+        const device::MosOpPoint full = evalMos(m, x);
+        op = {full.id, full.gm, full.gds, full.gmb};
+      }
       const double vgs = v(m.gate) - v(m.source);
       const double vds = v(m.drain) - v(m.source);
       const double vbs = v(m.bulk) - v(m.source);
@@ -406,104 +646,119 @@ void assembleAc(const circuit::Circuit& ckt, const std::vector<device::MosOpPoin
   }
 }
 
-/// Frequency-independent half of assembleAc: every stamp except the
-/// capacitive ones lands in `base` (their imaginary parts are all +0.0);
-/// the capacitive stamps are recorded in `capOps` in assembleAc's program
-/// order for per-frequency replay; `sourceRhs` is the excite-mode RHS,
-/// which carries no frequency dependence either.  realizeAcMatrix(base,
-/// capOps, w) then reproduces assembleAc's matrix bit for bit.
-void buildAcSkeleton(const circuit::Circuit& ckt, const std::vector<device::MosOpPoint>& ops,
-                     double gmin, DenseMatrix<Cplx>& base, std::vector<CapStampOp>& capOps,
-                     std::vector<Cplx>& sourceRhs) {
-  const std::size_t nNodes = static_cast<std::size_t>(ckt.nodeCount() - 1);
-  base.clear();
-  capOps.clear();
-  std::fill(sourceRhs.begin(), sourceRhs.end(), Cplx{});
-  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };
-
-  for (std::size_t i = 0; i < nNodes; ++i) base.stamp(i, i, Cplx{gmin, 0});
-
-  auto stampAdmittance = [&](NodeId p, NodeId q, Cplx y) {
-    base.stamp(idx(p), idx(p), y);
-    base.stamp(idx(q), idx(q), y);
-    base.stamp(idx(p), idx(q), -y);
-    base.stamp(idx(q), idx(p), -y);
-  };
-  auto recordCap = [&](NodeId p, NodeId q, double c) {
-    auto rec = [&](std::ptrdiff_t r, std::ptrdiff_t col, double v) {
-      if (r < 0 || col < 0) return;  // Ground, as DenseMatrix::stamp skips it.
-      capOps.push_back({static_cast<std::size_t>(r), static_cast<std::size_t>(col), v});
-    };
-    rec(idx(p), idx(p), c);
-    rec(idx(q), idx(q), c);
-    rec(idx(p), idx(q), -c);
-    rec(idx(q), idx(p), -c);
-  };
-
-  for (const circuit::Resistor& r : ckt.resistors) {
-    stampAdmittance(r.a, r.b, Cplx{1.0 / r.ohms, 0});
+/// An operating point's small-signal stamps on the plan: conductances `g`
+/// (the static stamps plus each MOS's gm/gds/gmb) and capacitances `c`, so
+/// the system at angular frequency w is g + jwc.
+void stampSmallSignal(const StampPlan& plan, const circuit::Circuit& ckt,
+                      const std::vector<device::MosOpPoint>& ops, double gmin,
+                      std::vector<double>& g, std::vector<double>& c) {
+  g.assign(plan.entries(), 0.0);
+  c.assign(plan.entries(), 0.0);
+  plan.stampStatic(ckt, gmin, g.data());
+  for (std::size_t k = 0; k < ckt.capacitors.size(); ++k) {
+    stampAdmittance(c.data(), plan.caps[k], ckt.capacitors[k].farads);
   }
-  for (const circuit::Capacitor& c : ckt.capacitors) {
-    recordCap(c.a, c.b, c.farads);
-  }
-
+  const Admittance* mosCaps = plan.caps.data() + ckt.capacitors.size();
   for (std::size_t i = 0; i < ckt.mosfets.size(); ++i) {
-    const circuit::Mos& m = ckt.mosfets[i];
     const device::MosOpPoint& op = ops[i];
-    const auto d = idx(m.drain), g = idx(m.gate), s = idx(m.source), b = idx(m.bulk);
-    base.stamp(d, g, Cplx{op.gm, 0});
-    base.stamp(d, s, Cplx{-op.gm, 0});
-    base.stamp(s, g, Cplx{-op.gm, 0});
-    base.stamp(s, s, Cplx{op.gm, 0});
-    base.stamp(d, b, Cplx{op.gmb, 0});
-    base.stamp(d, s, Cplx{-op.gmb, 0});
-    base.stamp(s, b, Cplx{-op.gmb, 0});
-    base.stamp(s, s, Cplx{op.gmb, 0});
-    stampAdmittance(m.drain, m.source, Cplx{op.gds, 0});
-    recordCap(m.gate, m.source, op.cgs);
-    recordCap(m.gate, m.drain, op.cgd);
-    recordCap(m.gate, m.bulk, op.cgb);
-    recordCap(m.drain, m.bulk, op.cdb);
-    recordCap(m.source, m.bulk, op.csb);
-  }
-
-  std::size_t branch = nNodes;
-  for (const circuit::VSource& s : ckt.vsources) {
-    base.stamp(idx(s.pos), branch, Cplx{1, 0});
-    base.stamp(idx(s.neg), branch, Cplx{-1, 0});
-    base.stamp(branch, idx(s.pos), Cplx{1, 0});
-    base.stamp(branch, idx(s.neg), Cplx{-1, 0});
-    if (s.acMag != 0.0) {
-      sourceRhs[branch] = std::polar(s.acMag, s.acPhase * M_PI / 180.0);
+    stampMos(g.data(), plan.mosfets[i], op.gm, op.gds, op.gmb);
+    for (const double cap : {op.cgs, op.cgd, op.cgb, op.cdb, op.csb}) {
+      stampAdmittance(c.data(), *mosCaps++, cap);
     }
-    ++branch;
-  }
-  for (const circuit::Vcvs& e : ckt.vcvs) {
-    base.stamp(idx(e.pos), branch, Cplx{1, 0});
-    base.stamp(idx(e.neg), branch, Cplx{-1, 0});
-    base.stamp(branch, idx(e.pos), Cplx{1, 0});
-    base.stamp(branch, idx(e.neg), Cplx{-1, 0});
-    base.stamp(branch, idx(e.cp), Cplx{-e.gain, 0});
-    base.stamp(branch, idx(e.cn), Cplx{e.gain, 0});
-    ++branch;
-  }
-  for (const circuit::ISource& s : ckt.isources) {
-    if (s.acMag == 0.0) continue;
-    if (idx(s.pos) >= 0) sourceRhs[idx(s.pos)] -= Cplx{s.acMag, 0};
-    if (idx(s.neg) >= 0) sourceRhs[idx(s.neg)] += Cplx{s.acMag, 0};
   }
 }
 
-/// Realise the AC matrix at angular frequency w: copy the skeleton and
-/// replay the recorded capacitive stamps.  w * (-c) == -(w * c) exactly in
-/// IEEE arithmetic, so signed replay values reproduce assembleAc's
-/// negated-admittance stamps bit for bit.
-void realizeAcMatrix(const DenseMatrix<Cplx>& base, const std::vector<CapStampOp>& capOps,
-                     double w, DenseMatrix<Cplx>& a) {
-  a = base;
-  for (const CapStampOp& op : capOps) {
-    a.at(op.r, op.c) += Cplx{0.0, w * op.value};
+/// Realise g + jwc at angular frequency w: the reduced block A into `a`,
+/// the P and Q blocks, in buffer order, into `pq`.
+void realizeAc(const StampPlan& plan, const std::vector<double>& g,
+               const std::vector<double>& c, double w, DenseMatrix<Cplx>& a,
+               std::vector<Cplx>& pq) {
+  const std::size_t nn = plan.n * plan.n;
+  if (a.size() != plan.n) a = DenseMatrix<Cplx>(plan.n);
+  Cplx* ad = a.data();
+  for (std::size_t i = 0; i < nn; ++i) ad[i] = Cplx{g[i], w * c[i]};
+  pq.resize(g.size() - nn);
+  for (std::size_t i = 0; i < pq.size(); ++i) pq[i] = Cplx{g[nn + i], w * c[nn + i]};
+}
+
+/// Solve `d` against the factored A: `x` receives the reduced unknowns.
+void solveFolded(const StampPlan& plan, const DenseMatrix<Cplx>& lu,
+                 const std::vector<std::size_t>& perm, const std::vector<Cplx>& pq,
+                 const FoldedDrive& d, std::vector<Cplx>& x) {
+  const std::size_t n = plan.n, nPins = plan.pins.size();
+  x.assign(d.inject.begin(), d.inject.begin() + static_cast<std::ptrdiff_t>(n));
+  // Pinned columns to the right-hand side: x -= P * pinned.
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < nPins; ++k) x[r] -= pq[r * nPins + k] * d.pinned[k];
   }
+  luSolveFactored(lu, perm, x);
+}
+
+/// `ex` on the plan.  `vsource` is a kVsourceBranch excitation's source
+/// (circuit.vsources index), resolved by the caller.
+void foldExcitation(const StampPlan& plan, const circuit::Circuit& ckt, const AcExcitation& ex,
+                    std::size_t vsource, FoldedDrive& d) {
+  d.inject.assign(plan.width(), Cplx{});
+  d.pinned.assign(plan.pins.size(), Cplx{});
+  // A V source's excitation drives its branch row or, when the source pins
+  // a node, holds that node at sign * excitation.
+  const auto driveSource = [&](std::size_t i, Cplx e) {
+    if (const int var = plan.vsourceVar[i]; var >= 0) {
+      d.inject[static_cast<std::size_t>(var)] = e;
+    } else {
+      const auto k = static_cast<std::size_t>(plan.vsourcePin[i]);
+      d.pinned[k] = plan.pins[k].sign * e;
+    }
+  };
+  // Current `i` flows pos -> neg through the source.
+  const auto injectCurrent = [&](NodeId pos, NodeId neg, double i) {
+    if (const int r = plan.row(pos); r >= 0) d.inject[static_cast<std::size_t>(r)] -= i;
+    if (const int r = plan.row(neg); r >= 0) d.inject[static_cast<std::size_t>(r)] += i;
+  };
+  switch (ex.kind) {
+    case AcExcitation::Kind::kCircuitSources:
+      for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+        const circuit::VSource& s = ckt.vsources[i];
+        if (s.acMag != 0.0) driveSource(i, std::polar(s.acMag, s.acPhase * M_PI / 180.0));
+      }
+      for (const circuit::ISource& s : ckt.isources) {
+        if (s.acMag != 0.0) injectCurrent(s.pos, s.neg, s.acMag);
+      }
+      break;
+    case AcExcitation::Kind::kVsourceBranch:
+      driveSource(vsource, Cplx{1.0, 0.0});
+      break;
+    case AcExcitation::Kind::kCurrentInjection:
+      injectCurrent(ex.pos, ex.neg, 1.0);
+      break;
+  }
+}
+
+/// The AcPoint of one folded solve: pinned nodes read their excitation,
+/// and a pinning source's branch current is its node's KCL residual.
+AcPoint foldedAcPoint(const StampPlan& plan, const circuit::Circuit& ckt, double freq,
+                      const std::vector<Cplx>& pq, const FoldedDrive& d,
+                      const std::vector<Cplx>& x) {
+  AcPoint p;
+  p.freq = freq;
+  p.nodeV.assign(ckt.nodeCount(), Cplx{});
+  for (NodeId id = 1; id < ckt.nodeCount(); ++id) p.nodeV[id] = plan.value(id, x, d.pinned);
+  const std::size_t n = plan.n, nPins = plan.pins.size(), w = plan.width();
+  p.vsourceI.resize(ckt.vsources.size());
+  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+    if (const int var = plan.vsourceVar[i]; var >= 0) {
+      p.vsourceI[i] = x[static_cast<std::size_t>(var)];
+      continue;
+    }
+    // The pinned node's row: Q x + Q_pins pinned + sign * I = injected.
+    const auto k = static_cast<std::size_t>(plan.vsourcePin[i]);
+    const Cplx* q = pq.data() + n * nPins + k * w;
+    Cplx residual = d.inject[n + k];
+    for (std::size_t c = 0; c < n; ++c) residual -= q[c] * x[c];
+    for (std::size_t j = 0; j < nPins; ++j) residual -= q[n + j] * d.pinned[j];
+    p.vsourceI[i] = plan.pins[k].sign * residual;
+  }
+  return p;
 }
 
 }  // namespace
@@ -529,60 +784,46 @@ std::size_t Simulator::vsourceIndexOrThrow(const std::string& name,
   throw SimulationError(std::string(context) + ": no V source named " + name);
 }
 
+void Simulator::requireOperatingPoint(const DcSolution& op) const {
+  if (op.nodeVoltages.size() != static_cast<std::size_t>(circuit_.nodeCount()) ||
+      op.vsourceCurrents.size() != circuit_.vsources.size() ||
+      op.mosOps.size() != circuit_.mosfets.size()) {
+    throw std::invalid_argument("small-signal analysis: operating point does not match "
+                                "circuit layout");
+  }
+}
+
 std::vector<std::vector<AcPoint>> Simulator::acSolveGridFast(
     const DcSolution& op, const std::vector<AcExcitation>& excitations,
     const std::vector<double>& freqs, const std::string& failPrefix) const {
-  const std::size_t nUnknowns = unknownCount();
-  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
   Workspace& w = ws();
-  if (w.acBase.size() != nUnknowns) w.acBase = DenseMatrix<Cplx>(nUnknowns);
-  w.acSourceRhs.resize(nUnknowns);
-  w.acRhs.resize(nUnknowns);
-  buildAcSkeleton(circuit_, op.mosOps, options_.gminFloor, w.acBase, w.capOps,
-                  w.acSourceRhs);
-
-  // Resolve excitation targets once (the public callers validated names).
-  std::vector<std::size_t> branchOf(excitations.size(), 0);
+  const StampPlan& plan = w.planFor(circuit_);
+  // Resolve every excitation onto the plan once (the public callers
+  // validated them).
+  w.drives.resize(excitations.size());
   for (std::size_t e = 0; e < excitations.size(); ++e) {
     const AcExcitation& ex = excitations[e];
-    if (ex.kind == AcExcitation::Kind::kVsourceBranch) {
-      branchOf[e] = nNodes + vsourceIndexOrThrow(ex.vsource, "acBatch");
-    } else if (ex.kind == AcExcitation::Kind::kCurrentInjection) {
-      if (ex.pos >= circuit_.nodeCount() || ex.neg >= circuit_.nodeCount()) {
-        throw SimulationError("acBatch: injection node out of range");
-      }
-    }
+    const std::size_t vsource = ex.kind == AcExcitation::Kind::kVsourceBranch
+                                    ? vsourceIndexOrThrow(ex.vsource, "acBatch")
+                                    : 0;
+    foldExcitation(plan, circuit_, ex, vsource, w.drives[e]);
   }
+  stampSmallSignal(plan, circuit_, op.mosOps, options_.gminFloor, w.g, w.c);
 
   std::vector<std::vector<AcPoint>> out(excitations.size());
   for (auto& curve : out) curve.reserve(freqs.size());
   for (double f : freqs) {
     // One factorization per frequency; every excitation reuses it.
-    realizeAcMatrix(w.acBase, w.capOps, 2.0 * M_PI * f, w.acA);
+    realizeAc(plan, w.g, w.c, 2.0 * M_PI * f, w.acA, w.acPQ);
     if (!luFactorize(w.acA, w.perm)) {
       throw SimulationError(failPrefix + std::to_string(f));
     }
     ++stats_.luFactorizations;
     for (std::size_t e = 0; e < excitations.size(); ++e) {
-      const AcExcitation& ex = excitations[e];
-      switch (ex.kind) {
-        case AcExcitation::Kind::kCircuitSources:
-          w.acRhs.assign(w.acSourceRhs.begin(), w.acSourceRhs.end());
-          break;
-        case AcExcitation::Kind::kVsourceBranch:
-          std::fill(w.acRhs.begin(), w.acRhs.end(), Cplx{});
-          w.acRhs[branchOf[e]] = Cplx{1.0, 0.0};
-          break;
-        case AcExcitation::Kind::kCurrentInjection:
-          std::fill(w.acRhs.begin(), w.acRhs.end(), Cplx{});
-          if (ex.pos != circuit::kGround) w.acRhs[ex.pos - 1] -= Cplx{1.0, 0};
-          if (ex.neg != circuit::kGround) w.acRhs[ex.neg - 1] += Cplx{1.0, 0};
-          break;
-      }
-      luSolveFactored(w.acA, w.perm, w.acRhs);
+      solveFolded(plan, w.acA, w.perm, w.acPQ, w.drives[e], w.acX);
       ++stats_.luSolves;
       ++stats_.acPoints;
-      out[e].push_back(extractAcPoint(f, w.acRhs));
+      out[e].push_back(foldedAcPoint(plan, circuit_, f, w.acPQ, w.drives[e], w.acX));
     }
   }
   return out;
@@ -590,6 +831,7 @@ std::vector<std::vector<AcPoint>> Simulator::acSolveGridFast(
 
 std::vector<AcPoint> Simulator::ac(const DcSolution& op, double fStart, double fStop,
                                    int pointsPerDecade) const {
+  requireOperatingPoint(op);
   const std::vector<double> freqs = logGrid(fStart, fStop, pointsPerDecade);
   if (options_.solver == SolverMode::kFast) {
     return std::move(acSolveGridFast(op, {AcExcitation::circuitSources()}, freqs,
@@ -613,6 +855,7 @@ std::vector<AcPoint> Simulator::acFrom(const DcSolution& op,
                                        const std::string& sourceName, double fStart,
                                        double fStop, int pointsPerDecade) const {
   const std::size_t srcIndex = vsourceIndexOrThrow(sourceName, "acFrom");
+  requireOperatingPoint(op);
   const std::vector<double> freqs = logGrid(fStart, fStop, pointsPerDecade);
   if (options_.solver == SolverMode::kFast) {
     return std::move(acSolveGridFast(op, {AcExcitation::unitVsource(sourceName)}, freqs,
@@ -645,14 +888,18 @@ std::vector<std::vector<AcPoint>> Simulator::acBatch(
   for (const AcExcitation& ex : excitations) {
     if (ex.kind == AcExcitation::Kind::kVsourceBranch) {
       (void)vsourceIndexOrThrow(ex.vsource, "acBatch");
+    } else if (ex.kind == AcExcitation::Kind::kCurrentInjection &&
+               (ex.pos >= circuit_.nodeCount() || ex.neg >= circuit_.nodeCount())) {
+      throw SimulationError("acBatch: injection node out of range");
     }
   }
+  requireOperatingPoint(op);
   const std::vector<double> freqs = logGrid(fStart, fStop, pointsPerDecade);
   if (options_.solver == SolverMode::kFast) {
     return acSolveGridFast(op, excitations, freqs, "acBatch solve failed at f=");
   }
   // Reference mode decomposes the batch into the one-shot primitives it
-  // replaces; the fast path above is bit-identical to this.
+  // replaces.
   const std::size_t nUnknowns = unknownCount();
   std::vector<std::vector<AcPoint>> out;
   out.reserve(excitations.size());
@@ -665,9 +912,6 @@ std::vector<std::vector<AcPoint>> Simulator::acBatch(
         out.push_back(acFrom(op, ex.vsource, fStart, fStop, pointsPerDecade));
         break;
       case AcExcitation::Kind::kCurrentInjection: {
-        if (ex.pos >= circuit_.nodeCount() || ex.neg >= circuit_.nodeCount()) {
-          throw SimulationError("acBatch: injection node out of range");
-        }
         std::vector<AcPoint> curve;
         curve.reserve(freqs.size());
         DenseMatrix<Cplx> a(nUnknowns);
@@ -697,17 +941,8 @@ std::vector<std::vector<AcPoint>> Simulator::acBatch(
 std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId out,
                                          const std::string& inputVsrc, double fStart,
                                          double fStop, int pointsPerDecade) const {
-  std::size_t inputIndex = circuit_.vsources.size();
-  for (std::size_t i = 0; i < circuit_.vsources.size(); ++i) {
-    if (circuit_.vsources[i].name == inputVsrc) {
-      inputIndex = i;
-      break;
-    }
-  }
-  if (inputIndex == circuit_.vsources.size()) {
-    throw SimulationError("noise: no V source named " + inputVsrc);
-  }
-
+  const std::size_t inputIndex = vsourceIndexOrThrow(inputVsrc, "noise");
+  requireOperatingPoint(op);
   const std::vector<double> freqs = logGrid(fStart, fStop, pointsPerDecade);
   const std::size_t nUnknowns = unknownCount();
   const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
@@ -716,22 +951,23 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
   const bool fast = options_.solver == SolverMode::kFast;
   std::vector<NoisePoint> result;
   result.reserve(freqs.size());
-  DenseMatrix<Cplx> aLocal;
-  std::vector<Cplx> workLocal;
-  DenseMatrix<Cplx>& a = fast ? ws().acA : aLocal;
-  std::vector<Cplx>& work = fast ? ws().acRhs : workLocal;
-  if (a.size() != nUnknowns) a = DenseMatrix<Cplx>(nUnknowns);
-  work.resize(nUnknowns);
+  // kFast: the folded system, driven by a unit excitation on the input.
+  Workspace* wk = fast ? &ws() : nullptr;
+  const StampPlan* plan = fast ? &wk->planFor(circuit_) : nullptr;
+  int outVar = -1;
   if (fast) {
-    // Assemble once; each frequency point re-realises only the reactive
-    // entries.  The adjoint still needs its own factorization (pivoting on
-    // the transposed matrix differs), but the assembly is shared and the
-    // transpose starts from the realised copy.
-    Workspace& w = ws();
-    if (w.acBase.size() != nUnknowns) w.acBase = DenseMatrix<Cplx>(nUnknowns);
-    w.acSourceRhs.resize(nUnknowns);
-    buildAcSkeleton(circuit_, op.mosOps, options_.gminFloor, w.acBase, w.capOps,
-                    w.acSourceRhs);
+    wk->drives.resize(1);
+    foldExcitation(*plan, circuit_, AcExcitation::unitVsource(inputVsrc), inputIndex,
+                   wk->drives[0]);
+    stampSmallSignal(*plan, circuit_, op.mosOps, options_.gminFloor, wk->g, wk->c);
+    if (out != circuit::kGround) outVar = plan->node[out].var;
+  }
+  // kReference: the full MNA system, assembled and factored twice.
+  DenseMatrix<Cplx> a;
+  std::vector<Cplx> work;
+  if (!fast) {
+    a = DenseMatrix<Cplx>(nUnknowns);
+    work.resize(nUnknowns);
   }
 
   for (double f : freqs) {
@@ -739,33 +975,21 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
 
     Cplx gain;
     if (fast) {
-      Workspace& wk = ws();
-      realizeAcMatrix(wk.acBase, wk.capOps, w, a);
-      wk.acAdj = a;  // Keep the realised matrix for the adjoint transpose.
-      std::fill(work.begin(), work.end(), Cplx{});
-      work[nNodes + inputIndex] = Cplx{1.0, 0.0};
-      if (!luFactorize(a, wk.perm)) throw SimulationError("noise: forward solve failed");
+      realizeAc(*plan, wk->g, wk->c, w, wk->acA, wk->acPQ);
+      if (!luFactorize(wk->acA, wk->perm)) throw SimulationError("noise: forward solve failed");
       ++stats_.luFactorizations;
-      luSolveFactored(a, wk.perm, work);
+      solveFolded(*plan, wk->acA, wk->perm, wk->acPQ, wk->drives[0], wk->acX);
       ++stats_.luSolves;
-      gain = out == circuit::kGround ? Cplx{} : work[out - 1];
+      gain = out == circuit::kGround ? Cplx{} : plan->value(out, wk->acX, wk->drives[0].pinned);
 
-      // Adjoint: solve Y^T z = e_out; |z_p - z_q|^2 is the squared
-      // transfer from a unit current injected between (p, q) to the
-      // output voltage.
-      for (std::size_t r = 0; r < nUnknowns; ++r) {
-        for (std::size_t c = r + 1; c < nUnknowns; ++c) {
-          std::swap(wk.acAdj.at(r, c), wk.acAdj.at(c, r));
-        }
+      // Adjoint on the same factors: solve A^T z = e_out.  A pinned output
+      // never moves, so every transfer to it is zero.
+      wk->acX.assign(plan->n, Cplx{});
+      if (outVar >= 0) {
+        wk->acX[static_cast<std::size_t>(outVar)] = Cplx{1.0, 0.0};
+        luSolveFactoredTransposed(wk->acA, wk->perm, wk->acX);
+        ++stats_.luSolves;
       }
-      std::fill(work.begin(), work.end(), Cplx{});
-      if (out != circuit::kGround) work[out - 1] = Cplx{1.0, 0.0};
-      if (!luFactorize(wk.acAdj, wk.permAdj)) {
-        throw SimulationError("noise: adjoint solve failed");
-      }
-      ++stats_.luFactorizations;
-      luSolveFactored(wk.acAdj, wk.permAdj, work);
-      ++stats_.luSolves;
     } else {
       // Forward gain: unit excitation on the designated input source only.
       assembleAc(circuit_, op.mosOps, w, options_.gminFloor, false, a, work);
@@ -785,7 +1009,13 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
       if (!luSolve(a, work)) throw SimulationError("noise: adjoint solve failed");
     }
 
-    auto z = [&](NodeId n) { return n == circuit::kGround ? Cplx{} : work[n - 1]; };
+    // A current injected into a pinned node moves nothing: its z is zero.
+    auto z = [&](NodeId n) {
+      if (n == circuit::kGround) return Cplx{};
+      if (!fast) return work[n - 1];
+      const int var = plan->node[n].var;
+      return var >= 0 ? wk->acX[static_cast<std::size_t>(var)] : Cplx{};
+    };
     double psd = 0.0;
     for (std::size_t i = 0; i < circuit_.mosfets.size(); ++i) {
       const circuit::Mos& m = circuit_.mosfets[i];
@@ -825,204 +1055,6 @@ double integratePsd(const std::vector<NoisePoint>& points, double f0, double f1,
 // Transient (fixed-step trapezoidal).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Trapezoidal capacitor companion state.
-struct CapBranch {
-  NodeId a = circuit::kGround, b = circuit::kGround;
-  double c = 0.0;
-  double iPrev = 0.0;
-};
-
-/// Explicit capacitors first, then five per MOS (cgs, cgd, cgb, cdb, csb)
-/// whose values every step refreshes from the device evaluation.
-std::vector<CapBranch> capBranches(const circuit::Circuit& ckt) {
-  std::vector<CapBranch> caps;
-  for (const circuit::Capacitor& c : ckt.capacitors) caps.push_back({c.a, c.b, c.farads, 0});
-  for (const circuit::Mos& m : ckt.mosfets) {
-    caps.push_back({m.gate, m.source, 0, 0});
-    caps.push_back({m.gate, m.drain, 0, 0});
-    caps.push_back({m.gate, m.bulk, 0, 0});
-    caps.push_back({m.drain, m.bulk, 0, 0});
-    caps.push_back({m.source, m.bulk, 0, 0});
-  }
-  return caps;
-}
-
-/// Where one full-MNA unknown lands in the folded system: a reduced
-/// unknown, a pinned (known) value, or neither (ground).
-struct Ref {
-  int var = -1;  ///< Reduced unknown index.
-  int pin = -1;  ///< Pinned-node index.
-};
-
-/// A two-terminal admittance's stamp offsets, (a,a) (b,b) (a,b) (b,a).
-struct Admittance {
-  int aa = -1, bb = -1, ab = -1, ba = -1;
-  int rowA = -1, rowB = -1;  ///< Reduced KCL rows, -1 when dropped.
-};
-
-struct FoldedMos {
-  const circuit::Mos* mos = nullptr;
-  tech::MosModelCard card;  ///< Mismatch knobs applied.
-  int rowD = -1, rowS = -1;
-  int dg = -1, dd = -1, db = -1, ds = -1, sg = -1, sd = -1, sb = -1, ss = -1;
-};
-
-/// The kFast transient's netlist, compiled once per transient() call.
-///
-/// A node held by a grounded V source is pinned: each step fixes it to the
-/// source's value, so its KCL row, its column and the source's branch
-/// current leave the Newton system.  What remains -- free nodes first,
-/// then the branch currents of floating V sources and VCVSs -- is the
-/// reduced system A (n x n).  Stamps into a pinned column land in P
-/// (n x pins) and reach the right-hand side as -P * pinned.  Every stamp
-/// resolves here, once, to a flat offset into one [A | P] buffer (both
-/// row-major); -1 drops a stamp into ground or a pinned row.
-struct FoldedPlan {
-  struct Pin {
-    const circuit::Waveform* wave = nullptr;
-    double sign = 1.0;  ///< -1 when the source's pos terminal is ground.
-    NodeId node = circuit::kGround;
-  };
-  struct Drive {  ///< An RHS entry driven by a source waveform.
-    const circuit::Waveform* wave = nullptr;
-    int row = -1;
-    double sign = 1.0;
-  };
-
-  std::size_t n = 0;          ///< Reduced unknowns.
-  std::size_t freeNodes = 0;  ///< Unknowns [0, freeNodes) are node voltages.
-  std::vector<Ref> node;      ///< Per NodeId.
-  std::vector<NodeId> nodeOf;   ///< Per free-node unknown.
-  std::vector<int> vsourceVar;  ///< Per V source: branch unknown or -1.
-  std::vector<Pin> pins;
-  std::vector<double> base;     ///< [A | P] with the static stamps (gmin, R, branches).
-  std::vector<Drive> drives;    ///< I sources and floating V sources.
-  std::vector<Admittance> caps; ///< Parallel to capBranches().
-  std::vector<FoldedMos> mosfets;
-
-  [[nodiscard]] int slot(Ref row, Ref col) const {
-    if (row.var < 0) return -1;
-    if (col.var >= 0) return row.var * static_cast<int>(n) + col.var;
-    if (col.pin >= 0) {
-      return static_cast<int>(n * n + static_cast<std::size_t>(row.var) * pins.size()) +
-             col.pin;
-    }
-    return -1;
-  }
-  [[nodiscard]] Admittance admittance(NodeId a, NodeId b) const {
-    const Ref ra = node[a], rb = node[b];
-    return {slot(ra, ra), slot(rb, rb), slot(ra, rb), slot(rb, ra), ra.var, rb.var};
-  }
-};
-
-inline void stamp(double* buf, int at, double k) {
-  if (at >= 0) buf[at] += k;
-}
-
-inline void stampAdmittance(double* buf, const Admittance& y, double k) {
-  stamp(buf, y.aa, k);
-  stamp(buf, y.bb, k);
-  stamp(buf, y.ab, -k);
-  stamp(buf, y.ba, -k);
-}
-
-FoldedPlan compileFoldedPlan(const circuit::Circuit& ckt, const tech::Technology& tech,
-                             double gmin) {
-  FoldedPlan plan;
-  plan.node.assign(static_cast<std::size_t>(ckt.nodeCount()), Ref{});
-  // Pin every node a grounded V source holds (the first such source wins;
-  // a second one on the same node stays a branch, as in full MNA).
-  plan.vsourceVar.assign(ckt.vsources.size(), -1);
-  std::vector<bool> folded(ckt.vsources.size(), false);
-  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
-    const circuit::VSource& s = ckt.vsources[i];
-    const bool posGround = s.pos == circuit::kGround;
-    if (posGround == (s.neg == circuit::kGround)) continue;
-    const NodeId held = posGround ? s.neg : s.pos;
-    Ref& r = plan.node[static_cast<std::size_t>(held)];
-    if (r.pin >= 0) continue;
-    r.pin = static_cast<int>(plan.pins.size());
-    plan.pins.push_back({&s.wave, posGround ? -1.0 : 1.0, held});
-    folded[i] = true;
-  }
-  for (NodeId n = 1; n < ckt.nodeCount(); ++n) {
-    Ref& r = plan.node[static_cast<std::size_t>(n)];
-    if (r.pin >= 0) continue;
-    r.var = static_cast<int>(plan.nodeOf.size());
-    plan.nodeOf.push_back(n);
-  }
-  plan.freeNodes = plan.nodeOf.size();
-  int next = static_cast<int>(plan.freeNodes);
-  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
-    if (!folded[i]) plan.vsourceVar[i] = next++;
-  }
-  const int firstVcvs = next;
-  plan.n = static_cast<std::size_t>(next) + ckt.vcvs.size();
-  plan.base.assign(plan.n * (plan.n + plan.pins.size()), 0.0);
-  double* base = plan.base.data();
-  const auto nodeRef = [&plan](NodeId id) { return plan.node[static_cast<std::size_t>(id)]; };
-
-  for (std::size_t k = 0; k < plan.freeNodes; ++k) base[k * plan.n + k] += gmin;
-  for (const circuit::Resistor& r : ckt.resistors) {
-    stampAdmittance(base, plan.admittance(r.a, r.b), 1.0 / r.ohms);
-  }
-  for (const circuit::ISource& s : ckt.isources) {
-    // Current flows pos -> neg through the source.
-    if (nodeRef(s.pos).var >= 0) plan.drives.push_back({&s.wave, nodeRef(s.pos).var, -1.0});
-    if (nodeRef(s.neg).var >= 0) plan.drives.push_back({&s.wave, nodeRef(s.neg).var, 1.0});
-  }
-  const auto stampBranch = [&](const Ref& br, NodeId pos, NodeId neg) {
-    stamp(base, plan.slot(nodeRef(pos), br), 1.0);
-    stamp(base, plan.slot(nodeRef(neg), br), -1.0);
-    stamp(base, plan.slot(br, nodeRef(pos)), 1.0);
-    stamp(base, plan.slot(br, nodeRef(neg)), -1.0);
-  };
-  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
-    if (plan.vsourceVar[i] < 0) continue;
-    const circuit::VSource& s = ckt.vsources[i];
-    stampBranch({plan.vsourceVar[i], -1}, s.pos, s.neg);
-    plan.drives.push_back({&s.wave, plan.vsourceVar[i], 1.0});
-  }
-  for (std::size_t i = 0; i < ckt.vcvs.size(); ++i) {
-    const circuit::Vcvs& e = ckt.vcvs[i];
-    const Ref br{firstVcvs + static_cast<int>(i), -1};
-    stampBranch(br, e.pos, e.neg);
-    stamp(base, plan.slot(br, nodeRef(e.cp)), -e.gain);
-    stamp(base, plan.slot(br, nodeRef(e.cn)), e.gain);
-  }
-
-  for (const CapBranch& cb : capBranches(ckt)) plan.caps.push_back(plan.admittance(cb.a, cb.b));
-
-  for (const circuit::Mos& m : ckt.mosfets) {
-    FoldedMos f;
-    f.mos = &m;
-    f.card = tech.card(m.type);
-    if (m.vtoDelta != 0.0 || m.kpScale != 1.0) {
-      // Per-device mismatch knobs (Monte Carlo statistical verification).
-      f.card.vto += m.vtoDelta;
-      f.card.kp *= m.kpScale;
-    }
-    const Ref d = nodeRef(m.drain), g = nodeRef(m.gate), s = nodeRef(m.source),
-              b = nodeRef(m.bulk);
-    f.rowD = d.var;
-    f.rowS = s.var;
-    f.dg = plan.slot(d, g);
-    f.dd = plan.slot(d, d);
-    f.db = plan.slot(d, b);
-    f.ds = plan.slot(d, s);
-    f.sg = plan.slot(s, g);
-    f.sd = plan.slot(s, d);
-    f.sb = plan.slot(s, b);
-    f.ss = plan.slot(s, s);
-    plan.mosfets.push_back(f);
-  }
-  return plan;
-}
-
-}  // namespace
-
 std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
   if (tStop <= 0 || dt <= 0) throw std::invalid_argument("transient: bad time arguments");
   return options_.solver == SolverMode::kFast ? transientFolded(tStop, dt)
@@ -1030,13 +1062,18 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
 }
 
 std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const {
-  const FoldedPlan plan = compileFoldedPlan(circuit_, tech_, options_.gminFloor);
+  const StampPlan& plan = ws().planFor(circuit_);
   std::vector<CapBranch> caps = capBranches(circuit_);
   const std::size_t mosCapBase = circuit_.capacitors.size();
   const std::size_t n = plan.n;
   const std::size_t nPins = plan.pins.size();
-  const std::size_t nMos = plan.mosfets.size();
+  const std::size_t nMos = circuit_.mosfets.size();
   stats_.tranUnknowns = static_cast<long>(n);
+  std::vector<tech::MosModelCard> cards;
+  cards.reserve(nMos);
+  for (const circuit::Mos& m : circuit_.mosfets) cards.push_back(deviceCard(tech_, m));
+  std::vector<double> base(plan.entries(), 0.0);
+  plan.stampStatic(circuit_, options_.gminFloor, base.data());
 
   // Start from the DC operating point.  `v` holds every node voltage by
   // NodeId (ground included) for device evaluation and capacitor history;
@@ -1061,16 +1098,16 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
   for (int step = 1; step <= steps; ++step) {
     const double t = std::min(step * dt, tStop);
     for (std::size_t k = 0; k < nPins; ++k) {
-      pinV[k] = plan.pins[k].sign * plan.pins[k].wave->at(t);
+      pinV[k] = plan.pins[k].sign * circuit_.vsources[plan.pins[k].vsource].wave.at(t);
     }
     // Step-start device evaluation: its bias is exactly iteration 0's, so
     // it sets the capacitances and linearises the first iteration.
     for (std::size_t i = 0; i < nMos; ++i) {
-      const circuit::Mos& m = *plan.mosfets[i].mos;
+      const circuit::Mos& m = circuit_.mosfets[i];
       const double vs = v[m.source];
-      const device::MosOpPoint op = model_.evaluate(plan.mosfets[i].card, m.geo,
-                                                    v[m.gate] - vs, v[m.drain] - vs,
-                                                    v[m.bulk] - vs, options_.tempK);
+      const device::MosOpPoint op = model_.evaluate(cards[i], m.geo, v[m.gate] - vs,
+                                                    v[m.drain] - vs, v[m.bulk] - vs,
+                                                    options_.tempK);
       g[i] = {op.id * m.mult, op.gm * m.mult, op.gds * m.mult, op.gmb * m.mult};
       caps[mosCapBase + 5 * i + 0].c = op.cgs * m.mult;
       caps[mosCapBase + 5 * i + 1].c = op.cgd * m.mult;
@@ -1083,9 +1120,9 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
 
     // Everything constant over the step: static stamps, sources at t and
     // the capacitor companions.
-    stepBuf = plan.base;
+    stepBuf = base;
     std::fill(stepRhs.begin(), stepRhs.end(), 0.0);
-    for (const FoldedPlan::Drive& d : plan.drives) stepRhs[d.row] += d.sign * d.wave->at(t);
+    for (const StampPlan::Drive& d : plan.drives) stepRhs[d.row] += d.sign * d.wave->at(t);
     for (std::size_t k = 0; k < caps.size(); ++k) {
       const CapBranch& cb = caps[k];
       if (cb.c <= 0) continue;
@@ -1101,11 +1138,11 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
     for (int iter = 0; iter < options_.maxNewtonIters; ++iter) {
       if (iter > 0) {
         for (std::size_t i = 0; i < nMos; ++i) {
-          const circuit::Mos& m = *plan.mosfets[i].mos;
+          const circuit::Mos& m = circuit_.mosfets[i];
           const double vs = v[m.source];
           const device::MosConductance c =
-              model_.conductances(plan.mosfets[i].card, m.geo, v[m.gate] - vs,
-                                  v[m.drain] - vs, v[m.bulk] - vs, options_.tempK);
+              model_.conductances(cards[i], m.geo, v[m.gate] - vs, v[m.drain] - vs,
+                                  v[m.bulk] - vs, options_.tempK);
           g[i] = {c.id * m.mult, c.gm * m.mult, c.gds * m.mult, c.gmb * m.mult};
         }
         stats_.tranDeviceEvaluations += static_cast<long>(nMos);
@@ -1113,23 +1150,15 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
       work = stepBuf;
       rhs = stepRhs;
       for (std::size_t i = 0; i < nMos; ++i) {
-        const FoldedMos& f = plan.mosfets[i];
-        const circuit::Mos& m = *f.mos;
+        const MosSlots& f = plan.mosfets[i];
+        const circuit::Mos& m = circuit_.mosfets[i];
         const device::MosConductance& op = g[i];
         const double vgs = v[m.gate] - v[m.source];
         const double vds = v[m.drain] - v[m.source];
         const double vbs = v[m.bulk] - v[m.source];
         // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
         const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
-        double* w = work.data();
-        stamp(w, f.dg, op.gm);
-        stamp(w, f.dd, op.gds);
-        stamp(w, f.db, op.gmb);
-        stamp(w, f.ds, -(op.gm + op.gds + op.gmb));
-        stamp(w, f.sg, -op.gm);
-        stamp(w, f.sd, -op.gds);
-        stamp(w, f.sb, -op.gmb);
-        stamp(w, f.ss, op.gm + op.gds + op.gmb);
+        stampMos(work.data(), f, op.gm, op.gds, op.gmb);
         if (f.rowD >= 0) rhs[f.rowD] -= ieq;
         if (f.rowS >= 0) rhs[f.rowS] += ieq;
       }

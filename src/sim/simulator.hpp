@@ -18,15 +18,21 @@
 
 namespace lo::sim {
 
-/// Solve-path selector.  DC operating points, sweeps, AC and noise are
-/// bit-identical across the modes; transients agree within the Newton
-/// tolerance (the golden solver tests prove both).  The modes differ in
-/// how much work and memory traffic they spend getting there.
+/// Solve-path selector.  DC operating points and sweeps are bit-identical
+/// across the modes; AC and noise agree within 1e-9 (of each curve's
+/// largest phasor, or relative for noise PSDs) and transients within the
+/// Newton tolerance (the golden solver tests prove all three).  The modes
+/// differ in how much work and memory traffic they spend getting there.
 enum class SolverMode {
-  /// LU factor reuse across the AC excitation block, skeleton re-stamping
-  /// of only the reactive matrix entries per frequency, a simulator-owned
-  /// workspace so the Newton loop allocates nothing, and the folded
-  /// transient (see Simulator::transient).
+  /// The transient, AC, AC-batch and noise analyses solve the folded
+  /// system compiled once per Simulator: a node held by a grounded V
+  /// source is pinned to the source's value (its excitation, in a
+  /// small-signal analysis), so its KCL row, its column and the source's
+  /// branch current leave the LU.  One factorization per frequency serves
+  /// a whole excitation block and the noise adjoint (a transposed solve on
+  /// the same factors).  DC keeps full MNA, evaluating only the device
+  /// conductances its Newton iterations stamp, in a simulator-owned
+  /// workspace so the loop allocates nothing.
   kFast,
   /// The pre-optimization path: one-shot LU per solve, full re-assembly
   /// per frequency or Newton iteration, fresh buffers per call.  Kept
@@ -130,7 +136,10 @@ class SimulationError : public std::runtime_error {
 
 class Simulator {
  public:
-  /// The circuit, technology and model must outlive the simulator.
+  /// The circuit, technology and model must outlive the simulator.  The
+  /// circuit's element values may change between analyses (Monte Carlo
+  /// rewrites mismatch knobs in place); its nodes and element lists may
+  /// not, since the folded analyses compile them once.
   /// A Simulator owns per-instance scratch buffers: share one instance
   /// across threads only with external synchronisation (the codebase
   /// convention is one local Simulator per worker).
@@ -188,7 +197,9 @@ class Simulator {
   [[nodiscard]] std::vector<SweepPoint> dcSweep(const std::string& vsrcName, double start,
                                                 double stop, int points) const;
 
-  /// AC analysis about `op` over a log frequency grid.
+  /// AC analysis about `op` over a log frequency grid.  `op` must be an
+  /// operating point of this circuit; ac(), acFrom(), acBatch() and noise()
+  /// throw std::invalid_argument on one of another layout.
   [[nodiscard]] std::vector<AcPoint> ac(const DcSolution& op, double fStart, double fStop,
                                         int pointsPerDecade) const;
 
@@ -207,7 +218,8 @@ class Simulator {
   /// matrix does not depend on the excitation, so in the fast solver mode
   /// every frequency point is factored once and each excitation costs only
   /// a pair of triangular solves.  Returns one curve per excitation, in
-  /// order; each is bit-identical to the equivalent ac()/acFrom() call.
+  /// order; each is bit-identical to the equivalent ac()/acFrom() call in
+  /// the same solver mode.
   [[nodiscard]] std::vector<std::vector<AcPoint>> acBatch(
       const DcSolution& op, const std::vector<AcExcitation>& excitations,
       double fStart, double fStop, int pointsPerDecade) const;
@@ -251,6 +263,7 @@ class Simulator {
                                        const std::vector<std::complex<double>>& sol) const;
   [[nodiscard]] std::size_t vsourceIndexOrThrow(const std::string& name,
                                                 const char* context) const;
+  void requireOperatingPoint(const DcSolution& op) const;
   [[nodiscard]] std::vector<TranPoint> transientFolded(double tStop, double dt) const;
   [[nodiscard]] std::vector<TranPoint> transientReference(double tStop, double dt) const;
   [[nodiscard]] std::vector<std::vector<AcPoint>> acSolveGridFast(

@@ -644,24 +644,36 @@ TEST_F(ClusterRouterTest, MultiplexedWaitRecyclesAWedgedShardAndResolvesEveryId)
   options.requestTimeoutSeconds = 1.0;
   ClusterRouter router(options);
   Json ids = Json::array();
+  Json submitted = Json::array();
   std::map<std::uint64_t, int> owner;
-  for (int gbw : {81, 82, 83, 84, 85, 86}) {
+  // Three jobs on each shard.  Where a spec lands follows its cache key,
+  // which moves with the key schema, so specs are drawn until both shards
+  // have their three; the surplus is settled below but not waited on
+  // across the wedge.
+  std::map<int, int> perShard;
+  for (int gbw = 81; gbw < 161 && owner.size() < 6; ++gbw) {
     const Json ack =
         call(router, R"({"op":"synthesize","async":true,"case":1,"spec":{"gbw":)" +
                          std::to_string(gbw) + R"(e6}})");
     ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
-    owner[ack.at("id").asUint64()] = ack.at("shard").asInt(-1);
+    submitted.push(ack.at("id").asUint64());
+    const int shard = ack.at("shard").asInt(-1);
+    if (perShard[shard] == 3) continue;
+    ++perShard[shard];
+    owner[ack.at("id").asUint64()] = shard;
     ids.push(ack.at("id").asUint64());
   }
-  std::set<int> shards;
-  for (const auto& [id, shard] : owner) shards.insert(shard);
-  ASSERT_EQ(shards.size(), 2u) << "the jobs must span both shards";
+  ASSERT_EQ(perShard.size(), 2u) << "the jobs must span both shards";
 
   // Settle every job first, so only the wedge can hold an answer back.
+  Json settle = Json::object();
+  settle.set("op", "wait");
+  settle.set("ids", submitted);
+  ASSERT_TRUE(call(router, settle.dump()).at("ok").asBool());
+
   Json wait = Json::object();
   wait.set("op", "wait");
   wait.set("ids", ids);
-  ASSERT_TRUE(call(router, wait.dump()).at("ok").asBool());
 
   const int wedged = owner.begin()->second;
   router.wedgeShard(wedged);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "layout/drc.hpp"
@@ -116,6 +117,7 @@ TEST(Writers, FileRoundTrip) {
   in >> content;
   EXPECT_EQ(content, "hello");
   EXPECT_THROW(writeFile("/nonexistent-dir/x.svg", "x"), std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 TEST(Writers, FailedWriteThrowsWithThePath) {

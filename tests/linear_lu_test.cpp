@@ -5,9 +5,11 @@
 // path accepts, and must reject exactly the matrices the one-shot path
 // rejects.  The fast AC/noise paths lean on this equivalence to reuse one
 // factorization across a whole excitation block without changing a single
-// result bit.
+// result bit.  luSolveFactoredTransposed (the noise adjoint's solve) is held
+// to factoring the transpose within rounding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <random>
 #include <vector>
@@ -191,6 +193,98 @@ TEST(LinearLu, SolveFactoredRejectsDimensionMismatch) {
   std::vector<double> okB{1.0, 2.0, 3.0};
   std::vector<std::size_t> shortPerm{0};
   EXPECT_THROW(luSolveFactored(a, shortPerm, okB), std::invalid_argument);
+  EXPECT_THROW(luSolveFactoredTransposed(a, perm, shortB), std::invalid_argument);
+  EXPECT_THROW(luSolveFactoredTransposed(a, shortPerm, okB), std::invalid_argument);
+}
+
+/// A^T x = b through A's factors against factoring A^T itself.  Each A is
+/// a well-conditioned dominant system with its rows shuffled, so partial
+/// pivoting must swap rows on the way (the forced pivots the transposed
+/// replay has to undo in reverse).
+template <typename T>
+void runTransposedProperty(std::uint32_t seed, int trials) {
+  std::mt19937 rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::size_t n = 2 + static_cast<std::size_t>(trial) % 39;
+    DenseMatrix<T> dominant;
+    std::vector<T> b;
+    makeSystem(rng, n, dominant, b);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    if (order[0] == 0) std::swap(order[0], order[1]);  // At least one swap.
+    DenseMatrix<T> a(n), at(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) a.at(r, c) = dominant.at(order[r], c);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) at.at(r, c) = a.at(c, r);
+    }
+
+    DenseMatrix<T> lu = a;
+    std::vector<std::size_t> perm;
+    ASSERT_TRUE(luFactorize(lu, perm));
+    bool swapped = false;
+    for (std::size_t col = 0; col < n; ++col) swapped |= perm[col] != col;
+    ASSERT_TRUE(swapped) << "n=" << n;
+    std::vector<T> viaFactors = b;
+    luSolveFactoredTransposed(lu, perm, viaFactors);
+
+    std::vector<T> viaTranspose = b;
+    DenseMatrix<T> atCopy = at;
+    ASSERT_TRUE(luSolve(atCopy, viaTranspose));
+    double scale = 0.0;
+    for (const T& v : viaTranspose) scale = std::max(scale, magnitudeOf(v));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LE(magnitudeOf(viaFactors[i] - viaTranspose[i]), 1e-12 * scale)
+          << "n=" << n << " component " << i;
+    }
+    // And it really solves the transposed system.
+    for (std::size_t r = 0; r < n; ++r) {
+      T lhs{};
+      for (std::size_t c = 0; c < n; ++c) lhs += at.at(r, c) * viaFactors[c];
+      EXPECT_LE(magnitudeOf(lhs - b[r]), 1e-12 * (1.0 + magnitudeOf(b[r]))) << "row " << r;
+    }
+  }
+}
+
+TEST(LinearLu, TransposedSolveMatchesFactoringTheTransposeReal) {
+  runTransposedProperty<double>(2468, 120);
+}
+
+TEST(LinearLu, TransposedSolveMatchesFactoringTheTransposeComplex) {
+  runTransposedProperty<Cplx>(1357, 120);
+}
+
+TEST(LinearLu, TransposedSolveUndoesEveryLatePivotSwap) {
+  // PermutationReplayCoversLatePivotSwaps's matrix, whose pivot search
+  // swaps at every step.  It is ill-conditioned, so the check is backward
+  // error: the residual of A^T x = b against the size of its terms.
+  const std::size_t n = 5;
+  DenseMatrix<Cplx> a(n);
+  std::vector<Cplx> b(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) a.at(r, c) = Cplx{1.0 / (1.0 + r + 2 * c), 0.0};
+    a.at((r + 1) % n, r) = Cplx{10.0 + static_cast<double>(r), 1.0};
+    b[r] = Cplx{static_cast<double>(r) - 2.0, 0.5};
+  }
+  DenseMatrix<Cplx> lu = a;
+  std::vector<std::size_t> perm;
+  ASSERT_TRUE(luFactorize(lu, perm));
+  bool swapped = false;
+  for (std::size_t col = 0; col < n; ++col) swapped |= perm[col] != col;
+  ASSERT_TRUE(swapped);
+  std::vector<Cplx> x = b;
+  luSolveFactoredTransposed(lu, perm, x);
+  for (std::size_t r = 0; r < n; ++r) {
+    Cplx lhs{};
+    double terms = std::abs(b[r]);
+    for (std::size_t c = 0; c < n; ++c) {
+      lhs += a.at(c, r) * x[c];
+      terms += std::abs(a.at(c, r) * x[c]);
+    }
+    EXPECT_LE(std::abs(lhs - b[r]), 1e-14 * terms) << "row " << r;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Coverage for smaller public APIs not exercised elsewhere.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "layout/drc.hpp"
@@ -41,6 +42,7 @@ TEST(Misc, TechnologyFromFileErrors) {
   const std::string path = ::testing::TempDir() + "/mini.tech";
   layout::writeFile(path, "[tech]\nname = minimal\n");
   const tech::Technology t = tech::Technology::fromFile(path);
+  std::filesystem::remove(path);
   EXPECT_EQ(t.name, "minimal");
   // Unset keys fall back to the generic 0.6 um defaults.
   EXPECT_EQ(t.rules.polyMinWidth, kTech.rules.polyMinWidth);
@@ -55,6 +57,7 @@ TEST(Misc, GdsFileWritesBinaryIntact) {
   std::ifstream in(path, std::ios::binary);
   std::string back((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
   EXPECT_EQ(back, gds);  // No newline translation corrupted the stream.
 }
 

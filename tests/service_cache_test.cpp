@@ -99,10 +99,10 @@ TEST(CacheKey, HooksAndSchedulingMetadataAreExcluded) {
   EXPECT_EQ(keyText(sizing::OtaSpecs{}, hooked), keyText(sizing::OtaSpecs{}));
 }
 
-TEST(CacheKey, CanonicalTextCarriesSchemaVersion4) {
-  // v4: analytic device derivatives and the folded transient moved result
-  // bits, so no v3 disk entry may be served as a v4 result.
-  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v4|", 0), 0u);
+TEST(CacheKey, CanonicalTextCarriesSchemaVersion5) {
+  // v5: the folded AC and noise solves moved result bits, so no v4 disk
+  // entry may be served as a v5 result.
+  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v5|", 0), 0u);
 }
 
 TEST(CacheKey, TechFingerprintSeparatesTechnologies) {

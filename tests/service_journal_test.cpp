@@ -25,15 +25,24 @@ namespace {
 
 const tech::Technology kTech = tech::Technology::generic060();
 
-/// A fresh scratch directory per test.
-std::string scratchDir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("lo_journal_test_" + name + "_" +
-                    std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+/// A fresh scratch directory per test, removed again when the test ends.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path((std::filesystem::temp_directory_path() /
+              ("lo_journal_test_" + name + "_" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string path;
+};
 
 JournalOptions dirOptions(const std::string& dir) {
   JournalOptions options;
@@ -68,7 +77,8 @@ JournalRecord finishedRecord(std::uint64_t id, const std::string& state) {
 }
 
 TEST(JobJournal, RoundTripsRecordsAndDigestsPending) {
-  const std::string dir = scratchDir("roundtrip");
+  const ScratchDir dirScratch("roundtrip");
+  const std::string& dir = dirScratch.path;
   {
     JobJournal journal(dirOptions(dir));
     (void)journal.replay();
@@ -99,7 +109,8 @@ TEST(JobJournal, RoundTripsRecordsAndDigestsPending) {
 }
 
 TEST(JobJournal, DoubleReplayIsIdempotent) {
-  const std::string dir = scratchDir("idempotent");
+  const ScratchDir dirScratch("idempotent");
+  const std::string& dir = dirScratch.path;
   JobJournal journal(dirOptions(dir));
   (void)journal.replay();
   journal.append(submittedRecord(1, "a"));
@@ -117,7 +128,8 @@ TEST(JobJournal, DoubleReplayIsIdempotent) {
 }
 
 TEST(JobJournal, ToleratesAndTruncatesTornFinalRecord) {
-  const std::string dir = scratchDir("torn");
+  const ScratchDir dirScratch("torn");
+  const std::string& dir = dirScratch.path;
   {
     JobJournal journal(dirOptions(dir));
     (void)journal.replay();
@@ -147,7 +159,8 @@ TEST(JobJournal, ToleratesAndTruncatesTornFinalRecord) {
 }
 
 TEST(JobJournal, TornWriteFaultLeavesReplayableLog) {
-  const std::string dir = scratchDir("torn_fault");
+  const ScratchDir dirScratch("torn_fault");
+  const std::string& dir = dirScratch.path;
   std::atomic<int> appends{0};
   JournalOptions options = dirOptions(dir);
   // The third append tears mid-frame and freezes the journal.
@@ -172,7 +185,8 @@ TEST(JobJournal, TornWriteFaultLeavesReplayableLog) {
 }
 
 TEST(JobJournal, AppendFailureTruncatesBackToGoodBoundary) {
-  const std::string dir = scratchDir("short_write");
+  const ScratchDir dirScratch("short_write");
+  const std::string& dir = dirScratch.path;
   std::atomic<int> appends{0};
   JournalOptions options = dirOptions(dir);
   // The second append suffers a transient short write (half a frame lands,
@@ -195,7 +209,8 @@ TEST(JobJournal, AppendFailureTruncatesBackToGoodBoundary) {
 }
 
 TEST(JobJournal, StaleMagicResetsInsteadOfMisparsing) {
-  const std::string dir = scratchDir("magic");
+  const ScratchDir dirScratch("magic");
+  const std::string& dir = dirScratch.path;
   {
     std::ofstream out(std::filesystem::path(dir) / "journal.wal",
                       std::ios::binary);
@@ -211,7 +226,8 @@ TEST(JobJournal, StaleMagicResetsInsteadOfMisparsing) {
 }
 
 TEST(JobJournal, CompactKeepsOnlyLiveRecords) {
-  const std::string dir = scratchDir("compact");
+  const ScratchDir dirScratch("compact");
+  const std::string& dir = dirScratch.path;
   JobJournal journal(dirOptions(dir));
   (void)journal.replay();
   journal.append(submittedRecord(1, "a"));
@@ -228,7 +244,8 @@ TEST(JobJournal, CompactKeepsOnlyLiveRecords) {
 }
 
 TEST(SchedulerJournal, CleanShutdownLeavesEmptyJournal) {
-  const std::string dir = scratchDir("clean_shutdown");
+  const ScratchDir dirScratch("clean_shutdown");
+  const std::string& dir = dirScratch.path;
   SchedulerOptions options;
   options.threads = 1;
   options.journal.dir = dir;
@@ -249,7 +266,8 @@ TEST(SchedulerJournal, CleanShutdownLeavesEmptyJournal) {
 }
 
 TEST(SchedulerJournal, CleanShutdownPreservesUnfinishedJobsForRecovery) {
-  const std::string dir = scratchDir("shutdown_preserve");
+  const ScratchDir dirScratch("shutdown_preserve");
+  const std::string& dir = dirScratch.path;
   std::atomic<bool> hold{true};
   std::atomic<bool> entered{false};
 
@@ -316,7 +334,8 @@ TEST(SchedulerJournal, CleanShutdownPreservesUnfinishedJobsForRecovery) {
 }
 
 TEST(SchedulerJournal, SubmitJournalFailureDoesNotShedQueuedVictim) {
-  const std::string dir = scratchDir("shed_append_fail");
+  const ScratchDir dirScratch("shed_append_fail");
+  const std::string& dir = dirScratch.path;
   std::atomic<bool> hold{true};
   std::atomic<bool> entered{false};
   std::atomic<bool> failNext{false};
@@ -364,8 +383,10 @@ TEST(SchedulerJournal, SubmitJournalFailureDoesNotShedQueuedVictim) {
 }
 
 TEST(SchedulerJournal, KillMidBatchRestartAccountsForEveryJob) {
-  const std::string dir = scratchDir("kill_mid_batch");
-  const std::string cacheDir = scratchDir("kill_mid_batch_cache");
+  const ScratchDir dirScratch("kill_mid_batch");
+  const std::string& dir = dirScratch.path;
+  const ScratchDir cacheDirScratch("kill_mid_batch_cache");
+  const std::string& cacheDir = cacheDirScratch.path;
 
   SchedulerOptions options;
   options.threads = 1;
@@ -420,7 +441,8 @@ TEST(SchedulerJournal, KillMidBatchRestartAccountsForEveryJob) {
 }
 
 TEST(SchedulerJournal, CrashBeforeResultsRerunsTheEngine) {
-  const std::string dir = scratchDir("rerun");
+  const ScratchDir dirScratch("rerun");
+  const std::string& dir = dirScratch.path;
   SchedulerOptions options;
   options.threads = 1;
   options.journal.dir = dir;

@@ -63,6 +63,33 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), JsonParseError);
 }
 
+TEST(Json, ParseRefusesNestingDeeperThanItsCap) {
+  // 64 levels parse; one more is refused before it can recurse further,
+  // so a 200,000-level request line fails cleanly instead of overflowing
+  // the stack.
+  const auto nested = [](int levels, char open, char close) {
+    return std::string(static_cast<std::size_t>(levels), open) +
+           std::string(static_cast<std::size_t>(levels), close);
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(64, '[', ']')));
+  EXPECT_THROW((void)Json::parse(nested(65, '[', ']')), JsonParseError);
+  std::string objects = "1";
+  for (int i = 0; i < 65; ++i) objects = R"({"k":)" + objects + "}";
+  EXPECT_THROW((void)Json::parse(objects), JsonParseError);
+  const std::string line = R"({"op":"stats","x":)" + std::string(200000, '[');
+  try {
+    (void)Json::parse(line);
+    ADD_FAILURE() << "a 200,000-level line parsed";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels"), std::string::npos)
+        << e.what();
+  }
+  // Depth is nesting, not count: siblings do not add up.
+  std::string wide = "[";
+  for (int i = 0; i < 200; ++i) wide += (i ? "," : "") + nested(32, '[', ']');
+  EXPECT_EQ(Json::parse(wide + "]").items().size(), 200u);
+}
+
 TEST(Json, SetOverwritesInPlaceKeepingPosition) {
   Json obj = Json::object();
   obj.set("a", 1);
@@ -414,6 +441,14 @@ TEST(ProtocolHealth, HealthOpCoversQueueBreakersAndJournal) {
   const auto dir = std::filesystem::temp_directory_path() /
                    "lo_protocol_health_journal";
   std::filesystem::remove_all(dir);
+  // Outlives the scheduler below, so the journal is closed when it goes.
+  const struct RemoveAtEnd {
+    std::filesystem::path dir;
+    ~RemoveAtEnd() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } removeAtEnd{dir};
   SchedulerOptions options;
   options.threads = 1;
   options.maxQueueDepth = 8;

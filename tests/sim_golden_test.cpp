@@ -1,16 +1,16 @@
 // Golden-value harness for the simulator hot-path rewrite.
 //
-// SolverMode::kReference keeps the pre-optimization solve path alive
-// verbatim; every test here proves the fast path (factor reuse, AC
-// skeleton re-stamping, batched excitations, workspace reuse) reproduces
-// it BIT FOR BIT -- full double precision, byte-identical -- across DC
-// operating points, sweeps, AC curves and noise integrals, on both
-// amplifier topologies.  The folded transient solves a smaller system
-// (pinned source nodes leave the LU), so its samples are held to
-// kTranTolV of the full-MNA transient instead.  The companion
-// system-level proof is the differential oracle's engine_reference_solver
-// path (testkit), which compares whole engine runs over the 50-point
-// corpus.
+// SolverMode::kReference keeps the pre-optimization full-MNA solve path
+// alive verbatim.  DC operating points and sweeps must match it BIT FOR
+// BIT -- full double precision, byte-identical -- on both amplifier
+// topologies.  The fast transient, AC, noise and AC-batch paths solve a
+// folded system instead (nodes held by grounded V sources leave the LU),
+// so they part from full MNA at LU rounding: transient samples are held to
+// kTranTolV, small-signal phasors to kSmallSignalTol of their curve's
+// largest magnitude, and noise PSDs and measured figures to
+// kSmallSignalTol relative.  The companion system-level proof is the
+// differential oracle's engine_reference_solver path (testkit), which
+// compares whole engine runs over the 50-point corpus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,31 +121,48 @@ void expectSolutionBitEqual(const DcSolution& a, const DcSolution& b) {
   EXPECT_EQ(ha.value(), hb.value()) << "mos op digests diverge";
 }
 
-void expectAcBitEqual(const std::vector<AcPoint>& a, const std::vector<AcPoint>& b) {
+/// Bound between the folded small-signal solve and full MNA, relative to
+/// the largest magnitude of any phasor in the curve, node voltage or branch
+/// current (phasors), or to the value itself (noise PSDs, gains and
+/// measured figures).  A pinned source's branch current is a KCL residual,
+/// so its error scales with the largest current into its node: the
+/// amplifier testbenches' 1 F feedback capacitor carries far more than the
+/// common-mode source it hangs off.
+constexpr double kSmallSignalTol = 1e-9;
+
+#define EXPECT_REL_NEAR(a, b)                                  \
+  EXPECT_LE(std::abs((a) - (b)), kSmallSignalTol * std::abs(b)) \
+      << #a " = " << (a) << " vs " #b " = " << (b)
+
+void expectAcWithin(const std::vector<AcPoint>& a, const std::vector<AcPoint>& b) {
   ASSERT_EQ(a.size(), b.size());
+  double scale = 0.0;
+  for (const AcPoint& p : b) {
+    for (const auto& v : p.nodeV) scale = std::max(scale, std::abs(v));
+    for (const auto& i : p.vsourceI) scale = std::max(scale, std::abs(i));
+  }
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_BIT_EQ(a[i].freq, b[i].freq);
     ASSERT_EQ(a[i].nodeV.size(), b[i].nodeV.size());
     for (std::size_t n = 0; n < a[i].nodeV.size(); ++n) {
-      EXPECT_BIT_EQ(a[i].nodeV[n].real(), b[i].nodeV[n].real());
-      EXPECT_BIT_EQ(a[i].nodeV[n].imag(), b[i].nodeV[n].imag());
+      EXPECT_LE(std::abs(a[i].nodeV[n] - b[i].nodeV[n]), kSmallSignalTol * scale)
+          << "f=" << a[i].freq << " node " << n;
     }
     ASSERT_EQ(a[i].vsourceI.size(), b[i].vsourceI.size());
     for (std::size_t n = 0; n < a[i].vsourceI.size(); ++n) {
-      EXPECT_BIT_EQ(a[i].vsourceI[n].real(), b[i].vsourceI[n].real());
-      EXPECT_BIT_EQ(a[i].vsourceI[n].imag(), b[i].vsourceI[n].imag());
+      EXPECT_LE(std::abs(a[i].vsourceI[n] - b[i].vsourceI[n]), kSmallSignalTol * scale)
+          << "f=" << a[i].freq << " source " << n;
     }
   }
 }
 
-void expectNoiseBitEqual(const std::vector<NoisePoint>& a,
-                         const std::vector<NoisePoint>& b) {
+void expectNoiseWithin(const std::vector<NoisePoint>& a, const std::vector<NoisePoint>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_BIT_EQ(a[i].freq, b[i].freq);
-    EXPECT_BIT_EQ(a[i].outputPsd, b[i].outputPsd);
-    EXPECT_BIT_EQ(a[i].inputRefPsd, b[i].inputRefPsd);
-    EXPECT_BIT_EQ(a[i].gainMag, b[i].gainMag);
+    EXPECT_REL_NEAR(a[i].outputPsd, b[i].outputPsd);
+    EXPECT_REL_NEAR(a[i].inputRefPsd, b[i].inputRefPsd);
+    EXPECT_REL_NEAR(a[i].gainMag, b[i].gainMag);
   }
 }
 
@@ -194,7 +211,8 @@ const Designs& designs() {
 }
 
 /// The full golden sweep for one amplifier AC testbench: every analysis the
-/// verification tier runs, fast vs reference, bit for bit.  `c` carries the
+/// verification tier runs, fast vs reference -- DC bit for bit, the rest
+/// within their bounds.  `c` carries the
 /// differential excitation (VDIFF acMag=1); `quiet` is the same testbench
 /// with every acMag zeroed, for the probe-circuit comparison.  Both must
 /// expose "out" and V sources "VDIFF" / "VDD" / "VCM".
@@ -210,15 +228,15 @@ void runGoldenSuite(const Circuit& c, const Circuit& quiet,
   expectSolutionBitEqual(opF, opR);
 
   // Full-band differential AC via the circuit's own sources.
-  expectAcBitEqual(fast.ac(opF, 10.0, 1e9, 6), ref.ac(opR, 10.0, 1e9, 6));
+  expectAcWithin(fast.ac(opF, 10.0, 1e9, 6), ref.ac(opR, 10.0, 1e9, 6));
 
   // Excitation moved onto a branch at solve time.
-  expectAcBitEqual(fast.acFrom(opF, "VDD", 10.0, 1e4, 4),
-                   ref.acFrom(opR, "VDD", 10.0, 1e4, 4));
+  expectAcWithin(fast.acFrom(opF, "VDD", 10.0, 1e4, 4),
+                 ref.acFrom(opR, "VDD", 10.0, 1e4, 4));
 
   // A whole excitation block against the equivalent individual reference
-  // calls: one factorization per frequency must not change a single bit
-  // of any curve.
+  // calls (one factorization per frequency serves every curve), and bit
+  // for bit against the equivalent individual fast calls.
   const std::vector<AcExcitation> block = {
       AcExcitation::circuitSources(),
       AcExcitation::unitVsource("VCM"),
@@ -227,9 +245,16 @@ void runGoldenSuite(const Circuit& c, const Circuit& quiet,
   };
   const auto batch = fast.acBatch(opF, block, 10.0, 1e4, 4);
   ASSERT_EQ(batch.size(), block.size());
-  expectAcBitEqual(batch[0], ref.ac(opR, 10.0, 1e4, 4));
-  expectAcBitEqual(batch[1], ref.acFrom(opR, "VCM", 10.0, 1e4, 4));
-  expectAcBitEqual(batch[2], ref.acFrom(opR, "VDD", 10.0, 1e4, 4));
+  expectAcWithin(batch[0], ref.ac(opR, 10.0, 1e4, 4));
+  expectAcWithin(batch[1], ref.acFrom(opR, "VCM", 10.0, 1e4, 4));
+  expectAcWithin(batch[2], ref.acFrom(opR, "VDD", 10.0, 1e4, 4));
+  const auto vddFast = fast.acFrom(opF, "VDD", 10.0, 1e4, 4);
+  for (std::size_t i = 0; i < vddFast.size(); ++i) {
+    for (std::size_t n = 0; n < vddFast[i].nodeV.size(); ++n) {
+      EXPECT_BIT_EQ(batch[2][i].nodeV[n].real(), vddFast[i].nodeV[n].real());
+      EXPECT_BIT_EQ(batch[2][i].nodeV[n].imag(), vddFast[i].nodeV[n].imag());
+    }
+  }
   // Reference rout probe: the pre-PR idiom was a dedicated IPROBE current
   // source baked into an otherwise quiet netlist; unitCurrent replaces it.
   // The current injection ignores the circuit's own acMags, so it must
@@ -241,15 +266,15 @@ void runGoldenSuite(const Circuit& c, const Circuit& quiet,
   const auto routRef = refProbe.ac(opP, 10.0, 1e4, 4);
   ASSERT_EQ(batch[3].size(), routRef.size());
   for (std::size_t i = 0; i < routRef.size(); ++i) {
-    EXPECT_BIT_EQ(std::abs(batch[3][i].at(out)), std::abs(routRef[i].at(out)));
+    EXPECT_REL_NEAR(std::abs(batch[3][i].at(out)), std::abs(routRef[i].at(out)));
   }
 
   // Noise (adjoint method) and its band integral.
   const auto nzF = fast.noise(opF, out, "VDIFF", 1.0, 1e8, 8);
   const auto nzR = ref.noise(opR, out, "VDIFF", 1.0, 1e8, 8);
-  expectNoiseBitEqual(nzF, nzR);
-  EXPECT_BIT_EQ(integratePsd(nzF, 1.0, 1e7, true), integratePsd(nzR, 1.0, 1e7, true));
-  EXPECT_BIT_EQ(integratePsd(nzF, 1.0, 1e7, false), integratePsd(nzR, 1.0, 1e7, false));
+  expectNoiseWithin(nzF, nzR);
+  EXPECT_REL_NEAR(integratePsd(nzF, 1.0, 1e7, true), integratePsd(nzR, 1.0, 1e7, true));
+  EXPECT_REL_NEAR(integratePsd(nzF, 1.0, 1e7, false), integratePsd(nzR, 1.0, 1e7, false));
 
   // Transient (trapezoidal, DC-op initial condition).
   expectTranWithin(fast.transient(50e-9, 0.5e-9), ref.transient(50e-9, 0.5e-9));
@@ -434,48 +459,54 @@ TEST(SimGolden, MeasureAmplifierMatchesLegacyFourCircuitStructure) {
     const sizing::OtaPerformance p = sizing::measureAmplifier(
         kTech, model, instantiate, d.inputCm, d.vdd, nullptr, opt);
     SCOPED_TRACE(reference ? "referenceSolver" : "fastSolver");
-    EXPECT_BIT_EQ(p.dcGainDb, legacyGainDb);
-    EXPECT_BIT_EQ(p.gbwHz, legacyGbw);
-    EXPECT_BIT_EQ(p.phaseMarginDeg, legacyPm);
     EXPECT_BIT_EQ(p.offsetMv, legacyOffset);
     EXPECT_BIT_EQ(p.powerMw, legacyPower);
-    EXPECT_BIT_EQ(p.cmrrDb, legacyCmrr);
-    EXPECT_BIT_EQ(p.psrrDb, legacyPsrr);
-    EXPECT_BIT_EQ(p.outputResistanceMOhm, legacyRout);
+    if (reference) {
+      EXPECT_BIT_EQ(p.dcGainDb, legacyGainDb);
+      EXPECT_BIT_EQ(p.gbwHz, legacyGbw);
+      EXPECT_BIT_EQ(p.phaseMarginDeg, legacyPm);
+      EXPECT_BIT_EQ(p.cmrrDb, legacyCmrr);
+      EXPECT_BIT_EQ(p.psrrDb, legacyPsrr);
+      EXPECT_BIT_EQ(p.outputResistanceMOhm, legacyRout);
+    } else {
+      EXPECT_REL_NEAR(p.dcGainDb, legacyGainDb);
+      EXPECT_REL_NEAR(p.gbwHz, legacyGbw);
+      EXPECT_REL_NEAR(p.phaseMarginDeg, legacyPm);
+      EXPECT_REL_NEAR(p.cmrrDb, legacyCmrr);
+      EXPECT_REL_NEAR(p.psrrDb, legacyPsrr);
+      EXPECT_REL_NEAR(p.outputResistanceMOhm, legacyRout);
+    }
   }
 }
 
 TEST(SimGolden, DigestOfFullAnalysisSetMatchesAcrossModes) {
-  // The digest form of the byte-identity proof: hash every byte of every
-  // DC, AC and noise solution the verification tier consumes, in both
-  // modes, and require the digests -- not just spot-checked fields -- to
-  // collide.  The transients are held to kTranTolV per sample.
+  // The digest form of the DC byte-identity proof: hash every byte of the
+  // operating point the verification tier consumes, in both modes, and
+  // require the digests -- not just spot-checked fields -- to collide.
+  // The AC curve and noise PSD it feeds are held to kSmallSignalTol, the
+  // transients to kTranTolV per sample.
   sizing::OtaVerifier v(kTech, *designs().model);
   const Circuit c = v.buildAcTestbench(designs().ota.design, nullptr, 1.0, 0.0, 0.0);
   const NodeId out = *c.findNode("out");
 
   std::uint64_t digest[2] = {0, 0};
+  std::vector<AcPoint> ac[2];
+  std::vector<NoisePoint> nz[2];
   std::vector<TranPoint> tran[2];
   for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    const int side = mode == SolverMode::kFast ? 0 : 1;
     Simulator sim(c, kTech, *designs().model, optionsFor(mode));
     Fnv1a h;
     const DcSolution op = sim.dcOperatingPoint();
     digestSolution(h, op);
-    for (const auto& pt : sim.ac(op, 10.0, 1e9, 8)) {
-      h.add(pt.freq);
-      h.add(pt.nodeV);
-      h.add(pt.vsourceI);
-    }
-    for (const auto& pt : sim.noise(op, out, "VDIFF", 1.0, 1e8, 6)) {
-      h.add(pt.freq);
-      h.add(pt.outputPsd);
-      h.add(pt.inputRefPsd);
-      h.add(pt.gainMag);
-    }
-    tran[mode == SolverMode::kFast ? 0 : 1] = sim.transient(40e-9, 0.5e-9);
-    digest[mode == SolverMode::kFast ? 0 : 1] = h.value();
+    digest[side] = h.value();
+    ac[side] = sim.ac(op, 10.0, 1e9, 8);
+    nz[side] = sim.noise(op, out, "VDIFF", 1.0, 1e8, 6);
+    tran[side] = sim.transient(40e-9, 0.5e-9);
   }
   EXPECT_EQ(digest[0], digest[1]);
+  expectAcWithin(ac[0], ac[1]);
+  expectNoiseWithin(nz[0], nz[1]);
   expectTranWithin(tran[0], tran[1]);
 }
 
@@ -568,6 +599,191 @@ TEST(SimGolden, FoldedTransientMatchesFullMnaOnSwitchedCapacitorIntegrator) {
   c.addMos("S4", csr, ph2, nodes.inn, circuit::kGround, tech::MosType::kNmos, sw);
   c.addVSource("VINP", nodes.inp, circuit::kGround, Waveform::makeDc(vcm));
   expectFoldedMatchesFullMna(c, *designs().model, 2.5 * period, 1e-9);
+}
+
+
+/// A cascode gain stage wired so the fold meets every source shape: VDD and
+/// VB pin their nodes, VIN pins "in" from its neg terminal (pos = ground,
+/// so "in" reads -VIN), VSHIFT floats off the pinned input, CVB joins two
+/// pinned nodes, EBUF drives a node tied to VDD through RBUF, and IAC feeds
+/// its AC current straight into the pinned VDD node.
+Circuit pinnedBench() {
+  Circuit c;
+  const NodeId vdd = c.node("vdd"), in = c.node("in"), gate = c.node("gate");
+  const NodeId mid = c.node("mid"), out = c.node("out"), vb = c.node("vb");
+  const NodeId buf = c.node("buf");
+  device::MosGeometry g;
+  g.w = 20e-6;
+  g.l = 1e-6;
+  device::applyUnfoldedGeometry(kTech.rules, g);
+  c.addVSource("VDD", vdd, circuit::kGround, Waveform::makeDc(3.3));
+  c.addVSource("VIN", circuit::kGround, in, Waveform::makeDc(-0.9), 1.0, 30.0);
+  c.addVSource("VSHIFT", gate, in, Waveform::makeDc(0.1));
+  c.addVSource("VB", vb, circuit::kGround, Waveform::makeDc(2.0));
+  c.addMos("M1", mid, gate, circuit::kGround, circuit::kGround, tech::MosType::kNmos, g);
+  c.addMos("M2", out, vb, mid, circuit::kGround, tech::MosType::kNmos, g);
+  c.addResistor("RL", vdd, out, 20e3);
+  c.addCapacitor("CL", out, circuit::kGround, 1e-12);
+  c.addCapacitor("CVB", vb, vdd, 0.5e-12);
+  c.addVcvs("EBUF", buf, circuit::kGround, out, circuit::kGround, 0.5);
+  c.addResistor("RBUF", buf, vdd, 10e3);
+  c.addISource("IAC", circuit::kGround, vdd, Waveform::makeDc(0.0), 1e-6);
+  return c;
+}
+
+/// Fast and reference simulators over one circuit, with their (bit-equal)
+/// operating points.
+struct ModePair {
+  Simulator fast, ref;
+  DcSolution opF, opR;
+  ModePair(const Circuit& c, const device::MosModel& model)
+      : fast(c, kTech, model, optionsFor(SolverMode::kFast)),
+        ref(c, kTech, model, optionsFor(SolverMode::kReference)),
+        opF(fast.dcOperatingPoint()),
+        opR(ref.dcOperatingPoint()) {
+    expectSolutionBitEqual(opF, opR);
+  }
+};
+
+TEST(SimGolden, FoldedAcReadsPinnedSourceCurrentsLikeFullMna) {
+  // ac() drives VIN (a pinned node, reversed polarity) and IAC (a current
+  // into pinned VDD).  Every branch current is compared, the three pinned
+  // sources' included: the fold recovers them from their nodes' KCL rows.
+  const Circuit c = pinnedBench();
+  const ModePair m(c, *designs().model);
+  const auto fast = m.fast.ac(m.opF, 1e3, 1e10, 5);
+  const auto ref = m.ref.ac(m.opR, 1e3, 1e10, 5);
+  expectAcWithin(fast, ref);
+  // The branch currents also against their own scale, not the voltages'.
+  double iScale = 0.0;
+  for (const AcPoint& p : ref) {
+    for (const auto& i : p.vsourceI) iScale = std::max(iScale, std::abs(i));
+  }
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    for (std::size_t i = 0; i < ref[k].vsourceI.size(); ++i) {
+      EXPECT_LE(std::abs(fast[k].vsourceI[i] - ref[k].vsourceI[i]), kSmallSignalTol * iScale)
+          << c.vsources[i].name << " f=" << ref[k].freq;
+    }
+  }
+  const NodeId in = *c.findNode("in"), vdd = *c.findNode("vdd");
+  for (const AcPoint& p : fast) {
+    // A pinned node reads its excitation exactly: -VIN, and nothing on VDD.
+    EXPECT_EQ(p.at(in), -std::polar(1.0, 30.0 * M_PI / 180.0));
+    EXPECT_EQ(p.at(vdd), std::complex<double>{});
+    for (const auto& i : p.vsourceI) EXPECT_GT(std::abs(i), 0.0);
+  }
+}
+
+TEST(SimGolden, FoldedAcFromGroundedSourceMatchesFullMna) {
+  // acFrom on a pinned source moves its node by the unit excitation (or
+  // its negation for a pos-grounded source) instead of driving a branch.
+  const Circuit c = pinnedBench();
+  const ModePair m(c, *designs().model);
+  for (const char* source : {"VDD", "VIN", "VB", "VSHIFT"}) {
+    SCOPED_TRACE(source);
+    expectAcWithin(m.fast.acFrom(m.opF, source, 1e3, 1e10, 5),
+                   m.ref.acFrom(m.opR, source, 1e3, 1e10, 5));
+  }
+}
+
+TEST(SimGolden, FoldedUnitCurrentIntoPinnedNodeMovesNothing) {
+  // A unit current into pinned VDD only flows out through VDD's branch;
+  // into "out" it moves every free node.  Both against full MNA.
+  const Circuit c = pinnedBench();
+  const ModePair m(c, *designs().model);
+  const NodeId vdd = *c.findNode("vdd"), out = *c.findNode("out");
+  const std::vector<AcExcitation> block = {AcExcitation::unitCurrent(circuit::kGround, vdd),
+                                           AcExcitation::unitCurrent(circuit::kGround, out)};
+  const auto fast = m.fast.acBatch(m.opF, block, 1e3, 1e10, 5);
+  const auto ref = m.ref.acBatch(m.opR, block, 1e3, 1e10, 5);
+  ASSERT_EQ(fast.size(), 2u);
+  expectAcWithin(fast[0], ref[0]);
+  expectAcWithin(fast[1], ref[1]);
+  for (const AcPoint& p : fast[0]) {
+    for (const auto& v : p.nodeV) EXPECT_EQ(v, std::complex<double>{});
+    // The whole unit current leaves through VDD (pos -> neg inside it).
+    EXPECT_EQ(p.vsourceI[0], std::complex<double>(1.0, 0.0));
+  }
+}
+
+TEST(SimGolden, FoldedNoiseWithGroundedInputSourceMatchesFullMna) {
+  // The input-referral gain comes from a pinned source's unit excitation;
+  // the adjoint solve reuses the forward factors.
+  const Circuit c = pinnedBench();
+  const ModePair m(c, *designs().model);
+  const NodeId out = *c.findNode("out");
+  for (const char* input : {"VIN", "VDD", "VSHIFT"}) {
+    SCOPED_TRACE(input);
+    const auto fast = m.fast.noise(m.opF, out, input, 1.0, 1e9, 6);
+    expectNoiseWithin(fast, m.ref.noise(m.opR, out, input, 1.0, 1e9, 6));
+  }
+  // One factorization per frequency, shared by the forward and adjoint
+  // solves.
+  const long points = static_cast<long>(m.fast.noise(m.opF, out, "VIN", 1.0, 1e9, 6).size());
+  EXPECT_EQ(m.fast.stats().luFactorizations, 4 * points);
+  EXPECT_EQ(m.fast.stats().luSolves, 2 * 4 * points);
+}
+
+TEST(SimGolden, SecondGroundedSourceOnAPinnedNodeStaysABranch) {
+  // Two grounded sources on one node over-determine it: the first pins the
+  // node and the second keeps its branch, so the folded system is exactly
+  // as singular as full MNA and both modes refuse it.  (DC refuses it too,
+  // so the operating point of this linear circuit is built by hand.)
+  Circuit c;
+  const NodeId a = c.node("a"), b = c.node("b");
+  c.addVSource("V1", a, circuit::kGround, Waveform::makeDc(1.0), 1.0);
+  c.addVSource("V2", circuit::kGround, a, Waveform::makeDc(-1.0));
+  c.addResistor("R", a, b, 1e3);
+  c.addCapacitor("C", b, circuit::kGround, 1e-12);
+  DcSolution op;
+  op.converged = true;
+  op.nodeVoltages.assign(static_cast<std::size_t>(c.nodeCount()), 0.0);
+  op.vsourceCurrents.assign(c.vsources.size(), 0.0);
+  const auto model = device::MosModel::create("ekv");
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    Simulator sim(c, kTech, *model, optionsFor(mode));
+    EXPECT_THROW((void)sim.ac(op, 1e3, 1e6, 2), SimulationError);
+    EXPECT_THROW((void)sim.acFrom(op, "V2", 1e3, 1e6, 2), SimulationError);
+    EXPECT_THROW((void)sim.noise(op, b, "V1", 1e3, 1e6, 2), SimulationError);
+  }
+  // Without V2 the same network solves in both modes, and agrees.
+  Circuit single;
+  const NodeId sa = single.node("a"), sb = single.node("b");
+  single.addVSource("V1", sa, circuit::kGround, Waveform::makeDc(1.0), 1.0);
+  single.addResistor("R", sa, sb, 1e3);
+  single.addCapacitor("C", sb, circuit::kGround, 1e-12);
+  op.vsourceCurrents.pop_back();
+  Simulator fast(single, kTech, *model, optionsFor(SolverMode::kFast));
+  Simulator ref(single, kTech, *model, optionsFor(SolverMode::kReference));
+  expectAcWithin(fast.ac(op, 1e3, 1e10, 5), ref.ac(op, 1e3, 1e10, 5));
+}
+
+TEST(SimGolden, SmallSignalRejectsAnOperatingPointFromAnotherCircuit) {
+  // An operating point of a smaller circuit would index past its mosOps.
+  const Circuit big = pinnedBench();
+  Circuit small;
+  const NodeId vdd = small.node("vdd"), out = small.node("out");
+  device::MosGeometry g;
+  g.w = 20e-6;
+  g.l = 1e-6;
+  device::applyUnfoldedGeometry(kTech.rules, g);
+  small.addVSource("VDD", vdd, circuit::kGround, Waveform::makeDc(3.3));
+  small.addResistor("RL", vdd, out, 20e3);
+  small.addMos("M1", out, vdd, circuit::kGround, circuit::kGround, tech::MosType::kNmos, g);
+  const device::MosModel& model = *designs().model;
+  const DcSolution foreign =
+      Simulator(small, kTech, model, optionsFor(SolverMode::kFast)).dcOperatingPoint();
+  const NodeId bigOut = *big.findNode("out");
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    Simulator sim(big, kTech, model, optionsFor(mode));
+    EXPECT_THROW((void)sim.ac(foreign, 1e3, 1e6, 2), std::invalid_argument);
+    EXPECT_THROW((void)sim.acFrom(foreign, "VDD", 1e3, 1e6, 2), std::invalid_argument);
+    EXPECT_THROW((void)sim.acBatch(foreign, {AcExcitation::circuitSources()}, 1e3, 1e6, 2),
+                 std::invalid_argument);
+    EXPECT_THROW((void)sim.noise(foreign, bigOut, "VIN", 1e3, 1e6, 2), std::invalid_argument);
+    // Its own operating point is accepted.
+    EXPECT_NO_THROW((void)sim.ac(sim.dcOperatingPoint(), 1e3, 1e6, 2));
+  }
 }
 
 }  // namespace

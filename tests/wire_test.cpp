@@ -1,10 +1,10 @@
 // Wire tests: the shipped losynthd and lorouter binaries driven over their
 // stdin/stdout line protocol, every reply parsed as JSON.  Each case is one
 // end-to-end scenario -- a cache hit, an exploration, kill -9 recovery,
-// shutdown with jobs in flight, post-layout verification, and on a router
-// over real shards: kill-one-shard recovery, explore failover and drain
-// under load.  tests/CMakeLists.txt registers each case under its own
-// ctest name.
+// shutdown with jobs in flight, post-layout verification, a request nested
+// deeper than the parser's cap, and on a router over real shards:
+// kill-one-shard recovery, explore failover and drain under load.
+// tests/CMakeLists.txt registers each case under its own ctest name.
 //
 // Runs that end on stdin EOF go through runToEof, which also proves the
 // daemon exits 0 there.  Runs that act mid-stream (kill a process, read a
@@ -487,6 +487,25 @@ TEST_F(Wire, LorouterDrainSmoke) {
   EXPECT_EQ(add.at("members").asInt(), 3) << add.dump();
   EXPECT_TRUE(router.reply().at("shutting_down").asBool());
   EXPECT_EQ(router.exitCode(kReplySeconds), 0);
+}
+
+// A request line opening 200,000 nested arrays must not overflow the
+// parser's stack: both binaries refuse it with ok:false, then answer
+// health and exit 0 at EOF.
+TEST_F(Wire, DeepNestingIsRefusedOverTheWire) {
+  const std::string deep = R"({"op":"stats","x":)" + std::string(200000, '[');
+  for (const bool router : {false, true}) {
+    SCOPED_TRACE(router ? "lorouter" : "losynthd");
+    const std::vector<std::string> argv =
+        router ? routerArgv(1, 1, "") : std::vector<std::string>{kLosynthd, "--threads", "1"};
+    const Transcript run =
+        runToEof(argv, {deep, R"({"op":"health"})"}, scratch_ / "stdin");
+    EXPECT_EQ(run.exitCode, 0);
+    ASSERT_EQ(run.replies.size(), 2u);
+    EXPECT_FALSE(run.replies[0].at("ok").asBool(true)) << run.replies[0].dump();
+    EXPECT_TRUE(run.replies[1].at("ok").asBool()) << run.replies[1].dump();
+    EXPECT_TRUE(run.replies[1].at("health").isObject()) << run.replies[1].dump();
+  }
 }
 
 }  // namespace

@@ -99,6 +99,8 @@ void ShardProcess::spawn(const std::vector<std::string>& argv) {
 
   ::close(toChild[0]);
   ::close(fromChild[1]);
+  // A full stdin pipe must never block the parent: writeSome reports it.
+  ::fcntl(toChild[1], F_SETFL, ::fcntl(toChild[1], F_GETFL) | O_NONBLOCK);
   pid_ = child;
   in_ = toChild[1];
   out_ = fromChild[0];
@@ -114,19 +116,30 @@ bool ShardProcess::running() {
 }
 
 bool ShardProcess::writeLine(const std::string& line) {
-  if (in_ < 0 || sawEof_) return false;
   std::string framed = line;
   framed.push_back('\n');
-  std::size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n = ::write(in_, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EPIPE et al.: the child is gone.
+  for (std::string_view rest = framed; !rest.empty();) {
+    const ssize_t n = writeSome(rest);
+    if (n < 0) return false;
+    rest.remove_prefix(static_cast<std::size_t>(n));
+    if (n == 0) {
+      struct pollfd pfd {};
+      pfd.fd = in_;
+      pfd.events = POLLOUT;
+      (void)::poll(&pfd, 1, -1);
     }
-    written += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+ssize_t ShardProcess::writeSome(std::string_view bytes) {
+  if (in_ < 0 || sawEof_) return -1;
+  for (;;) {
+    const ssize_t n = ::write(in_, bytes.data(), bytes.size());
+    if (n >= 0) return n;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    if (errno != EINTR) return -1;  // EPIPE et al.: the child is gone.
+  }
 }
 
 ReadStatus ShardProcess::readLine(std::string& line, double timeoutSeconds) {

@@ -3,9 +3,9 @@
 // The router talks to each losynthd shard over its stdin/stdout exactly
 // the way an external client talks to the router: one JSON line per
 // request, one per response.  This class owns the POSIX plumbing --
-// fork/exec with close-on-exec pipes, buffered line reads with a poll()
-// timeout, EOF detection -- and nothing protocol-shaped; the router layers
-// routing and recovery on top.
+// fork/exec with close-on-exec pipes, a non-blocking write end, buffered
+// line reads with a poll() timeout, EOF detection -- and nothing
+// protocol-shaped; the router layers routing and recovery on top.
 //
 // Death shows up two ways and both are first-class here:
 //  * EOF on the read pipe (the child exited or was SIGKILLed) -- the
@@ -21,6 +21,7 @@
 #include <sys/types.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lo::cluster {
@@ -46,9 +47,16 @@ class ShardProcess {
 
   [[nodiscard]] pid_t pid() const { return pid_; }
 
-  /// Write one request line (a trailing '\n' is added).  False when the
-  /// pipe is closed/broken -- the write path's death signal.
+  /// Write one request line (a trailing '\n' is added), waiting for pipe
+  /// space as long as that takes.  False when the pipe is closed/broken --
+  /// the write path's death signal.
   [[nodiscard]] bool writeLine(const std::string& line);
+
+  /// Non-blocking write: push as much of `bytes` as the pipe takes right
+  /// now and return the count (0 when it is full), or -1 when the pipe is
+  /// closed/broken.  The router's exchange interleaves this with pollLine
+  /// in one poll(2) loop, so a shard that stops reading cannot block it.
+  [[nodiscard]] ssize_t writeSome(std::string_view bytes);
 
   /// Read one response line (without the '\n').  timeoutSeconds <= 0
   /// waits forever.  kEof means the child died; kTimeout means it is
@@ -57,14 +65,14 @@ class ShardProcess {
 
   /// Non-blocking readLine: drain whatever the pipe holds right now and
   /// return kOk if that completed a line, kTimeout if a (partial or no)
-  /// line is still pending, kEof when the child died.  The multiplexed
-  /// cross-shard wait drives many shards' pipes from one poll(2) loop
-  /// with this.
+  /// line is still pending, kEof when the child died.  The router's
+  /// exchange drives every shard's pipe from one poll(2) loop with this.
   [[nodiscard]] ReadStatus pollLine(std::string& line);
 
-  /// The parent-side read fd, for poll(2)ing several shards at once; -1
-  /// when not running.
+  /// The parent-side read and (non-blocking) write fds, for poll(2)ing
+  /// several shards at once; -1 when not running.
   [[nodiscard]] int readFd() const { return out_; }
+  [[nodiscard]] int writeFd() const { return in_; }
 
   /// SIGKILL, then reap.  Used by the fault-injection side (soak, tests)
   /// to simulate a crashed shard from outside.

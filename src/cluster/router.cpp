@@ -6,15 +6,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <exception>
 #include <filesystem>
 #include <istream>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
+#include <string_view>
 #include <utility>
 
 #include "service/cache.hpp"
@@ -82,31 +81,26 @@ void sumInto(Json& dst, const Json& src) {
   }
 }
 
-/// The shard forgot this exploration (it finished before a crash, so the
-/// journal replay had nothing to restart) -- failover's re-run is the
-/// answer.
-bool unknownExploration(const Json& response) {
-  if (response.at("ok").asBool()) return false;
-  return errorTextOf(response, "").find("unknown exploration id") !=
-         std::string::npos;
+/// An async resubmission of a request: the failover path's "run it again
+/// over there" line (a cache hit or coalesce on the inheritor, never a
+/// second engine run of a finished job).
+std::string asyncResubmitLine(Json request) {
+  request.set("async", true);
+  return request.dump();
 }
 
-/// Same story for jobs: a reboot replays only unfinished work, so a job
-/// that settled before the crash answers "unknown job id" afterwards.
-/// Failover resubmits it and the shared store answers from cache.
-bool unknownJob(const Json& response) {
-  if (response.at("ok").asBool()) return false;
-  return errorTextOf(response, "").find("unknown job id") != std::string::npos;
+/// A reboot replays only unfinished work, so a job or exploration that
+/// settled before the crash answers "unknown ... id" afterwards; the
+/// failover's resubmission (a cache hit on the inheritor) is the answer.
+bool forgotten(const Json& reply, bool exploration) {
+  return !reply.at("ok").asBool() &&
+         errorTextOf(reply, "").find(exploration ? "unknown exploration id"
+                                                 : "unknown job id") != std::string::npos;
 }
 
-/// An async resubmission of a synthesize-shaped request: the failover
-/// path's "run it again over there" line (a cache hit or coalesce on the
-/// inheritor, never a second engine run of a finished job).
-std::string asyncResubmitLine(const Json& jobShaped) {
-  Json resubmit = jobShaped;
-  resubmit.set("op", "synthesize");
-  resubmit.set("async", true);
-  return resubmit.dump();
+/// "job 7" or "exploration 7": a router id with its kind, for errors.
+std::string idLabel(bool exploration, std::uint64_t routerId) {
+  return (exploration ? "exploration " : "job ") + std::to_string(routerId);
 }
 
 /// True when a wait/synthesize response reports a settled job.
@@ -228,8 +222,8 @@ void ClusterRouter::markDead(int shard, const std::string& reason) {
 
 bool ClusterRouter::reviveShard(int shard, bool ignoreBackoff) {
   Shard& st = shards_[static_cast<std::size_t>(shard)];
-  if (st.alive) return true;
   if (!st.member) return false;
+  if (st.alive) return true;
   if (!options_.restartDeadShards) return false;
   if (st.restarts >= options_.maxRestartsPerShard) return false;
   if (!ignoreBackoff && nowSeconds() < st.nextRestartAt) return false;
@@ -257,19 +251,15 @@ int ClusterRouter::memberCount() const {
 
 int ClusterRouter::routeLive(const std::string& key) {
   const int home = ring_.ownerOf(key);
-  Shard& homeShard = shards_[static_cast<std::size_t>(home)];
   // Prefer healing the home shard over scattering its keys: a revived
   // shard replays its journal and keeps serving its own ranges.
-  if (homeShard.member && !homeShard.alive) (void)reviveShard(home);
+  (void)reviveShard(home);
   int target = ring_.routeOf(key, routableMask());
   if (target < 0) {
     // Nothing routable: backoff hygiene yields to availability.  Force-
     // revive members in index order until one comes back.
     for (int s = 0; s < shardCount(); ++s) {
-      if (shards_[static_cast<std::size_t>(s)].member &&
-          reviveShard(s, /*ignoreBackoff=*/true)) {
-        break;
-      }
+      if (reviveShard(s, /*ignoreBackoff=*/true)) break;
     }
     target = ring_.routeOf(key, routableMask());
   }
@@ -281,24 +271,105 @@ int ClusterRouter::routeLive(const std::string& key) {
   return target;
 }
 
-std::optional<std::string> ClusterRouter::forwardRaw(int shard,
-                                                     const std::string& line) {
-  Shard& st = shards_[static_cast<std::size_t>(shard)];
-  if (!st.alive) return std::nullopt;
-  if (!st.process->writeLine(line)) {
-    markDead(shard, "write failed (pipe closed)");
-    return std::nullopt;
+void ClusterRouter::exchange(std::vector<Call>& calls) {
+  // Per shard: its calls in the order written, their bytes and how many
+  // the pipe has taken.  A daemon reads and answers one line at a time, so
+  // an answer pairs with the oldest unanswered call, and that call is the
+  // one in service: its deadline is one request timeout per unit of its
+  // weight, counted from the stream's last answer.
+  struct Stream {
+    std::vector<Call*> calls;
+    std::string out;
+    std::size_t sent = 0;
+    std::size_t answered = 0;
+    double since = 0.0;
+  };
+  const double timeout = options_.requestTimeoutSeconds;
+  std::vector<Stream> streams(shards_.size());
+  for (Call& call : calls) {
+    if (!shards_[static_cast<std::size_t>(call.shard)].alive) continue;
+    Stream& stream = streams[static_cast<std::size_t>(call.shard)];
+    stream.out.append(call.line).push_back('\n');
+    stream.calls.push_back(&call);
   }
-  std::string response;
-  const ReadStatus status =
-      st.process->readLine(response, options_.requestTimeoutSeconds);
-  if (status != ReadStatus::kOk) {
-    markDead(shard, status == ReadStatus::kTimeout
-                        ? "request timeout (wedged)"
-                        : "eof (process died)");
-    return std::nullopt;
+  const double start = nowSeconds();
+  for (Stream& stream : streams) stream.since = start;
+
+  // One poll(2) loop writes what every pipe takes and reads what it holds,
+  // so neither side of a long stream waits on a full pipe and a wedged
+  // shard holds back only its own calls.
+  std::vector<struct pollfd> fds;
+  std::string line;
+  for (;;) {
+    fds.clear();
+    double wait = -1.0;  // Forever.
+    const double now = nowSeconds();
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      Stream& stream = streams[s];
+      if (stream.answered == stream.calls.size()) continue;
+      ShardProcess& process = *shards_[s].process;
+      const char* failure = nullptr;
+      if (stream.sent < stream.out.size()) {
+        const ssize_t n =
+            process.writeSome(std::string_view(stream.out).substr(stream.sent));
+        if (n < 0) failure = "write failed (pipe closed)";
+        stream.sent += static_cast<std::size_t>(std::max<ssize_t>(0, n));
+      }
+      while (failure == nullptr && stream.answered < stream.calls.size()) {
+        const ReadStatus status = process.pollLine(line);
+        if (status == ReadStatus::kTimeout) break;
+        if (status != ReadStatus::kOk) {
+          failure = "eof (process died)";
+          break;
+        }
+        try {
+          stream.calls[stream.answered]->reply = Json::parse(line);
+          ++stream.answered;
+          stream.since = now;
+        } catch (const service::JsonParseError&) {
+          // An unpaired answer poisons the stream for every later call.
+          failure = "garbage on the pipe";
+        }
+      }
+      if (stream.answered == stream.calls.size()) continue;
+      const double left =
+          stream.since + timeout * stream.calls[stream.answered]->weight - now;
+      if (failure == nullptr && timeout > 0 && left < 0) {
+        failure = "request timeout (wedged)";
+      }
+      if (failure != nullptr) {
+        markDead(static_cast<int>(s), failure);
+        stream.calls.resize(stream.answered);
+        continue;
+      }
+      fds.push_back({process.readFd(), POLLIN, 0});
+      if (stream.sent < stream.out.size()) fds.push_back({process.writeFd(), POLLOUT, 0});
+      if (timeout > 0) wait = wait < 0 ? left : std::min(wait, left);
+    }
+    if (fds.empty()) return;
+    (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                 wait < 0 ? -1 : static_cast<int>(std::min(wait, 60.0) * 1000.0) + 1);
   }
-  return response;
+}
+
+std::optional<Json> ClusterRouter::ask(int shard, std::string line) {
+  std::vector<Call> calls{{.shard = shard, .line = std::move(line)}};
+  exchange(calls);
+  return std::move(calls.front().reply);
+}
+
+std::vector<std::optional<Json>> ClusterRouter::askMembers(const std::string& line) {
+  std::vector<Call> calls;
+  for (int s = 0; s < shardCount(); ++s) {
+    const Shard& st = shards_[static_cast<std::size_t>(s)];
+    if (st.alive && st.member) calls.push_back({.shard = s, .line = line});
+  }
+  exchange(calls);
+  std::vector<std::optional<Json>> replies(shards_.size());
+  for (Call& call : calls) {
+    replies[static_cast<std::size_t>(call.shard)] = std::move(call.reply);
+  }
+  return replies;
 }
 
 std::pair<int, Json> ClusterRouter::forwardRouted(const std::string& key,
@@ -310,31 +381,90 @@ std::pair<int, Json> ClusterRouter::forwardRouted(const std::string& key,
       shardCount() * (std::max(0, options_.maxRestartsPerShard) + 2);
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
     const int shard = routeLive(key);
-    if (std::optional<std::string> response = forwardRaw(shard, line)) {
+    if (std::optional<Json> response = ask(shard, line)) {
       ++shards_[static_cast<std::size_t>(shard)].routedJobs;
-      return {shard, Json::parse(*response)};
+      return {shard, std::move(*response)};
     }
   }
   throw RouterError{"no_live_shards", "request retries exhausted the cluster"};
 }
 
-std::uint64_t ClusterRouter::mapNewJob(int shard, std::uint64_t localId,
-                                       std::string key,
-                                       std::string resubmitLine,
-                                       bool terminal) {
-  const std::uint64_t routerId = nextJobId_++;
-  JobRoute route;
-  route.shard = shard;
-  route.localId = localId;
-  route.key = std::move(key);
-  route.resubmitLine = std::move(resubmitLine);
-  route.terminal = terminal;
-  jobRoute_[routerId] = std::move(route);
+std::uint64_t ClusterRouter::pin(Route route) {
+  const std::uint64_t routerId = route.exploration ? nextExploreId_++ : nextJobId_++;
+  (route.exploration ? exploreRoute_ : jobRoute_)[routerId] = std::move(route);
   return routerId;
 }
 
-void ClusterRouter::noteTerminal(JobRoute& route, const Json& response) {
-  if (terminalState(response)) route.terminal = true;
+void ClusterRouter::stampJob(Json& response, int shard, const std::string& key,
+                             const Json& request) {
+  // Shard-local job ids collide across shards; re-issue from the router's
+  // id space so wait/cancel can find their way back.
+  if (const Json* id = response.find("id");
+      id != nullptr && response.at("ok").asBool()) {
+    Json resubmit = request;
+    resubmit.set("op", "synthesize");
+    response.set("id", pin({.shard = shard,
+                            .localId = id->asUint64(),
+                            .key = key,
+                            .resubmitLine = asyncResubmitLine(std::move(resubmit)),
+                            .terminal = terminalState(response)}));
+  }
+  response.set("shard", shard);
+}
+
+void ClusterRouter::repin(std::uint64_t routerId, Route& route) {
+  // The resubmission is exactly-once-safe: either the dead shard journaled
+  // the work (its eventual replay coalesces on the shared store) or its
+  // result is already in the store, so the inheritor answers from cache.
+  auto [shard, response] = forwardRouted(route.key, route.resubmitLine);
+  const Json* id = response.find(route.exploration ? "explore_id" : "id");
+  if (!response.at("ok").asBool() || id == nullptr) {
+    throw RouterError{"failover_failed",
+                      idLabel(route.exploration, routerId) + " could not be re-pinned: " +
+                          errorTextOf(response, "resubmission rejected")};
+  }
+  route.shard = shard;
+  route.localId = id->asUint64();
+  route.terminal = false;
+  ++(route.exploration ? exploreFailovers_ : jobFailovers_);
+}
+
+Json ClusterRouter::settle(std::uint64_t routerId, Route& route, int shard,
+                           Json reply) {
+  if (terminalState(reply)) route.terminal = true;
+  const char* idField = route.exploration ? "explore_id" : "id";
+  if (reply.find(idField) != nullptr) reply.set(idField, routerId);
+  reply.set("shard", shard);
+  return reply;
+}
+
+Json ClusterRouter::resolvePinned(std::uint64_t routerId, Route& route,
+                                  Json request) {
+  const char* idField = route.exploration ? "explore_id" : "id";
+  // A dead pipe revives the shard and asks once more: the reboot's journal
+  // replay re-enqueued the job (or restarted the exploration) under the
+  // same local id, so the identical request works there.
+  std::optional<Json> reply;
+  for (int attempt = 0; attempt < 2 && !reply && reviveShard(route.shard); ++attempt) {
+    request.set(idField, route.localId);
+    reply = ask(route.shard, request.dump());
+  }
+  // Drained, past the restart budget, in backoff, or forgotten (a reboot
+  // replays only unfinished work, so a job or exploration that settled
+  // before the crash answers "unknown ... id"): re-pin to the shard that
+  // inherited the key range and resolve there.  A cancel of an already
+  // finished job resolves as cancelled:false, as it would have at home.
+  if (!reply || forgotten(*reply, route.exploration)) {
+    repin(routerId, route);
+    request.set(idField, route.localId);
+    reply = ask(route.shard, request.dump());
+    if (!reply) {
+      throw RouterError{"shard_down", shardLabel(route.shard) +
+                                          " failed while resolving re-pinned " +
+                                          idLabel(route.exploration, routerId)};
+    }
+  }
+  return settle(routerId, route, route.shard, std::move(*reply));
 }
 
 std::string ClusterRouter::routingKeyFor(const Json& entry) const {
@@ -372,7 +502,7 @@ Json ClusterRouter::handle(const Json& request, const std::string& rawLine) {
   if (op == "synthesize") return handleSynthesize(request, rawLine);
   if (op == "sweep") return handleSweep(request);
   if (op == "wait" || op == "cancel") return handleWaitOrCancel(request, op);
-  if (op == "explore") return handleExplore(rawLine);
+  if (op == "explore") return handleExplore(request, rawLine);
   if (op == "explore_result") return handleExploreResult(request);
   if (op == "drain") return handleDrain(request);
   if (op == "add") return handleAdd(request);
@@ -403,41 +533,8 @@ Json ClusterRouter::handleSynthesize(const Json& request,
                                      const std::string& rawLine) {
   const std::string key = routingKeyFor(request);
   auto [shard, response] = forwardRouted(key, rawLine);
-  // Shard-local job ids collide across shards; re-issue from the router's
-  // id space so wait/cancel can find their way back.
-  if (response.at("ok").asBool()) {
-    if (const Json* id = response.find("id")) {
-      response.set("id", mapNewJob(shard, id->asUint64(), key,
-                                   asyncResubmitLine(request),
-                                   terminalState(response)));
-    }
-  }
-  response.set("shard", shard);
+  stampJob(response, shard, key, request);
   return response;
-}
-
-int ClusterRouter::failoverJob(std::uint64_t routerId, JobRoute& route) {
-  if (route.resubmitLine.empty() || route.key.empty()) {
-    throw RouterError{"shard_down",
-                      shardLabel(route.shard) + " is down; job " +
-                          std::to_string(routerId) + " cannot be re-pinned"};
-  }
-  // The resubmission is exactly-once-safe: either the dead shard journaled
-  // the job (its eventual replay coalesces on the shared store) or its
-  // result is already in the store, so the inheritor answers from cache.
-  auto [shard, response] = forwardRouted(route.key, route.resubmitLine);
-  const Json* id = response.find("id");
-  if (!response.at("ok").asBool() || id == nullptr) {
-    throw RouterError{"failover_failed",
-                      "job " + std::to_string(routerId) +
-                          " could not be re-pinned: " +
-                          errorTextOf(response, "resubmission rejected")};
-  }
-  route.shard = shard;
-  route.localId = id->asUint64();
-  route.terminal = false;
-  ++jobFailovers_;
-  return shard;
 }
 
 Json ClusterRouter::handleWaitOrCancel(const Json& request,
@@ -450,55 +547,7 @@ Json ClusterRouter::handleWaitOrCancel(const Json& request,
   if (route == jobRoute_.end()) {
     return errorJson("\"" + op + "\" needs a known job \"id\"");
   }
-  JobRoute& jr = route->second;
-
-  std::optional<std::string> raw;
-  int servingShard = jr.shard;
-  if (shards_[static_cast<std::size_t>(jr.shard)].member) {
-    Json forward = request;
-    forward.set("id", jr.localId);
-    const std::string line = forward.dump();
-    if (shards_[static_cast<std::size_t>(jr.shard)].alive ||
-        reviveShard(jr.shard)) {
-      raw = forwardRaw(jr.shard, line);
-    }
-    if (!raw && reviveShard(jr.shard)) {
-      // The shard died holding this job; its journal replay re-enqueued
-      // the job under the same local id, so the identical wait/cancel
-      // works.
-      raw = forwardRaw(jr.shard, line);
-    }
-    if (raw) {
-      // A reboot replays only unfinished jobs; one that settled before
-      // the crash is forgotten and must resolve through failover (a cache
-      // hit on the inheritor), not surface as an error.
-      try {
-        if (unknownJob(Json::parse(*raw))) raw.reset();
-      } catch (const std::exception&) {
-        raw.reset();  // Garbage response: treat like a dead shard.
-      }
-    }
-  }
-  if (!raw) {
-    // Drained, past the restart budget, or in backoff: re-pin the job to
-    // the shard that inherited its key range and resolve there.  A cancel
-    // of an already-finished job resolves as cancelled:false, exactly as
-    // it would have on the original shard.
-    servingShard = failoverJob(routerId, jr);
-    Json forward = request;
-    forward.set("id", jr.localId);
-    raw = forwardRaw(servingShard, forward.dump());
-    if (!raw) {
-      throw RouterError{"shard_down",
-                        shardLabel(servingShard) + " failed while resolving " +
-                            "re-pinned job " + std::to_string(routerId)};
-    }
-  }
-  Json response = Json::parse(*raw);
-  noteTerminal(jr, response);
-  if (response.find("id") != nullptr) response.set("id", routerId);
-  response.set("shard", servingShard);
-  return response;
+  return resolvePinned(routerId, route->second, request);
 }
 
 Json ClusterRouter::handleMultiWait(const Json& request) {
@@ -506,181 +555,66 @@ Json ClusterRouter::handleMultiWait(const Json& request) {
   if (ids == nullptr || !ids->isArray() || ids->items().empty()) {
     return errorJson("\"wait\" needs a non-empty \"ids\" array");
   }
+  // Every id's wait carries the request's summary and trace flags.
+  Json single = Json::object();
+  single.set("op", "wait");
+  if (request.at("summary").asBool()) single.set("summary", true);
+  if (request.at("trace").asBool()) single.set("trace", true);
 
-  struct Slot {
-    std::uint64_t routerId = 0;
-    Json outcome;
-    bool done = false;
-  };
-  std::vector<Slot> slots(ids->items().size());
-  // Per-shard FIFO of slot indices: the daemon answers a pipelined stream
-  // of waits in order, so pairing responses back is a queue pop.
-  std::map<int, std::deque<std::size_t>> pendingByShard;
-
-  // Resolve every id's serving shard up front (revive or re-pin as the
-  // single-id path would), then pipeline the wait lines per shard.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].routerId = ids->items()[i].asUint64();
-    const auto route = jobRoute_.find(slots[i].routerId);
+  // Place every id on a live shard up front (revive or re-pin as the
+  // single-id path would), then send all the waits in one exchange.
+  const std::vector<Json>& items = ids->items();
+  std::vector<Json> outcomes(items.size());
+  std::vector<Call> calls;
+  std::vector<std::size_t> slotOf;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto route = jobRoute_.find(items[i].asUint64());
     if (route == jobRoute_.end()) {
-      slots[i].outcome = errorJson("\"wait\" needs a known job \"id\"");
-      slots[i].done = true;
+      outcomes[i] = errorJson("\"wait\" needs a known job \"id\"");
       continue;
     }
-    JobRoute& jr = route->second;
-    Shard& st = shards_[static_cast<std::size_t>(jr.shard)];
-    if (!(st.member && (st.alive || reviveShard(jr.shard)))) {
-      try {
-        (void)failoverJob(slots[i].routerId, jr);
-      } catch (const RouterError& e) {
-        slots[i].outcome = structuredErrorJson(e.code, e.message);
-        slots[i].done = true;
-        continue;
-      }
-    }
-    pendingByShard[jr.shard].push_back(i);
-  }
-
-  // Slots that cannot resolve over their pipelined stream (their shard
-  // died, wedged, or forgot the job after a reboot) are *deferred*, not
-  // failed over inline: a failover resubmits through other shards' pipes,
-  // and doing that while those pipes still carry unanswered pipelined
-  // waits would mis-pair every later response.  Deferred slots resolve
-  // through the single-id path after the poll loop has fully drained.
-  std::vector<std::size_t> deferred;
-  const auto deferShard = [&](int shard, const std::string& reason) {
-    markDead(shard, reason);
-    auto queue = pendingByShard.find(shard);
-    if (queue == pendingByShard.end()) return;
-    for (const std::size_t idx : queue->second) {
-      if (!slots[idx].done) deferred.push_back(idx);
-    }
-    pendingByShard.erase(queue);
-  };
-
-  // Pipeline the wait lines; a failed write defers that whole shard.
-  std::vector<int> writeFailed;
-  for (auto& [shard, queue] : pendingByShard) {
-    Shard& st = shards_[static_cast<std::size_t>(shard)];
-    for (const std::size_t idx : queue) {
-      Json forward = Json::object();
-      forward.set("op", "wait");
-      forward.set("id", jobRoute_.at(slots[idx].routerId).localId);
-      if (!st.process->writeLine(forward.dump())) {
-        writeFailed.push_back(shard);
-        break;
-      }
-    }
-  }
-  for (const int shard : writeFailed) {
-    deferShard(shard, "write failed (pipe closed)");
-  }
-
-  // Per-shard deadline: one request timeout per outstanding wait (a job
-  // may legitimately still be running).  A shard past its deadline is
-  // wedged by the single-request rules and gets recycled; healthy shards'
-  // responses keep flowing regardless, because one poll(2) loop serves
-  // every pipe.
-  std::map<int, double> deadline;
-  if (options_.requestTimeoutSeconds > 0) {
-    for (const auto& [shard, queue] : pendingByShard) {
-      deadline[shard] = nowSeconds() + options_.requestTimeoutSeconds *
-                                           static_cast<double>(queue.size());
-    }
-  }
-
-  while (!pendingByShard.empty()) {
-    std::vector<struct pollfd> fds;
-    std::vector<int> fdShards;
-    for (const auto& [shard, queue] : pendingByShard) {
-      struct pollfd pfd {};
-      pfd.fd = shards_[static_cast<std::size_t>(shard)].process->readFd();
-      pfd.events = POLLIN;
-      fds.push_back(pfd);
-      fdShards.push_back(shard);
-    }
-    (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()), 100);
-
-    std::vector<std::pair<int, std::string>> failed;
-    for (const int shard : fdShards) {
-      Shard& st = shards_[static_cast<std::size_t>(shard)];
-      auto queue = pendingByShard.find(shard);
-      while (queue != pendingByShard.end() && !queue->second.empty()) {
-        std::string line;
-        const ReadStatus status = st.process->pollLine(line);
-        if (status == ReadStatus::kTimeout) break;
-        if (status != ReadStatus::kOk) {
-          failed.emplace_back(shard, "eof (process died)");
-          break;
-        }
-        const std::size_t idx = queue->second.front();
-        queue->second.pop_front();
-        Json response;
-        try {
-          response = Json::parse(line);
-        } catch (const std::exception&) {
-          failed.emplace_back(shard, "garbage on the pipe");
-          // The unpaired response poisons the stream; put the slot back so
-          // the deferred pass resolves it.
-          queue->second.push_front(idx);
-          break;
-        }
-        if (unknownJob(response)) {
-          // A rebooted shard forgot this settled job; the deferred pass
-          // re-pins it (cache hit on the inheritor).
-          deferred.push_back(idx);
-          continue;
-        }
-        JobRoute& jr = jobRoute_.at(slots[idx].routerId);
-        noteTerminal(jr, response);
-        if (response.find("id") != nullptr) {
-          response.set("id", slots[idx].routerId);
-        }
-        response.set("shard", shard);
-        ++st.routedJobs;
-        slots[idx].outcome = std::move(response);
-        slots[idx].done = true;
-      }
-      if (queue != pendingByShard.end() && queue->second.empty()) {
-        pendingByShard.erase(queue);
-      }
-    }
-    for (const auto& [shard, reason] : failed) deferShard(shard, reason);
-
-    if (!deadline.empty()) {
-      const double now = nowSeconds();
-      std::vector<int> wedged;
-      for (const auto& [shard, queue] : pendingByShard) {
-        if (now > deadline[shard]) wedged.push_back(shard);
-      }
-      for (const int shard : wedged) {
-        deferShard(shard, "request timeout (wedged)");
-      }
-    }
-  }
-
-  // Every pipelined stream has drained (answered in full or dead), so
-  // failover resubmissions can no longer mis-pair a response.
-  for (const std::size_t idx : deferred) {
-    if (slots[idx].done) continue;
-    Json single = Json::object();
-    single.set("op", "wait");
-    single.set("id", slots[idx].routerId);
+    Route& jr = route->second;
     try {
-      slots[idx].outcome = handleWaitOrCancel(single, "wait");
+      if (!reviveShard(jr.shard)) repin(route->first, jr);
     } catch (const RouterError& e) {
-      slots[idx].outcome = structuredErrorJson(e.code, e.message);
-    } catch (const std::exception& e) {
-      slots[idx].outcome = errorJson(e.what());
+      outcomes[i] = structuredErrorJson(e.code, e.message);
+      continue;
     }
-    slots[idx].done = true;
+    single.set("id", jr.localId);
+    calls.push_back({.shard = jr.shard, .line = single.dump()});
+    slotOf.push_back(i);
+  }
+  exchange(calls);
+
+  // Answers pair back to their slots.  An id its shard left unanswered
+  // (died, wedged) or forgot (settled before a reboot) resolves through
+  // the single-id path once every answer is in.
+  std::vector<std::size_t> unresolved;
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    const std::uint64_t routerId = items[slotOf[c]].asUint64();
+    std::optional<Json>& reply = calls[c].reply;
+    if (!reply || forgotten(*reply, /*exploration=*/false)) {
+      unresolved.push_back(c);
+      continue;
+    }
+    ++shards_[static_cast<std::size_t>(calls[c].shard)].routedJobs;
+    outcomes[slotOf[c]] =
+        settle(routerId, jobRoute_.at(routerId), calls[c].shard, std::move(*reply));
+  }
+  for (const std::size_t c : unresolved) {
+    const std::uint64_t routerId = items[slotOf[c]].asUint64();
+    try {
+      outcomes[slotOf[c]] = resolvePinned(routerId, jobRoute_.at(routerId), single);
+    } catch (const RouterError& e) {
+      outcomes[slotOf[c]] = structuredErrorJson(e.code, e.message);
+    }
   }
 
-  Json outcomes = Json::array();
-  for (Slot& slot : slots) outcomes.push(std::move(slot.outcome));
+  Json list = Json::array();
+  for (Json& outcome : outcomes) list.push(std::move(outcome));
   Json out = Json::object();
   out.set("ok", true);
-  out.set("outcomes", std::move(outcomes));
+  out.set("outcomes", std::move(list));
   return out;
 }
 
@@ -690,187 +624,66 @@ Json ClusterRouter::handleSweep(const Json& request) {
     return errorJson("\"sweep\" needs a \"jobs\" array");
   }
   const std::vector<Json>& entries = jobs->items();
-  const bool trace = request.at("trace").asBool();
-  const bool summary = request.at("summary").asBool();
+  std::vector<std::string> keys;
+  keys.reserve(entries.size());
+  for (const Json& entry : entries) keys.push_back(routingKeyFor(entry));
 
-  // Key derivation (parse + canonicalise + hash, a few us per entry) is
-  // the router's largest serial per-job cost, and it is embarrassingly
-  // parallel: fan it over a small thread pool so a wide sweep's routing
-  // overhead shrinks with the cores available instead of growing with the
-  // batch.  A bad entry's parse error is captured and rethrown after the
-  // join, same surface as the serial loop had.
-  std::vector<std::string> keys(entries.size());
-  {
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t nThreads =
-        std::min({hw, entries.size() / 64 + 1, std::size_t{8}});
-    if (nThreads <= 1) {
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        keys[i] = routingKeyFor(entries[i]);
-      }
-    } else {
-      std::vector<std::thread> workers;
-      std::vector<std::exception_ptr> errors(nThreads);
-      for (std::size_t t = 0; t < nThreads; ++t) {
-        workers.emplace_back([&, t] {
-          try {
-            for (std::size_t i = t; i < entries.size(); i += nThreads) {
-              keys[i] = routingKeyFor(entries[i]);
-            }
-          } catch (...) {
-            errors[t] = std::current_exception();
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-      for (const std::exception_ptr& error : errors) {
-        if (error) std::rethrow_exception(error);
-      }
-    }
-  }
+  Json sub = Json::object();
+  sub.set("op", "sweep");
+  if (request.at("trace").asBool()) sub.set("trace", true);
+  if (request.at("summary").asBool()) sub.set("summary", true);
 
-  // Partition by routed shard; routeLive revives dead home shards up
-  // front so the partition is against the healthiest cluster available.
-  std::vector<std::vector<std::size_t>> byShard(shards_.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    byShard[static_cast<std::size_t>(routeLive(keys[i]))].push_back(i);
-  }
-
-  struct SubSweep {
-    int shard = -1;
-    std::vector<std::size_t> indices;
-    std::string requestLine;
-    std::optional<std::string> responseLine;
-    // Parsed in the I/O thread, so N sub-responses decode concurrently;
-    // empty with responseLine set means the shard answered garbage, which
-    // the recovery pass treats exactly like a dead pipe.
-    std::optional<Json> response;
-  };
-  std::vector<SubSweep> subs;
-  for (int s = 0; s < shardCount(); ++s) {
-    std::vector<std::size_t>& indices = byShard[static_cast<std::size_t>(s)];
-    if (indices.empty()) continue;
-    SubSweep sub;
-    sub.shard = s;
-    sub.indices = std::move(indices);
-    Json subRequest = Json::object();
-    subRequest.set("op", "sweep");
-    if (trace) subRequest.set("trace", true);
-    if (summary) subRequest.set("summary", true);
-    Json subJobs = Json::array();
-    for (std::size_t i : sub.indices) subJobs.push(entries[i]);
-    subRequest.set("jobs", std::move(subJobs));
-    sub.requestLine = subRequest.dump();
-    subs.push_back(std::move(sub));
-  }
-
-  // Happy-path fan-out: one I/O thread per shard, so N shards compute --
-  // and, just as important, serialise/parse -- their sub-sweeps
-  // concurrently.  Threads touch only their own shard's pipe and their
-  // own SubSweep; all router state mutation happens after the join.
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(subs.size());
-    for (SubSweep& sub : subs) {
-      workers.emplace_back([this, &sub] {
-        ShardProcess& process = *shards_[static_cast<std::size_t>(sub.shard)].process;
-        if (!process.writeLine(sub.requestLine)) return;
-        // One sub-sweep is many jobs behind one response; scale the
-        // wedge deadline with the batch.
-        const double timeout =
-            options_.requestTimeoutSeconds <= 0
-                ? 0
-                : options_.requestTimeoutSeconds *
-                      static_cast<double>(sub.indices.size());
-        std::string line;
-        if (process.readLine(line, timeout) == ReadStatus::kOk) {
-          sub.responseLine = std::move(line);
-          try {
-            sub.response = Json::parse(*sub.responseLine);
-          } catch (const std::exception&) {
-            // Leave response empty: garbage on the pipe is shard failure.
-          }
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-
-  // Recovery pass, sequential: a failed sub-sweep first retries on its
-  // revived owner (journal replay turns the resend into coalesces and
-  // cache hits, not double runs); if the shard stays down, its entries
-  // re-route one by one to the survivors.
+  // Rounds: partition the unplaced entries by live owner (routeLive
+  // revives a dead home shard once its backoff allows, else re-routes),
+  // send every shard its sub-sweep in one exchange and place the answers
+  // in request order.  A shard that dies or wedges hands its entries to
+  // the next round, where a revived owner keeps them (its journal replay
+  // turns the resend into coalesces and cache hits) and an unrevivable
+  // one's move to the survivors.  Each failed round costs a shard life,
+  // so the rounds end.
   std::vector<Json> placed(entries.size());
-  for (SubSweep& sub : subs) {
-    if (!sub.response) {
-      markDead(sub.shard, "sub-sweep failed (died or wedged)");
-      if (reviveShard(sub.shard)) {
-        sub.responseLine = forwardRaw(sub.shard, sub.requestLine);
-        if (sub.responseLine) {
-          try {
-            sub.response = Json::parse(*sub.responseLine);
-          } catch (const std::exception&) {
-          }
-        }
-      }
-    }
-
-    bool delivered = false;
-    if (sub.response) {
-      const Json& response = *sub.response;
-      const Json* outcomes = response.find("outcomes");
-      if (response.at("ok").asBool() && outcomes != nullptr &&
-          outcomes->isArray() &&
-          outcomes->items().size() == sub.indices.size()) {
-        shards_[static_cast<std::size_t>(sub.shard)].routedJobs +=
-            sub.indices.size();
-        for (std::size_t j = 0; j < sub.indices.size(); ++j) {
-          Json outcome = outcomes->items()[j];
-          if (const Json* id = outcome.find("id")) {
-            outcome.set("id",
-                        mapNewJob(sub.shard, id->asUint64(),
-                                  keys[sub.indices[j]],
-                                  asyncResubmitLine(entries[sub.indices[j]]),
-                                  terminalState(outcome)));
-          }
-          outcome.set("shard", sub.shard);
-          placed[sub.indices[j]] = std::move(outcome);
-        }
-        delivered = true;
-      } else {
-        const std::string why = errorTextOf(response, "sweep failed");
-        for (std::size_t idx : sub.indices) placed[idx] = failedOutcome(why);
-        delivered = true;
-      }
-    }
-    if (delivered) continue;
-
-    for (std::size_t idx : sub.indices) {
+  std::vector<std::size_t> unplaced(entries.size());
+  std::iota(unplaced.begin(), unplaced.end(), std::size_t{0});
+  for (bool first = true; !unplaced.empty(); first = false) {
+    std::map<int, std::vector<std::size_t>> byShard;
+    for (const std::size_t idx : unplaced) {
       try {
-        Json one = Json::object();
-        one.set("op", "sweep");
-        if (trace) one.set("trace", true);
-        if (summary) one.set("summary", true);
-        Json oneJobs = Json::array();
-        oneJobs.push(entries[idx]);
-        one.set("jobs", std::move(oneJobs));
-        auto [shard, response] = forwardRouted(keys[idx], one.dump());
-        const Json* outcomes = response.find("outcomes");
-        if (response.at("ok").asBool() && outcomes != nullptr &&
-            outcomes->isArray() && outcomes->items().size() == 1) {
-          Json outcome = outcomes->items().front();
-          if (const Json* id = outcome.find("id")) {
-            outcome.set("id", mapNewJob(shard, id->asUint64(), keys[idx],
-                                        asyncResubmitLine(entries[idx]),
-                                        terminalState(outcome)));
-          }
-          outcome.set("shard", shard);
-          placed[idx] = std::move(outcome);
-        } else {
-          placed[idx] = failedOutcome(errorTextOf(response, "sweep failed"));
-        }
+        byShard[routeLive(keys[idx])].push_back(idx);
       } catch (const RouterError& e) {
+        if (first) throw;
         placed[idx] = failedOutcome(e.code + ": " + e.message);
+      }
+    }
+    std::vector<Call> calls;
+    for (const auto& [shard, indices] : byShard) {
+      Json subJobs = Json::array();
+      for (const std::size_t idx : indices) subJobs.push(entries[idx]);
+      sub.set("jobs", std::move(subJobs));
+      calls.push_back({.shard = shard,
+                       .line = sub.dump(),
+                       .weight = static_cast<double>(indices.size())});
+    }
+    exchange(calls);
+
+    unplaced.clear();
+    auto group = byShard.begin();
+    for (Call& call : calls) {
+      const std::vector<std::size_t>& indices = (group++)->second;
+      if (!call.reply) {
+        unplaced.insert(unplaced.end(), indices.begin(), indices.end());
+        continue;
+      }
+      const Json* outcomes = call.reply->find("outcomes");
+      if (!call.reply->at("ok").asBool() || outcomes == nullptr ||
+          outcomes->items().size() != indices.size()) {
+        const std::string why = errorTextOf(*call.reply, "sweep failed");
+        for (const std::size_t idx : indices) placed[idx] = failedOutcome(why);
+        continue;
+      }
+      shards_[static_cast<std::size_t>(call.shard)].routedJobs += indices.size();
+      for (std::size_t j = 0; j < indices.size(); ++j) {
+        placed[indices[j]] = outcomes->items()[j];
+        stampJob(placed[indices[j]], call.shard, keys[indices[j]], entries[indices[j]]);
       }
     }
   }
@@ -883,18 +696,18 @@ Json ClusterRouter::handleSweep(const Json& request) {
   return out;
 }
 
-Json ClusterRouter::handleExplore(const std::string& rawLine) {
+Json ClusterRouter::handleExplore(const Json& request, const std::string& rawLine) {
   // Explorations are not content-addressed; balance them by request text.
-  auto [shard, response] = forwardRouted("raw:" + rawLine, rawLine);
+  const std::string key = "raw:" + rawLine;
+  auto [shard, response] = forwardRouted(key, rawLine);
   if (response.at("ok").asBool()) {
     if (const Json* id = response.find("explore_id")) {
-      const std::uint64_t routerId = nextExploreId_++;
-      ExploreRoute route;
-      route.shard = shard;
-      route.localId = id->asUint64();
-      route.rawLine = rawLine;
-      exploreRoute_[routerId] = std::move(route);
-      response.set("explore_id", routerId);
+      response.set("explore_id",
+                   pin({.shard = shard,
+                        .localId = id->asUint64(),
+                        .key = key,
+                        .resubmitLine = asyncResubmitLine(request),
+                        .exploration = true}));
     }
   }
   response.set("shard", shard);
@@ -907,75 +720,11 @@ Json ClusterRouter::handleExploreResult(const Json& request) {
   if (route == exploreRoute_.end()) {
     return errorJson("\"explore_result\" needs a known \"explore_id\"");
   }
-  ExploreRoute& er = route->second;
-
-  std::optional<std::string> raw;
-  int servingShard = er.shard;
-  if (shards_[static_cast<std::size_t>(er.shard)].member) {
-    Json forward = request;
-    forward.set("explore_id", er.localId);
-    const std::string line = forward.dump();
-    if (shards_[static_cast<std::size_t>(er.shard)].alive ||
-        reviveShard(er.shard)) {
-      raw = forwardRaw(er.shard, line);
-    }
-    if (!raw && reviveShard(er.shard)) {
-      // The shard died holding the session; its explore journal replay
-      // restarted it under the same local id, so the identical
-      // explore_result resumes on the reboot (cached evaluations replay
-      // as hits -- a fast-forward, not a recompute).
-      raw = forwardRaw(er.shard, line);
-    }
-    if (raw) {
-      // A revived shard that finished the session *before* dying had
-      // nothing pending to replay and has forgotten the id; the failover
-      // re-run below reproduces the same front from cache.
-      try {
-        if (!unknownExploration(Json::parse(*raw))) {
-          Json response = Json::parse(*raw);
-          if (response.find("explore_id") != nullptr) {
-            response.set("explore_id", routerId);
-          }
-          response.set("shard", servingShard);
-          return response;
-        }
-      } catch (const std::exception&) {
-        // Garbage response: treat like a dead shard below.
-      }
-      raw.reset();
-    }
-  }
-
-  // Past the restart budget, drained, or forgotten: re-pin the session to
-  // a survivor.  Determinism per (space, options) plus the shared store
-  // make the survivor's front byte-identical to the lost shard's.
-  Json resubmit = Json::parse(er.rawLine);
-  resubmit.set("async", true);
-  auto [newShard, response] = forwardRouted("raw:" + er.rawLine, resubmit.dump());
-  const Json* id = response.find("explore_id");
-  if (!response.at("ok").asBool() || id == nullptr) {
-    throw RouterError{"failover_failed",
-                      "exploration " + std::to_string(routerId) +
-                          " could not be re-pinned: " +
-                          errorTextOf(response, "resubmission rejected")};
-  }
-  er.shard = newShard;
-  er.localId = id->asUint64();
-  ++exploreFailovers_;
-  servingShard = newShard;
-
-  Json forward = request;
-  forward.set("explore_id", er.localId);
-  raw = forwardRaw(servingShard, forward.dump());
-  if (!raw) {
-    throw RouterError{"shard_down",
-                      shardLabel(servingShard) + " failed while resuming " +
-                          "exploration " + std::to_string(routerId)};
-  }
-  Json out = Json::parse(*raw);
-  if (out.find("explore_id") != nullptr) out.set("explore_id", routerId);
-  out.set("shard", servingShard);
-  return out;
+  // A revived shard resumes the session from its explore journal (cached
+  // evaluations replay as hits); a lost one re-runs on a survivor, whose
+  // front the explorer's determinism per (space, options) and the shared
+  // store make byte-identical to the lost shard's.
+  return resolvePinned(routerId, route->second, request);
 }
 
 Json ClusterRouter::handleDrain(const Json& request) {
@@ -998,35 +747,36 @@ Json ClusterRouter::handleDrain(const Json& request) {
   // Prefer a live victim for the graceful path (waiting out its jobs);
   // everything below still works without one via lazy failover.  Revive
   // before leaving the ring -- reviveShard refuses non-members.
-  const bool victimUp = st.alive || reviveShard(victim, /*ignoreBackoff=*/true);
+  (void)reviveShard(victim, /*ignoreBackoff=*/true);
   // Out of the ring first: from here no new key routes to the victim.
   st.member = false;
 
-  // Wait out the victim's in-flight jobs.  Each settles into the shared
-  // store (so later wait/cancel from clients resolves anywhere as a cache
-  // hit); a job the victim cannot settle re-pins to its inheritor now.
+  // Wait out the victim's in-flight jobs in one exchange.  Each settles
+  // into the shared store (so later wait/cancel from clients resolves
+  // anywhere as a cache hit); a job the victim cannot settle re-pins to
+  // its inheritor now.
+  std::vector<std::uint64_t> inFlight;
+  std::vector<Call> waits;
+  Json wait = Json::object();
+  wait.set("op", "wait");
+  for (const auto& [routerId, jr] : jobRoute_) {
+    if (jr.shard != victim || jr.terminal) continue;
+    wait.set("id", jr.localId);
+    inFlight.push_back(routerId);
+    waits.push_back({.shard = victim, .line = wait.dump()});
+  }
+  exchange(waits);
   std::uint64_t jobsSettled = 0;
   std::uint64_t jobsMoved = 0;
-  for (auto& [routerId, jr] : jobRoute_) {
-    if (jr.shard != victim || jr.terminal) continue;
-    if (victimUp && st.alive) {
-      Json wait = Json::object();
-      wait.set("op", "wait");
-      wait.set("id", jr.localId);
-      if (const std::optional<std::string> rawResp =
-              forwardRaw(victim, wait.dump())) {
-        try {
-          noteTerminal(jr, Json::parse(*rawResp));
-        } catch (const std::exception&) {
-        }
-        if (jr.terminal) {
-          ++jobsSettled;
-          continue;
-        }
-      }
+  for (std::size_t i = 0; i < inFlight.size(); ++i) {
+    Route& jr = jobRoute_.at(inFlight[i]);
+    if (waits[i].reply && terminalState(*waits[i].reply)) {
+      jr.terminal = true;
+      ++jobsSettled;
+      continue;
     }
     try {
-      (void)failoverJob(routerId, jr);
+      repin(inFlight[i], jr);
       ++jobsMoved;
     } catch (const RouterError&) {
       // Left pinned; the client's next wait retries the failover.
@@ -1041,17 +791,8 @@ Json ClusterRouter::handleDrain(const Json& request) {
   for (auto& [routerId, er] : exploreRoute_) {
     if (er.shard != victim) continue;
     try {
-      Json resubmit = Json::parse(er.rawLine);
-      resubmit.set("async", true);
-      auto [shard, response] =
-          forwardRouted("raw:" + er.rawLine, resubmit.dump());
-      const Json* id = response.find("explore_id");
-      if (response.at("ok").asBool() && id != nullptr) {
-        er.shard = shard;
-        er.localId = id->asUint64();
-        ++sessionsMoved;
-        ++exploreFailovers_;
-      }
+      repin(routerId, er);
+      ++sessionsMoved;
     } catch (const RouterError&) {
       // Left pinned; explore_result retries the failover lazily.
     }
@@ -1059,7 +800,7 @@ Json ClusterRouter::handleDrain(const Json& request) {
 
   // Stop the worker: polite shutdown first (drains its queue), then
   // terminate.  Not a transport error -- this death was ordered.
-  if (st.alive) (void)forwardRaw(victim, R"({"op":"shutdown"})");
+  (void)ask(victim, R"({"op":"shutdown"})");
   st.process->terminate(2.0);
   st.alive = false;
   ++drains_;
@@ -1131,26 +872,23 @@ Json ClusterRouter::forwardToAnyShard(const std::string& rawLine) {
 }
 
 Json ClusterRouter::handleStats() {
+  for (int s = 0; s < shardCount(); ++s) (void)reviveShard(s);
+  std::vector<std::optional<Json>> replies = askMembers(R"({"op":"stats"})");
   Json cluster = Json::object();
   Json perShard = Json::object();
   for (int s = 0; s < shardCount(); ++s) {
-    Shard& st = shards_[static_cast<std::size_t>(s)];
-    if (!st.member) {
-      Json drained = Json::object();
-      drained.set("member", false);
-      perShard.set(shardLabel(s), std::move(drained));
+    const std::optional<Json>& reply = replies[static_cast<std::size_t>(s)];
+    if (!reply) {
+      Json absent = Json::object();
+      if (shards_[static_cast<std::size_t>(s)].member) {
+        absent.set("down", true);
+      } else {
+        absent.set("member", false);
+      }
+      perShard.set(shardLabel(s), std::move(absent));
       continue;
     }
-    std::optional<std::string> raw;
-    if (st.alive || reviveShard(s)) raw = forwardRaw(s, R"({"op":"stats"})");
-    if (!raw) {
-      Json down = Json::object();
-      down.set("down", true);
-      perShard.set(shardLabel(s), std::move(down));
-      continue;
-    }
-    const Json response = Json::parse(*raw);
-    const Json& stats = response.at("stats");
+    const Json& stats = reply->at("stats");
     // Cluster totals sum the scheduler-shaped sections; registered extras
     // (e.g. "explorations") stay per-shard only -- their insides are not
     // meaningfully additive.
@@ -1199,13 +937,12 @@ Json ClusterRouter::handleStats() {
 Json ClusterRouter::handleHealth() {
   // Health is observability, not surgery: it reports dead shards rather
   // than reviving them (the next routed job does the healing).
+  std::vector<std::optional<Json>> replies = askMembers(R"({"op":"health"})");
   const double now = nowSeconds();
   Json perShard = Json::object();
   std::uint64_t aliveMembers = 0;
   for (int s = 0; s < shardCount(); ++s) {
     Shard& st = shards_[static_cast<std::size_t>(s)];
-    std::optional<std::string> raw;
-    if (st.alive && st.member) raw = forwardRaw(s, R"({"op":"health"})");
     Json entry = Json::object();
     entry.set("alive", st.alive);
     entry.set("member", st.member);
@@ -1224,9 +961,8 @@ Json ClusterRouter::handleHealth() {
     if (!st.alive && st.member) {
       entry.set("backoff_seconds", std::max(0.0, st.nextRestartAt - now));
     }
-    if (raw) {
-      const Json response = Json::parse(*raw);
-      entry.set("health", response.at("health"));
+    if (const std::optional<Json>& reply = replies[static_cast<std::size_t>(s)]) {
+      entry.set("health", reply->at("health"));
     }
     if (st.alive && st.member) ++aliveMembers;
     perShard.set(shardLabel(s), std::move(entry));
@@ -1258,15 +994,12 @@ Json ClusterRouter::handleHealth() {
 
 Json ClusterRouter::handleShutdown() {
   shutdown_ = true;
+  // Polite first: every shard acks and drains; terminate() then closes
+  // its stdin and escalates only if it lingers.
   std::uint64_t stopped = 0;
-  for (int s = 0; s < shardCount(); ++s) {
-    Shard& st = shards_[static_cast<std::size_t>(s)];
-    if (st.alive) {
-      // Polite first: the shard acks and drains; terminate() then closes
-      // its stdin and escalates only if it lingers.
-      (void)forwardRaw(s, R"({"op":"shutdown"})");
-      ++stopped;
-    }
+  for (const Shard& st : shards_) stopped += st.alive ? 1 : 0;
+  (void)askMembers(R"({"op":"shutdown"})");
+  for (Shard& st : shards_) {
     st.process->terminate(2.0);
     st.alive = false;
   }

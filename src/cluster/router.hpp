@@ -13,31 +13,46 @@
 // design point lands on the same shard and that shard's in-memory cache
 // and single-flight coalescing absorb it.  no_cache jobs and explorations
 // hash their raw request text instead.  Sweeps are partitioned into
-// per-shard sub-sweeps dispatched concurrently (one I/O thread per shard)
-// and the outcomes are reassembled in request order.
+// per-shard sub-sweeps sent in one exchange (below) and the outcomes are
+// reassembled in request order.
 //
-// Failure model.  A dead shard announces itself as EOF on its pipe; a
-// wedged one as a request timeout (after which the shard is killed,
-// because a line protocol that skipped one response would mis-pair every
-// later one).  Either way the router marks the shard down and respawns it
-// on the same --journal directory -- the reboot replays both write-ahead
-// logs, so every job the dead shard had acknowledged is re-enqueued under
-// its original id and every exploration it owned restarts under its
-// original id.  Respawns after the first failure back off exponentially
-// with seeded jitter (restart hygiene: a crash-looping binary must not be
-// respawned in a hot loop), except that a cluster with no other live
-// shard force-revives immediately.  While a shard stays down (backoff or
-// restart budget), its key ranges re-route to the next live member on the
-// ring, which peer-fills from the shared on-disk cache store rather than
-// recomputing anything a dead shard already finished.
+// Shard I/O.  The router has no threads.  Every request it sends a shard
+// -- routed forwards, sweep fan-out, multi-id waits, drain's settle waits,
+// stats/health fan-out and the polite shutdowns -- goes through one
+// primitive, exchange(): it pipelines a batch of lines to their shards
+// and, in one poll(2) loop, writes what each (non-blocking) pipe takes
+// and reads what each holds, pairing answers with requests first-in
+// first-out per shard.  No stream of any length can fill both pipes of a
+// shard and block the router.  A shard's oldest unanswered request gets
+// requestTimeoutSeconds (a sub-sweep one per entry) from the shard's
+// previous answer, so a wedged shard is caught after one timeout and holds
+// back only its own requests.  Only the boot health check in spawnShard
+// talks to a pipe directly.
 //
-// Failover.  Router job ids remember their routing key and a resubmit
-// line: a wait/cancel whose home shard cannot be revived re-pins the job
-// to a survivor (the resubmission is a cache hit or journal coalesce, not
-// a second run) and resolves there.  Explorations failover the same way
-// -- the stored request re-runs on a survivor, and the explorer's
-// (space, options) determinism plus the shared cache make the survivor's
-// front byte-identical to what the dead shard would have produced.
+// Failure model.  A shard fails an exchange four ways, each recorded as
+// its restart reason: "write failed (pipe closed)", "eof (process died)",
+// "garbage on the pipe" (an unparseable line would mis-pair every later
+// answer) and "request timeout (wedged)".  Each way the router kills the
+// shard, hands the unanswered requests back to the handler and respawns
+// the shard on the same --journal directory -- the reboot replays both
+// write-ahead logs, so every job the dead shard had acknowledged is
+// re-enqueued under its original id and every exploration it owned
+// restarts under its original id.  Respawns after the first failure back
+// off exponentially with seeded jitter (restart hygiene: a crash-looping
+// binary must not be respawned in a hot loop), except that a cluster with
+// no other live shard force-revives immediately.  While a shard stays
+// down (backoff or restart budget), its key ranges re-route to the next
+// live member on the ring, which peer-fills from the shared on-disk cache
+// store rather than recomputing anything a dead shard already finished.
+//
+// Failover.  Router job and explore ids are pinned routes that remember
+// their routing key and an async resubmit line.  wait/cancel and
+// explore_result share one path: forward, revive and retry once on a
+// dead pipe, and re-pin to a survivor when the shard stays down or forgot
+// the id (the resubmission is a cache hit or journal coalesce, not a
+// second run).  A re-run exploration's front is byte-identical to what
+// the dead shard would have produced: the explorer is deterministic per
+// (space, options) and the cache is shared.
 //
 // Membership.  `drain` removes a shard from the ring gracefully: new keys
 // stop routing to it, its in-flight jobs are waited out, its explore
@@ -49,9 +64,10 @@
 // Job ids.  Shard-local ids would collide across shards, so the router
 // issues its own id space for synthesize/sweep acks and maps them back on
 // wait/cancel; explorations get the same treatment.  A `wait` with an
-// "ids" array multiplexes over every involved shard's pipe with one
-// poll(2) loop, so a wedged shard cannot stall waits destined for healthy
-// ones.
+// "ids" array sends every id's wait (with the request's summary/trace
+// flags) in one exchange, so a wedged shard cannot stall waits destined
+// for healthy ones; ids left unanswered resolve through the single-id
+// path afterwards.
 #pragma once
 
 #include <sys/types.h>
@@ -170,22 +186,27 @@ class ClusterRouter {
     double lastReviveAt = 0.0;
   };
 
-  /// Where a router job id routes, plus everything needed to re-pin it to
-  /// a survivor when that shard is unrecoverable: the consistent-hash key
-  /// and an async resubmission of the original request (a cache hit or
-  /// coalesce on the inheritor, never a second engine run).
-  struct JobRoute {
+  /// A router id (job or exploration) pinned to a shard, plus everything
+  /// needed to re-pin it to a survivor when that shard is unrecoverable:
+  /// the consistent-hash key and an async resubmission of the original
+  /// request (a cache hit or coalesce on the inheritor, never a second
+  /// engine run).
+  struct Route {
     int shard = -1;
     std::uint64_t localId = 0;
     std::string key;
     std::string resubmitLine;
-    bool terminal = false;  ///< Observed in a terminal state (drain skips it).
+    bool exploration = false;  ///< An explore_id, not a job id.
+    bool terminal = false;     ///< Observed in a terminal state (drain skips it).
   };
 
-  struct ExploreRoute {
+  /// One request line for one shard and, after exchange(), its answer --
+  /// empty when the shard died, wedged or answered garbage first.
+  struct Call {
     int shard = -1;
-    std::uint64_t localId = 0;
-    std::string rawLine;  ///< Original request, for failover re-pinning.
+    std::string line;
+    double weight = 1.0;  ///< Request timeouts it may take (a sub-sweep: its entries).
+    std::optional<service::Json> reply{};
   };
 
   /// Thrown internally for cluster-level failures; becomes a structured
@@ -203,7 +224,8 @@ class ClusterRouter {
   [[nodiscard]] service::Json handleWaitOrCancel(const service::Json& request,
                                                  const std::string& op);
   [[nodiscard]] service::Json handleMultiWait(const service::Json& request);
-  [[nodiscard]] service::Json handleExplore(const std::string& rawLine);
+  [[nodiscard]] service::Json handleExplore(const service::Json& request,
+                                            const std::string& rawLine);
   [[nodiscard]] service::Json handleExploreResult(const service::Json& request);
   [[nodiscard]] service::Json handleDrain(const service::Json& request);
   [[nodiscard]] service::Json handleAdd(const service::Json& request);
@@ -222,35 +244,54 @@ class ClusterRouter {
   /// nothing can serve.  Counts a reroute when the answer is not home.
   [[nodiscard]] int routeLive(const std::string& key);
 
-  /// One request/response over a shard's pipe.  nullopt marks the shard
-  /// dead (EOF, broken pipe, or timeout -> kill).
-  [[nodiscard]] std::optional<std::string> forwardRaw(int shard,
-                                                      const std::string& line);
-  /// forwardRaw with revive-and-retry until the route is exhausted.
-  /// Returns the serving shard and its parsed response.
+  /// The router's one shard-I/O primitive: pipeline every call's line to
+  /// its shard, interleave non-blocking writes with reads of every
+  /// involved pipe in one poll(2) loop and pair answers with calls
+  /// first-in first-out per shard.  A shard's oldest unanswered call gets
+  /// requestTimeoutSeconds per unit of its weight, counted from the
+  /// shard's previous answer (or the start).  A failed write, EOF, an
+  /// unparseable line or a missed deadline marks the shard dead with that
+  /// reason and leaves its unanswered calls without a reply.  Calls to
+  /// shards that are not alive stay unanswered.
+  void exchange(std::vector<Call>& calls);
+  /// One call's exchange.
+  [[nodiscard]] std::optional<service::Json> ask(int shard, std::string line);
+  /// `line` to every live member in one exchange; index s is shard s's reply.
+  [[nodiscard]] std::vector<std::optional<service::Json>> askMembers(
+      const std::string& line);
+  /// ask() with revive-and-retry until the route is exhausted.  Returns
+  /// the serving shard and its response.
   [[nodiscard]] std::pair<int, service::Json> forwardRouted(
       const std::string& key, const std::string& line);
 
   void markDead(int shard, const std::string& reason);
   /// Respawn a dead member shard (journal replay) within the restart
   /// budget and -- unless ignoreBackoff -- past its backoff deadline;
-  /// true when the shard is alive afterwards.
+  /// true when the shard is a live member afterwards.
   [[nodiscard]] bool reviveShard(int shard, bool ignoreBackoff = false);
   void spawnShard(int shard);  ///< Throws on spawn/health-check failure.
   /// The worker argv for shard `s` (journal dir, shared cache appended).
   [[nodiscard]] std::vector<std::string> buildShardArgv(int shard) const;
 
-  /// Re-pin a non-terminal job whose shard is unrecoverable: resubmit on
-  /// the ring (async), remap the route, return the inheriting shard.
-  int failoverJob(std::uint64_t routerId, JobRoute& route);
-  /// Note a wait/cancel response's state so drains skip settled jobs.
-  void noteTerminal(JobRoute& route, const service::Json& response);
-
   [[nodiscard]] std::vector<bool> routableMask() const;  ///< alive && member.
-  [[nodiscard]] std::uint64_t mapNewJob(int shard, std::uint64_t localId,
-                                        std::string key,
-                                        std::string resubmitLine,
-                                        bool terminal);
+  /// Issue a router id for `route` from its kind's id space.
+  [[nodiscard]] std::uint64_t pin(Route route);
+  /// Re-issue an ok job ack's shard-local id under a router id pinned to
+  /// `shard`, and stamp the shard.
+  void stampJob(service::Json& response, int shard, const std::string& key,
+                const service::Json& request);
+  /// Re-pin `route` whose shard is unrecoverable: resubmit async on the
+  /// ring, remap, count a job or explore failover.
+  void repin(std::uint64_t routerId, Route& route);
+  /// A pinned shard's answer under the router id, stamped with `shard`;
+  /// notes terminal states so drains skip settled jobs.
+  [[nodiscard]] service::Json settle(std::uint64_t routerId, Route& route,
+                                     int shard, service::Json reply);
+  /// Resolve a wait/cancel/explore_result on a pinned id: forward with the
+  /// local id, revive and retry once on a dead pipe, and re-pin when the
+  /// shard stays down or forgot the id.
+  [[nodiscard]] service::Json resolvePinned(std::uint64_t routerId, Route& route,
+                                            service::Json request);
   [[nodiscard]] double nowSeconds() const;
 
   RouterOptions options_;
@@ -261,8 +302,8 @@ class ClusterRouter {
 
   std::uint64_t nextJobId_ = 1;
   std::uint64_t nextExploreId_ = 1;
-  std::unordered_map<std::uint64_t, JobRoute> jobRoute_;
-  std::unordered_map<std::uint64_t, ExploreRoute> exploreRoute_;
+  std::unordered_map<std::uint64_t, Route> jobRoute_;
+  std::unordered_map<std::uint64_t, Route> exploreRoute_;
   std::uint64_t rerouted_ = 0;
   std::uint64_t jobFailovers_ = 0;
   std::uint64_t exploreFailovers_ = 0;

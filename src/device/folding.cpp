@@ -18,10 +18,6 @@ double capReductionFactor(int nf, DiffusionPosition position) {
   return (n + 1.0) / (2.0 * n);
 }
 
-double effectiveDiffusionWidth(double w, int nf, DiffusionPosition position) {
-  return w * capReductionFactor(nf, position);
-}
-
 namespace {
 
 /// Numbers of internal and external diffusion strips owned by a terminal.

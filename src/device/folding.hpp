@@ -42,9 +42,6 @@ struct FoldPlan {
 /// ignored for odd Nf (case c applies to both terminals).
 [[nodiscard]] double capReductionFactor(int nf, DiffusionPosition position);
 
-/// Effective diffusion width Weff = F * W [m].
-[[nodiscard]] double effectiveDiffusionWidth(double w, int nf, DiffusionPosition position);
-
 /// Exact per-terminal junction geometry (AD/AS/PD/PS) of a folded device.
 ///
 /// Strip extents come from the design rules: an external strip carries a

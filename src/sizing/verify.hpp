@@ -96,24 +96,6 @@ class OtaVerifier {
   VerifyOptions options_;
 };
 
-/// Usable voltage window measured by sweeping the unity-gain buffer.
-struct RangeMeasurement {
-  double low = 0.0;
-  double high = 0.0;
-  [[nodiscard]] double span() const { return high - low; }
-};
-
-/// Sweep the buffer's input across the rails and report the window where
-/// the output tracks within `trackingTolerance`.  This is the intersection
-/// of the input common-mode range and the output swing (the two range specs
-/// of the paper's Table 1 caption); outside it some device leaves
-/// saturation.
-[[nodiscard]] RangeMeasurement measureUsableRange(const tech::Technology& t,
-                                                  const device::MosModel& model,
-                                                  const AmpInstantiateFn& instantiate,
-                                                  double vdd,
-                                                  double trackingTolerance = 0.02);
-
 /// Measure the two-stage Miller OTA with the same testbenches.
 [[nodiscard]] OtaPerformance verifyTwoStage(const tech::Technology& t,
                                             const device::MosModel& model,

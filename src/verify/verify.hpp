@@ -20,7 +20,7 @@
 //    over which the stage tracks its ideal line within the tracking
 //    tolerance.
 //  * ICMR -- unity buffer swept rail to rail; the window where the output
-//    tracks the input (the measureUsableRange pattern, parasitic-aware).
+//    tracks the input within the tracking tolerance (parasitic-aware).
 //  * Offset -- DC unity feedback forces out = inp - Voffset at the
 //    operating point.
 //  * PSRR -- AC solve with the excitation moved onto the supply branch

@@ -4,7 +4,8 @@
 // available (LOSYNTHD_BIN, or the build-time default) -- a real
 // multi-process ClusterRouter end to end: duplicate co-location, sweep
 // partitioning, aggregated stats, structured errors, kill-one-shard
-// revival, and the failure paths of sweep fan-out and multiplexed wait.
+// revival, and the failure paths of sweep fan-out, multiplexed wait and
+// drain.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -135,9 +136,17 @@ TEST(ShardProcessTest, WedgedChildTimesOutAndKill9Reaps) {
   child.spawn({"sh", "-c", "exec sleep 30"});
   std::string line;
   EXPECT_EQ(child.readLine(line, 0.2), ReadStatus::kTimeout);
+  // Nor does the write side block: once the unread stdin pipe is full,
+  // writeSome takes nothing more and returns at once.
+  const std::string block(1 << 20, 'x');
+  const ssize_t taken = child.writeSome(block);
+  EXPECT_GT(taken, 0);
+  EXPECT_LT(taken, static_cast<ssize_t>(block.size()));
+  EXPECT_EQ(child.writeSome(block), 0);
   child.kill9();
   EXPECT_FALSE(child.running());
   EXPECT_FALSE(child.writeLine("dead"));
+  EXPECT_EQ(child.writeSome("dead"), -1);
 }
 
 TEST(ShardProcessTest, ExecFailureIsAnImmediateEof) {
@@ -211,6 +220,35 @@ class ClusterRouterTest : public ::testing::Test {
     request.set("summary", true);
     request.set("jobs", std::move(jobs));
     return request.dump();
+  }
+
+  /// Options for a stand-in worker that reads and answers one line at a
+  /// time, as losynthd does: it passes the boot health check, acks every
+  /// synthesize as a queued job under a fresh local id, and answers every
+  /// wait with a settled job whose result weighs about 1.3 KB, the size of
+  /// a full losynthd result.
+  RouterOptions fakeDaemonOptions(int shards) const {
+    RouterOptions options = makeOptions(shards);
+    options.workerArgv = {
+        "sh", "-c",
+        R"(read -r line; echo '{"ok":true,"health":{"journal":{}}}'; )"
+        R"(pad=$(printf '%01300d' 0); n=0; )"
+        R"(while read -r line; do case "$line" in )"
+        R"(*'"op":"synthesize"'*) n=$((n+1)); )"
+        R"(echo "{\"ok\":true,\"id\":$n,\"state\":\"queued\"}";; )"
+        R"(*'"op":"wait"'*) )"
+        R"(echo "{\"ok\":true,\"state\":\"done\",\"result\":\"$pad\"}";; )"
+        R"(*) echo '{"ok":true}';; esac; done)"};
+    options.journalRoot.clear();
+    options.cacheDir.clear();
+    return options;
+  }
+
+  static Json drainLine(int shard) {
+    Json drain = Json::object();
+    drain.set("op", "drain");
+    drain.set("shard", shard);
+    return drain;
   }
 
   /// Each outcome's shard, after asserting it succeeded under its label.
@@ -699,6 +737,182 @@ TEST_F(ClusterRouterTest, MultiplexedWaitRecyclesAWedgedShardAndResolvesEveryId)
   EXPECT_EQ(entry.at("last_restart_reason").asString(), "request timeout (wedged)")
       << entry.dump();
   EXPECT_TRUE(entry.at("alive").asBool()) << entry.dump();
+}
+
+TEST_F(ClusterRouterTest, MultiplexedWaitKeepsTheSummaryAndTraceFlags) {
+  ClusterRouter router(makeOptions(2));
+  Json ids = Json::array();
+  for (int gbw : {91, 92, 93, 94}) {
+    const Json ack =
+        call(router, R"({"op":"synthesize","async":true,"case":1,"spec":{"gbw":)" +
+                         std::to_string(gbw) + R"(e6}})");
+    ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
+    ids.push(ack.at("id").asUint64());
+  }
+  const auto waitAll = [&](const char* flag) {
+    Json wait = Json::object();
+    wait.set("op", "wait");
+    wait.set("ids", ids);
+    wait.set(flag, true);
+    const Json response = call(router, wait.dump());
+    EXPECT_TRUE(response.at("ok").asBool()) << response.dump();
+    EXPECT_EQ(response.at("outcomes").items().size(), ids.items().size());
+    return response.at("outcomes").items();
+  };
+
+  // summary:true drops every result body, as the single-id wait does.
+  for (const Json& outcome : waitAll("summary")) {
+    ASSERT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
+    EXPECT_EQ(outcome.at("state").asString(), "done");
+    EXPECT_EQ(outcome.find("result"), nullptr) << outcome.dump();
+  }
+  // trace:true attaches every job's trace (and, without summary, its result).
+  for (const Json& outcome : waitAll("trace")) {
+    ASSERT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
+    EXPECT_TRUE(outcome.at("trace").isObject()) << outcome.dump();
+    EXPECT_NE(outcome.find("result"), nullptr) << outcome.dump();
+  }
+
+  Json single = Json::object();
+  single.set("op", "wait");
+  single.set("id", ids.items().front());
+  single.set("summary", true);
+  single.set("trace", true);
+  const Json one = call(router, single.dump());
+  ASSERT_TRUE(one.at("ok").asBool()) << one.dump();
+  EXPECT_EQ(one.find("result"), nullptr) << one.dump();
+  EXPECT_TRUE(one.at("trace").isObject()) << one.dump();
+}
+
+TEST_F(ClusterRouterTest, SweepAcrossAWedgedShardRecyclesItAndKeepsRequestOrder) {
+  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  {
+    // Compute the points once at the default timeout, so the one-second
+    // router below serves them from the shared store and only the wedge
+    // can miss a deadline.
+    ClusterRouter warm(makeOptions(2));
+    (void)sweepShards(call(warm, sweepLine(gbws)), gbws);
+  }
+  RouterOptions options = makeOptions(2);
+  options.requestTimeoutSeconds = 1.0;
+  ClusterRouter router(options);
+  const std::vector<int> before = sweepShards(call(router, sweepLine(gbws)), gbws);
+  ASSERT_EQ(std::set<int>(before.begin(), before.end()).size(), 2u)
+      << "the sweep must span both shards";
+
+  const int wedged = before.front();
+  router.wedgeShard(wedged);
+  // The wedged shard's sub-sweep misses its deadline; the shard is killed
+  // and revived, and its entries come back from it in request order.
+  EXPECT_EQ(sweepShards(call(router, sweepLine(gbws)), gbws), before);
+  EXPECT_EQ(router.restarts(), 1u);
+
+  const Json health = call(router, R"({"op":"health"})");
+  const Json& entry =
+      health.at("health").at("shards").at("shard" + std::to_string(wedged));
+  EXPECT_EQ(entry.at("last_restart_reason").asString(), "request timeout (wedged)")
+      << entry.dump();
+  EXPECT_TRUE(entry.at("alive").asBool()) << entry.dump();
+}
+
+TEST_F(ClusterRouterTest, GarbageOnThePipeRecyclesTheShardUntilItsBudgetIsSpent) {
+  RouterOptions options = makeOptions(1);
+  // A worker that passes the boot health check, then answers every request
+  // with a line that is not JSON.
+  options.workerArgv = {
+      "sh", "-c",
+      R"(read -r line; echo '{"ok":true,"health":{"journal":{}}}'; )"
+      R"(while read -r line; do echo garbage; done)"};
+  options.journalRoot.clear();
+  options.cacheDir.clear();
+  options.maxRestartsPerShard = 2;
+  ClusterRouter router(options);
+
+  // An unpaired line poisons the stream, so each garbage answer kills the
+  // shard; the request is retried on every revival until the restart
+  // budget is spent.
+  const Json response = call(router, R"({"op":"topologies"})");
+  EXPECT_FALSE(response.at("ok").asBool());
+  EXPECT_EQ(response.at("error").at("code").asString(), "no_live_shards")
+      << response.dump();
+  EXPECT_EQ(router.restarts(), 2u);
+
+  const Json health = call(router, R"({"op":"health"})");
+  const Json& entry = health.at("health").at("shards").at("shard0");
+  EXPECT_EQ(entry.at("last_restart_reason").asString(), "garbage on the pipe")
+      << entry.dump();
+  EXPECT_EQ(entry.at("transport_errors").asUint64(), 3u) << entry.dump();
+}
+
+TEST_F(ClusterRouterTest, DrainAndMultiWaitOverThousandsOfPendingJobsFinish) {
+  ClusterRouter router(fakeDaemonOptions(2));
+  // Identical requests share one routing key, so every job lands on one
+  // shard.  4000 wait lines outweigh a 64 KB pipe and their answers weigh
+  // 5 MB: a router that wrote every line before reading any answer would
+  // block on the full stdin pipe while the worker blocks on its full
+  // stdout pipe.
+  constexpr std::size_t kJobs = 4000;
+  const std::string submit = R"({"op":"synthesize","async":true,"case":1})";
+  Json ids = Json::array();
+  int victim = -1;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const Json ack = call(router, submit);
+    ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
+    victim = ack.at("shard").asInt(-1);
+    ids.push(ack.at("id").asUint64());
+  }
+
+  const Json drained = call(router, drainLine(victim).dump());
+  ASSERT_TRUE(drained.at("ok").asBool()) << drained.dump();
+  EXPECT_EQ(drained.at("jobs_settled").asUint64(), kJobs);
+  EXPECT_EQ(drained.at("jobs_moved").asUint64(), 0u);
+
+  // Every id re-pins to the survivor, whose one stream carries all the
+  // waits.
+  Json wait = Json::object();
+  wait.set("op", "wait");
+  wait.set("ids", ids);
+  const Json response = call(router, wait.dump());
+  ASSERT_TRUE(response.at("ok").asBool());
+  const auto& outcomes = response.at("outcomes").items();
+  ASSERT_EQ(outcomes.size(), kJobs);
+  for (const Json& outcome : outcomes) {
+    ASSERT_EQ(outcome.at("state").asString(), "done") << outcome.dump().substr(0, 200);
+    ASSERT_EQ(outcome.at("shard").asInt(-1), 1 - victim);
+  }
+  EXPECT_EQ(router.jobFailovers(), kJobs);
+}
+
+TEST_F(ClusterRouterTest, DrainingAWedgedShardGivesUpAfterOneRequestTimeout) {
+  RouterOptions options = fakeDaemonOptions(2);
+  options.requestTimeoutSeconds = 1.0;
+  ClusterRouter router(options);
+  constexpr std::size_t kJobs = 8;
+  int victim = -1;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const Json ack = call(router, R"({"op":"synthesize","async":true,"case":1})");
+    ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
+    victim = ack.at("shard").asInt(-1);
+  }
+
+  // The victim holds eight unsettled jobs and answers nothing: its settle
+  // waits miss one request timeout, not one per job, and every job moves.
+  router.wedgeShard(victim);
+  const auto start = std::chrono::steady_clock::now();
+  const Json drained = call(router, drainLine(victim).dump());
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(drained.at("ok").asBool()) << drained.dump();
+  EXPECT_EQ(drained.at("jobs_settled").asUint64(), 0u);
+  EXPECT_EQ(drained.at("jobs_moved").asUint64(), kJobs);
+  EXPECT_LT(seconds, 4.0);
+
+  const Json health = call(router, R"({"op":"health"})");
+  const Json& entry =
+      health.at("health").at("shards").at("shard" + std::to_string(victim));
+  EXPECT_EQ(entry.at("last_restart_reason").asString(), "request timeout (wedged)")
+      << entry.dump();
+  EXPECT_FALSE(entry.at("member").asBool()) << entry.dump();
 }
 
 }  // namespace

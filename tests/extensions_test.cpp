@@ -12,6 +12,7 @@
 #include "layout/drc.hpp"
 #include "sim/op_report.hpp"
 #include "sizing/two_stage.hpp"
+#include "verify/verify.hpp"
 
 namespace lo {
 namespace {
@@ -277,21 +278,32 @@ TEST(MonteCarlo, Deterministic) {
 
 // --- Usable range (input CM range / output swing intersection). ---
 
+/// The window where the unity buffer's output tracks its input: the verify
+/// tier's ICMR sweep, rail to rail at 66 points within 0.02 V, without
+/// parasitics.
+verify::ExtendedMeasures measureWindow(const device::MosModel& model,
+                                       const sizing::AmpInstantiateFn& instantiate,
+                                       double inputCm, double vdd) {
+  verify::VerificationOptions options;
+  options.sweepPoints = 66;
+  return verify::measureExtended(kTech, model, instantiate, inputCm, vdd, nullptr, options);
+}
+
 TEST(Range, BufferTracksInsideTheDesignWindow) {
   const core::SynthesisEngine engine(kTech, core::EngineOptions{});
   core::FoldedCascodeOtaTopology topology(kTech, engine.model());
   (void)engine.run(topology, sizing::OtaSpecs{});
   const auto& design = topology.extractedDesign();
-  const auto range = sizing::measureUsableRange(
-      kTech, engine.model(),
-      [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, design); }, design.vdd);
+  const auto range = measureWindow(
+      engine.model(), [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, design); },
+      design.inputCm, design.vdd);
   // A healthy window around the design common mode.
-  EXPECT_LT(range.low, 1.0);
-  EXPECT_GT(range.high, 1.6);
-  EXPECT_GT(range.span(), 0.8);
+  EXPECT_LT(range.icmrLow, 1.0);
+  EXPECT_GT(range.icmrHigh, 1.6);
+  EXPECT_GT(range.icmrHigh - range.icmrLow, 0.8);
   // The design common mode sits inside it.
-  EXPECT_GT(design.inputCm, range.low);
-  EXPECT_LT(design.inputCm, range.high);
+  EXPECT_GT(design.inputCm, range.icmrLow);
+  EXPECT_LT(design.inputCm, range.icmrHigh);
 }
 
 TEST(Range, TwoStageBufferHasItsOwnWindow) {
@@ -300,13 +312,12 @@ TEST(Range, TwoStageBufferHasItsOwnWindow) {
   sizing::OtaSpecs specs;
   specs.gbw = 30e6;
   const auto r = sizer.size(specs, sizing::SizingPolicy::case2());
-  const auto range = sizing::measureUsableRange(
-      kTech, *model,
-      [&](circuit::Circuit& ck) { circuit::instantiateTwoStage(ck, r.design); },
-      r.design.vdd);
-  EXPECT_GT(range.span(), 0.5);
-  EXPECT_GT(r.design.inputCm, range.low);
-  EXPECT_LT(r.design.inputCm, range.high);
+  const auto range = measureWindow(
+      *model, [&](circuit::Circuit& ck) { circuit::instantiateTwoStage(ck, r.design); },
+      r.design.inputCm, r.design.vdd);
+  EXPECT_GT(range.icmrHigh - range.icmrLow, 0.5);
+  EXPECT_GT(r.design.inputCm, range.icmrLow);
+  EXPECT_LT(r.design.inputCm, range.icmrHigh);
 }
 
 // --- Temperature dependence. ---

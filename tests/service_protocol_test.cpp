@@ -5,13 +5,18 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <iterator>
 #include <mutex>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "service/cache.hpp"
 #include "service/json.hpp"
 #include "service/serialize.hpp"
 #include "service/verify_ops.hpp"
+#include "testkit/generators.hpp"
 
 namespace lo::service {
 namespace {
@@ -96,6 +101,132 @@ TEST(Json, SetOverwritesInPlaceKeepingPosition) {
   obj.set("b", 2);
   obj.set("a", 3);  // Overwrite must not move "a" behind "b".
   EXPECT_EQ(obj.dump(), "{\"a\":3,\"b\":2}");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded fuzzing of Json::parse over mutated request lines
+// ---------------------------------------------------------------------------
+
+/// Request lines of the shapes both binaries parse -- synthesize, sweep,
+/// multi-id wait, explore -- with specs drawn from testkit::SpecGen.
+std::vector<std::string> requestCorpus() {
+  testkit::SpecGen gen(19);
+  std::vector<std::string> lines;
+  for (const char* topology : {"folded_cascode_ota", "two_stage"}) {
+    Json synthesize = Json::object();
+    synthesize.set("op", "synthesize");
+    synthesize.set("topology", topology);
+    synthesize.set("case", "case2");
+    synthesize.set("label", "fuzz");
+    synthesize.set("spec", toJson(gen.specs(topology)));
+    lines.push_back(synthesize.dump());
+
+    Json jobs = Json::array();
+    for (int i = 0; i < 3; ++i) {
+      Json job = Json::object();
+      job.set("topology", topology);
+      job.set("case", i + 1);
+      job.set("spec", toJson(gen.specs(topology)));
+      jobs.push(std::move(job));
+    }
+    Json sweep = Json::object();
+    sweep.set("op", "sweep");
+    sweep.set("summary", true);
+    sweep.set("jobs", std::move(jobs));
+    lines.push_back(sweep.dump());
+  }
+  lines.push_back(R"({"op":"wait","ids":[1,2,3,17],"summary":true,"trace":true})");
+  Json explore = Json::parse(
+      R"({"op":"explore","async":true,"case":1,"budget":5,"max_rounds":2,)"
+      R"("tolerance":0.2,"axes":[{"field":"gbw","lo":50e6,"hi":65e6,"points":2}]})");
+  explore.set("spec", toJson(gen.specs("two_stage")));
+  lines.push_back(explore.dump());
+  return lines;
+}
+
+/// One seeded edit: flip, drop or repeat bytes, truncate, or splice in an
+/// out-of-range number, a non-ASCII string, a stray bracket or 70 levels
+/// of brackets (over the parser's 64-level cap) -- at a random offset or
+/// in place of a number.
+std::string mutateRequest(std::string text, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  static const std::string kSplices[] = {
+      "1e999", "-1e-400", "\"\u00e9\"", "\"\xC3\xA9\"", "[", "]", "{", "}", "{\"a\":[",
+      std::string(70, '[') + std::string(70, ']')};
+  const std::string& splice = kSplices[pick(std::size(kSplices))];
+  if (text.empty()) return splice;
+  const std::size_t at = pick(text.size());
+  switch (pick(6)) {
+    case 0:
+      text[at] = static_cast<char>(text[at] ^ static_cast<char>(1 + pick(255)));
+      break;
+    case 1:
+      text.erase(at, 1 + pick(8));
+      break;
+    case 2:
+      text.insert(at, text.substr(at, 1 + pick(8)));
+      break;
+    case 3:
+      text.resize(at);
+      break;
+    case 4: {
+      const std::size_t digit = text.find_first_of("0123456789", at);
+      if (digit == std::string::npos) break;
+      const std::size_t end = text.find_first_not_of("0123456789.eE+-", digit);
+      text.replace(digit, end == std::string::npos ? std::string::npos : end - digit, splice);
+      break;
+    }
+    default:
+      text.insert(at, splice);
+      break;
+  }
+  return text;
+}
+
+TEST(JsonFuzz, MutatedRequestLinesFailCleanlyOrRoundTrip) {
+  const std::vector<std::string> corpus = requestCorpus();
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    int parsed = 0, rejected = 0;
+    for (int iter = 0; iter < 2000; ++iter) {
+      std::string text = corpus[static_cast<std::size_t>(iter) % corpus.size()];
+      for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+        text = mutateRequest(text, rng);
+      }
+      Json doc;
+      try {
+        doc = Json::parse(text);
+      } catch (const JsonParseError&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      const std::string dumped = doc.dump();
+      std::string again;
+      try {
+        again = Json::parse(dumped).dump();
+      } catch (const JsonParseError& e) {
+        FAIL() << e.what() << "\ninput: " << text << "\ndumped: " << dumped;
+      }
+      ASSERT_EQ(again, dumped) << "input: " << text;
+    }
+    // Both outcomes occur, so neither check above is vacuous.
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(JsonFuzz, MutationsAreDeterministicPerSeed) {
+  const std::string base = requestCorpus().front();
+  const auto mutations = [&base](std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> out;
+    for (int i = 0; i < 50; ++i) out.push_back(mutateRequest(base, rng));
+    return out;
+  };
+  EXPECT_EQ(mutations(7), mutations(7));
+  EXPECT_NE(mutations(7), mutations(8));
 }
 
 // ---------------------------------------------------------------------------

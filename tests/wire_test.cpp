@@ -3,7 +3,8 @@
 // end-to-end scenario -- a cache hit, an exploration, kill -9 recovery,
 // shutdown with jobs in flight, post-layout verification, a request nested
 // deeper than the parser's cap, and on a router over real shards:
-// kill-one-shard recovery, explore failover and drain under load.
+// kill-one-shard recovery, explore failover, drain under load and the
+// summary and trace flags of a multi-id wait.
 // tests/CMakeLists.txt registers each case under its own ctest name.
 //
 // Runs that end on stdin EOF go through runToEof, which also proves the
@@ -487,6 +488,38 @@ TEST_F(Wire, LorouterDrainSmoke) {
   EXPECT_EQ(add.at("members").asInt(), 3) << add.dump();
   EXPECT_TRUE(router.reply().at("shutting_down").asBool());
   EXPECT_EQ(router.exitCode(kReplySeconds), 0);
+}
+
+// A multi-id wait through lorouter keeps the request's summary and trace
+// flags for every id: summary outcomes carry no result body, traced ones
+// carry their trace, like the single-id wait's.
+TEST_F(Wire, LorouterWaitSummary) {
+  std::vector<std::string> requests = synthesizeLines(71, 4, /*async=*/true, "w");
+  // The router numbers its job ids from 1 in ack order.
+  requests.push_back(R"({"op":"wait","ids":[1,2,3,4],"summary":true})");
+  requests.push_back(R"({"op":"wait","ids":[1,2,3,4],"summary":true,"trace":true})");
+  requests.push_back(R"({"op":"wait","id":1,"summary":true})");
+  requests.push_back(R"({"op":"shutdown"})");
+  const Transcript run = runToEof(routerArgv(2, 1, ""), requests, scratch_ / "stdin");
+  EXPECT_EQ(run.exitCode, 0);
+  ASSERT_EQ(run.replies.size(), 8u);
+  for (int n = 0; n < 4; ++n) {
+    const Json& ack = run.replies[static_cast<std::size_t>(n)];
+    ASSERT_TRUE(ack.at("ok").asBool()) << ack.dump();
+    EXPECT_EQ(ack.at("id").asInt(), n + 1) << ack.dump();
+  }
+  for (const std::size_t reply : {4u, 5u}) {
+    const auto& outcomes = run.replies[reply].at("outcomes").items();
+    ASSERT_EQ(outcomes.size(), 4u) << run.replies[reply].dump();
+    for (const Json& outcome : outcomes) {
+      EXPECT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
+      EXPECT_EQ(outcome.at("state").asString(), "done") << outcome.dump();
+      EXPECT_EQ(outcome.find("result"), nullptr) << "summary wait sent a result: " << outcome.dump();
+      EXPECT_EQ(outcome.find("trace") != nullptr, reply == 5u) << outcome.dump();
+    }
+  }
+  EXPECT_EQ(run.replies[6].find("result"), nullptr) << run.replies[6].dump();
+  EXPECT_TRUE(run.replies[7].at("shutting_down").asBool());
 }
 
 // A request line opening 200,000 nested arrays must not overflow the

@@ -34,14 +34,6 @@ inline constexpr std::array<OtaGroup, 6> kAllOtaGroups = {
   return "?";
 }
 
-[[nodiscard]] constexpr tech::MosType otaGroupType(OtaGroup g) {
-  switch (g) {
-    case OtaGroup::kSink:
-    case OtaGroup::kNCascode: return tech::MosType::kNmos;
-    default: return tech::MosType::kPmos;
-  }
-}
-
 /// Complete electrical design of the OTA: geometries per matched group,
 /// bias voltages, supplies and load.  Produced by the sizing tool, consumed
 /// by the netlist builder and the layout generator.

@@ -27,25 +27,6 @@ inline constexpr std::array<TwoStageGroup, 5> kAllTwoStageGroups = {
     TwoStageGroup::kDriver, TwoStageGroup::kSink2,
 };
 
-[[nodiscard]] constexpr const char* twoStageGroupName(TwoStageGroup g) {
-  switch (g) {
-    case TwoStageGroup::kInputPair: return "input_pair";
-    case TwoStageGroup::kMirror: return "mirror";
-    case TwoStageGroup::kTail: return "tail";
-    case TwoStageGroup::kDriver: return "driver";
-    case TwoStageGroup::kSink2: return "sink2";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr tech::MosType twoStageGroupType(TwoStageGroup g) {
-  switch (g) {
-    case TwoStageGroup::kMirror:
-    case TwoStageGroup::kDriver: return tech::MosType::kPmos;
-    default: return tech::MosType::kNmos;
-  }
-}
-
 struct TwoStageOtaDesign {
   device::MosGeometry inputPair;  ///< MN1 = MN2.
   device::MosGeometry mirror;     ///< MP3 = MP4.

@@ -168,8 +168,13 @@ EngineResult SynthesisEngine::run(Topology& topology,
   result.layoutHeightUm = static_cast<double>(topology.layoutHeight()) * 1e-3;
   timed(EngineStage::kExtraction, [&] { topology.applyExtracted(); });
   checkCancel();
-  timed(EngineStage::kVerification,
-        [&] { result.measured = topology.verify(options_.verifyOptions); });
+  verify::VerificationSetup setup;
+  timed(EngineStage::kVerification, [&] {
+    setup = topology.verificationSetup();
+    result.measured = sizing::measureAmplifier(tech_, *model_, setup.postLayout,
+                                               setup.inputCm, setup.vdd,
+                                               setup.parasitics, options_.verifyOptions);
+  });
   result.predicted = topology.predicted();
 
   // Post-layout verification tier: re-simulate schematic vs extracted
@@ -179,12 +184,9 @@ EngineResult SynthesisEngine::run(Topology& topology,
   if (options_.postLayoutVerify.enabled) {
     checkCancel();
     timed(EngineStage::kPostLayoutVerify, [&] {
-      const verify::VerificationSetup setup = topology.verificationSetup();
-      if (setup.supported) {
-        result.verification = verify::runVerification(
-            tech_, *model_, setup, specs, options_.verifyOptions,
-            options_.postLayoutVerify, &result.measured);
-      }
+      result.verification = verify::runVerification(
+          tech_, *model_, setup, specs, options_.verifyOptions,
+          options_.postLayoutVerify, &result.measured);
     });
   }
   return result;

@@ -22,7 +22,6 @@ void FoldedCascodeOtaTopology::size(const sizing::OtaSpecs& specs,
 const layout::ParasiticReport& FoldedCascodeOtaTopology::layoutParasitic() {
   parasiticRun_ = layout::generateOtaLayout(tech_, sizing_.design, layoutOptions_,
                                             /*generateGeometry=*/false);
-  hasParasiticRun_ = true;
   return parasiticRun_.parasitics;
 }
 
@@ -56,23 +55,8 @@ void FoldedCascodeOtaTopology::applyExtracted() {
   extracted_ = sizing::applyExtractedGeometry(sizing_.design, layout_.junctions);
 }
 
-sizing::OtaPerformance FoldedCascodeOtaTopology::verify(
-    const sizing::VerifyOptions& options) {
-  if (biasEnabled_) {
-    return sizing::measureAmplifier(
-        tech_, model_,
-        [&](circuit::Circuit& c) {
-          circuit::instantiateOtaWithBias(c, extracted_, bias_);
-        },
-        extracted_.inputCm, extracted_.vdd, &layout_.parasitics, options);
-  }
-  return sizing::OtaVerifier(tech_, model_, options)
-      .verify(extracted_, &layout_.parasitics);
-}
-
 verify::VerificationSetup FoldedCascodeOtaTopology::verificationSetup() {
   verify::VerificationSetup s;
-  s.supported = true;
   // The instantiators capture design copies so the setup stays valid even
   // if the adapter is resized afterwards.
   if (biasEnabled_) {

@@ -29,15 +29,10 @@ class FoldedCascodeOtaTopology final : public Topology {
   void prepareGeneration(bool includeBiasGenerator) override;
   void layoutGenerate() override;
   void applyExtracted() override;
-  [[nodiscard]] sizing::OtaPerformance verify(
-      const sizing::VerifyOptions& options) override;
   [[nodiscard]] verify::VerificationSetup verificationSetup() override;
 
   [[nodiscard]] sizing::OtaPerformance predicted() const override {
     return sizing_.predicted;
-  }
-  [[nodiscard]] const layout::ParasiticReport* parasiticSnapshot() const override {
-    return hasParasiticRun_ ? &parasiticRun_.parasitics : nullptr;
   }
   [[nodiscard]] double primaryCurrent() const override {
     return sizing_.design.tailCurrent;
@@ -53,7 +48,6 @@ class FoldedCascodeOtaTopology final : public Topology {
     return extracted_;
   }
   [[nodiscard]] const circuit::OtaBiasDesign& bias() const { return bias_; }
-  [[nodiscard]] bool biasEnabled() const { return biasEnabled_; }
 
  private:
   const tech::Technology& tech_;
@@ -62,7 +56,6 @@ class FoldedCascodeOtaTopology final : public Topology {
 
   sizing::SizingResult sizing_;
   layout::OtaLayoutResult parasiticRun_;
-  bool hasParasiticRun_ = false;
   layout::OtaLayoutResult layout_;
   circuit::FoldedCascodeOtaDesign extracted_;
   circuit::OtaBiasDesign bias_;

@@ -77,24 +77,14 @@ class Topology {
   /// (fold-quantised widths, exact junctions, drawn passives).
   virtual void applyExtracted() = 0;
 
-  /// Verify the extracted design by simulation against the generation-mode
-  /// parasitic report.
-  [[nodiscard]] virtual sizing::OtaPerformance verify(
-      const sizing::VerifyOptions& options) = 0;
-
-  /// Hand the post-layout verification tier its inputs: instantiators for
-  /// the schematic-level and extracted netlists plus the generation-mode
-  /// parasitic report.  Valid after applyExtracted(); topologies without
-  /// a simulatable netlist keep the default (supported = false) and the
-  /// engine skips the stage.
-  [[nodiscard]] virtual verify::VerificationSetup verificationSetup() { return {}; }
+  /// The verification inputs: instantiators for the schematic-level and
+  /// extracted netlists plus the generation-mode parasitic report.  Valid
+  /// after applyExtracted(); the engine measures the extracted netlist
+  /// against the report and hands the same setup to the post-layout tier.
+  [[nodiscard]] virtual verify::VerificationSetup verificationSetup() = 0;
 
   /// Performance predicted by the last sizing pass.
   [[nodiscard]] virtual sizing::OtaPerformance predicted() const = 0;
-
-  /// Last parasitic-mode report, or nullptr before the first layout call
-  /// (the engine's convergence snapshots are taken from this).
-  [[nodiscard]] virtual const layout::ParasiticReport* parasiticSnapshot() const = 0;
 
   /// Diagnostics recorded into the per-iteration history.
   [[nodiscard]] virtual double primaryCurrent() const = 0;

@@ -24,7 +24,6 @@ void TwoStageTopology::size(const sizing::OtaSpecs& specs,
 const layout::ParasiticReport& TwoStageTopology::layoutParasitic() {
   parasiticRun_ = layout::generateTwoStageLayout(tech_, sizing_.design, layoutOptions_,
                                                  /*generateGeometry=*/false);
-  hasParasiticRun_ = true;
   return parasiticRun_.parasitics;
 }
 
@@ -46,14 +45,8 @@ void TwoStageTopology::applyExtracted() {
                                               layout_.rzInfo.drawnOhms);
 }
 
-sizing::OtaPerformance TwoStageTopology::verify(const sizing::VerifyOptions& options) {
-  return sizing::verifyTwoStage(tech_, model_, extracted_, &layout_.parasitics,
-                                options);
-}
-
 verify::VerificationSetup TwoStageTopology::verificationSetup() {
   verify::VerificationSetup s;
-  s.supported = true;
   s.preLayout = [d = sizing_.design](circuit::Circuit& c) {
     circuit::instantiateTwoStage(c, d);
   };

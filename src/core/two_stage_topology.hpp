@@ -26,15 +26,10 @@ class TwoStageTopology final : public Topology {
   void feedback(sizing::SizingPolicy& policy, bool includeRouting) override;
   void layoutGenerate() override;
   void applyExtracted() override;
-  [[nodiscard]] sizing::OtaPerformance verify(
-      const sizing::VerifyOptions& options) override;
   [[nodiscard]] verify::VerificationSetup verificationSetup() override;
 
   [[nodiscard]] sizing::OtaPerformance predicted() const override {
     return sizing_.predicted;
-  }
-  [[nodiscard]] const layout::ParasiticReport* parasiticSnapshot() const override {
-    return hasParasiticRun_ ? &parasiticRun_.parasitics : nullptr;
   }
   [[nodiscard]] double primaryCurrent() const override {
     return sizing_.design.tailCurrent;
@@ -59,7 +54,6 @@ class TwoStageTopology final : public Topology {
 
   sizing::TwoStageSizingResult sizing_;
   layout::TwoStageLayoutResult parasiticRun_;
-  bool hasParasiticRun_ = false;
   layout::TwoStageLayoutResult layout_;
   circuit::TwoStageOtaDesign extracted_;
 };

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "service/cache.hpp"  // ResultCache::fnv1a
@@ -58,30 +59,21 @@ SessionReplay digestFrames(FrameReplay frames) {
     replay.records.push_back(SessionRecord::fromJson(Json::parse(payload)));
   }
 
-  std::vector<std::uint64_t> terminalIds;
+  // Finished ids, then ids already pending: duplicate started records for
+  // one id (a session handed off between shards logs on both) restart
+  // once, not once per record.
+  std::unordered_set<std::uint64_t> skip;
   for (const SessionRecord& rec : replay.records) {
     if (rec.id > replay.maxId) replay.maxId = rec.id;
     if (rec.type == SessionRecordType::kFinished) {
-      terminalIds.push_back(rec.id);
+      skip.insert(rec.id);
       ++replay.finished;
     }
   }
   for (const SessionRecord& rec : replay.records) {
-    if (rec.type != SessionRecordType::kStarted) continue;
-    bool skip = false;
-    for (const std::uint64_t id : terminalIds) {
-      if (id == rec.id) {
-        skip = true;
-        break;
-      }
+    if (rec.type == SessionRecordType::kStarted && skip.insert(rec.id).second) {
+      replay.pending.push_back(rec);
     }
-    // Duplicate started records for one id (a session handed off between
-    // shards logs on both) restart once, not once per record.
-    for (const SessionRecord& seen : replay.pending) {
-      if (skip) break;
-      if (seen.id == rec.id) skip = true;
-    }
-    if (!skip) replay.pending.push_back(rec);
   }
   return replay;
 }

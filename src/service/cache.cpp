@@ -157,12 +157,12 @@ std::optional<core::EngineResult> ResultCache::lookup(const std::string& key) {
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // Refresh recency.
     ++stats_.hits;
-    return it->second->second;
+    return it->second->result;
   }
   if (const std::optional<std::string> text = readEntry(key)) {
     try {
       core::EngineResult result = resultFromJson(Json::parse(*text));
-      insertLocked(key, result);
+      insertLocked(key, result, true);
       ++stats_.hits;
       ++stats_.diskHits;
       return result;
@@ -181,7 +181,7 @@ std::optional<core::EngineResult> ResultCache::peek(const std::string& key) cons
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = index_.find(key);
-    if (it != index_.end()) return it->second->second;
+    if (it != index_.end()) return it->second->result;
   }
   if (const std::optional<std::string> text = readEntry(key)) {
     try {
@@ -193,9 +193,15 @@ std::optional<core::EngineResult> ResultCache::peek(const std::string& key) cons
   return std::nullopt;
 }
 
+bool ResultCache::durable(const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  return it != index_.end() && it->second->durable;
+}
+
 bool ResultCache::insert(const std::string& key, const core::EngineResult& result) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  insertLocked(key, result);
+  insertLocked(key, result, false);
   if (options_.diskDir.empty()) return false;
   const std::filesystem::path path = std::filesystem::path(options_.diskDir) / (key + ".json");
   const std::string text = toJson(result).dump() + "\n";
@@ -221,6 +227,7 @@ bool ResultCache::insert(const std::string& key, const core::EngineResult& resul
   }
   if (ok) {
     ++stats_.diskWrites;
+    lru_.front().durable = true;  // insertLocked left key's entry at the front.
   } else {
     ++stats_.diskWriteFailures;
   }
@@ -228,18 +235,19 @@ bool ResultCache::insert(const std::string& key, const core::EngineResult& resul
 }
 
 void ResultCache::insertLocked(const std::string& key,
-                               const core::EngineResult& result) {
+                               const core::EngineResult& result, bool durable) {
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = result;
+    it->second->result = result;
+    it->second->durable = durable;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, result);
+  lru_.push_front({key, result, durable});
   index_[key] = lru_.begin();
   ++stats_.inserts;
   while (lru_.size() > options_.capacity) {
-    index_.erase(lru_.back().first);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
   }

@@ -108,9 +108,13 @@ class ResultCache {
 
   /// Read a key from memory, else from the disk store, without touching
   /// the stats, the LRU order or the memory tier: for re-serving a result
-  /// the caller already counted (JobScheduler's archived jobs).
+  /// the caller already counted (JobScheduler's finished jobs).
   /// std::nullopt when absent or unreadable.
   [[nodiscard]] std::optional<core::EngineResult> peek(const std::string& key) const;
+
+  /// True when key's memory entry is also in the disk store (read from it,
+  /// or written through to it), so peek() can give it back after eviction.
+  [[nodiscard]] bool durable(const std::string& key) const;
 
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -119,9 +123,15 @@ class ResultCache {
   [[nodiscard]] const CacheOptions& options() const { return options_; }
 
  private:
-  using LruList = std::list<std::pair<std::string, core::EngineResult>>;
+  struct Entry {
+    std::string key;
+    core::EngineResult result;
+    bool durable = false;  ///< Also in the disk store.
+  };
+  using LruList = std::list<Entry>;
 
-  void insertLocked(const std::string& key, const core::EngineResult& result);
+  void insertLocked(const std::string& key, const core::EngineResult& result,
+                    bool durable);
   /// The raw text of key's disk entry; std::nullopt without a store or entry.
   [[nodiscard]] std::optional<std::string> readEntry(const std::string& key) const;
 

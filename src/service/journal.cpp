@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #ifndef _WIN32
@@ -324,25 +325,19 @@ JournalReplay digestFrames(FrameReplay frames) {
   }
 
   // Digest: which submitted jobs never reached a terminal record.
-  std::vector<std::uint64_t> terminalIds;
+  std::unordered_set<std::uint64_t> terminalIds;
   for (const JournalRecord& rec : replay.records) {
     if (rec.id > replay.maxId) replay.maxId = rec.id;
     if (rec.type == JournalRecordType::kFinished ||
         rec.type == JournalRecordType::kCancelled) {
-      terminalIds.push_back(rec.id);
+      terminalIds.insert(rec.id);
       ++replay.finished;
     }
   }
   for (const JournalRecord& rec : replay.records) {
-    if (rec.type != JournalRecordType::kSubmitted) continue;
-    bool done = false;
-    for (const std::uint64_t id : terminalIds) {
-      if (id == rec.id) {
-        done = true;
-        break;
-      }
+    if (rec.type == JournalRecordType::kSubmitted && terminalIds.count(rec.id) == 0) {
+      replay.pending.push_back(rec);
     }
-    if (!done) replay.pending.push_back(rec);
   }
   return replay;
 }

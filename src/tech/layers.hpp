@@ -57,10 +57,4 @@ inline constexpr std::array<Layer, kLayerCount> kAllLayers = {
   return std::nullopt;
 }
 
-/// True for layers that carry current and therefore have electromigration
-/// width rules (paper, section 3, "Reliability constraints").
-[[nodiscard]] constexpr bool isRoutingLayer(Layer layer) {
-  return layer == Layer::kPoly || layer == Layer::kMetal1 || layer == Layer::kMetal2;
-}
-
 }  // namespace lo::tech

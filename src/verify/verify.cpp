@@ -16,7 +16,7 @@ using circuit::NodeId;
 using circuit::Waveform;
 
 void requireUsable(const VerificationSetup& setup, const VerificationOptions& options) {
-  if (!setup.supported || !setup.preLayout || !setup.postLayout) {
+  if (!setup.preLayout || !setup.postLayout) {
     throw std::invalid_argument(
         "runVerification: topology does not supply a verification setup");
   }

@@ -110,7 +110,6 @@ struct VerificationReport {
 /// schematic-level and extracted netlists, and the generation-mode
 /// parasitic report to annotate the extracted side with.
 struct VerificationSetup {
-  bool supported = false;
   sizing::AmpInstantiateFn preLayout;   ///< Sized (schematic) design.
   sizing::AmpInstantiateFn postLayout;  ///< Extracted design.
   const layout::ParasiticReport* parasitics = nullptr;  ///< Post-layout only.

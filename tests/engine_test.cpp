@@ -30,7 +30,6 @@ TEST(TopologyRegistry, CreateKnownTopology) {
     ASSERT_NE(topo, nullptr);
     EXPECT_EQ(topo->name(), name);
     EXPECT_FALSE(topo->criticalNets().empty());
-    EXPECT_EQ(topo->parasiticSnapshot(), nullptr);  // No layout call yet.
   }
 }
 

@@ -113,7 +113,7 @@ TEST(PostLayoutVerify, ToleranceFlipsVerdict) {
   const sizing::OtaSpecs specs = specsFor(core::kFoldedCascodeOtaTopologyName);
   (void)engine.run(topology, specs);
   const verify::VerificationSetup setup = topology.verificationSetup();
-  ASSERT_TRUE(setup.supported);
+  ASSERT_TRUE(setup.preLayout && setup.postLayout);
 
   // A sub-microvolt offset budget no real OTA meets: the offset row is now
   // constrained and fails, dragging the overall verdict down.
@@ -144,7 +144,7 @@ TEST(PostLayoutVerify, RejectsUnusableSetupAndOptions) {
   verify::VerificationOptions options;
   options.enabled = true;
 
-  verify::VerificationSetup unsupported;  // supported = false.
+  verify::VerificationSetup unsupported;  // No instantiators.
   EXPECT_THROW(verify::runVerification(kTech, *model, unsupported, specs,
                                        simOptions, options),
                std::invalid_argument);

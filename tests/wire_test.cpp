@@ -526,18 +526,30 @@ TEST_F(Wire, LorouterWaitSummary) {
 // parser's stack: both binaries refuse it with ok:false, then answer
 // health and exit 0 at EOF.
 TEST_F(Wire, DeepNestingIsRefusedOverTheWire) {
-  const std::string deep = R"({"op":"stats","x":)" + std::string(200000, '[');
+  // Hostile lines: 200,000 levels of nesting, and numbers a double cannot
+  // hold or the field's integer type cannot (each was an undefined cast).
+  const std::vector<std::string> hostile = {
+      R"({"op":"stats","x":)" + std::string(200000, '['),
+      R"({"op":"wait","id":1e999})",
+      R"({"op":"wait","id":-1})",
+      R"({"op":"synthesize","case":"case1","priority":1e30})",
+  };
   for (const bool router : {false, true}) {
     SCOPED_TRACE(router ? "lorouter" : "losynthd");
     const std::vector<std::string> argv =
         router ? routerArgv(1, 1, "") : std::vector<std::string>{kLosynthd, "--threads", "1"};
-    const Transcript run =
-        runToEof(argv, {deep, R"({"op":"health"})"}, scratch_ / "stdin");
+    std::vector<std::string> lines = hostile;
+    if (router) lines.push_back(R"({"op":"drain","shard":1e30})");
+    lines.push_back(R"({"op":"health"})");
+    const Transcript run = runToEof(argv, lines, scratch_ / "stdin");
     EXPECT_EQ(run.exitCode, 0);
-    ASSERT_EQ(run.replies.size(), 2u);
-    EXPECT_FALSE(run.replies[0].at("ok").asBool(true)) << run.replies[0].dump();
-    EXPECT_TRUE(run.replies[1].at("ok").asBool()) << run.replies[1].dump();
-    EXPECT_TRUE(run.replies[1].at("health").isObject()) << run.replies[1].dump();
+    ASSERT_EQ(run.replies.size(), lines.size());
+    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+      EXPECT_FALSE(run.replies[i].at("ok").asBool(true))
+          << lines[i].substr(0, 60) << " -> " << run.replies[i].dump();
+    }
+    EXPECT_TRUE(run.replies.back().at("ok").asBool()) << run.replies.back().dump();
+    EXPECT_TRUE(run.replies.back().at("health").isObject()) << run.replies.back().dump();
   }
 }
 

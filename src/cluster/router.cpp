@@ -568,7 +568,12 @@ Json ClusterRouter::handleMultiWait(const Json& request) {
   std::vector<Call> calls;
   std::vector<std::size_t> slotOf;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto route = jobRoute_.find(items[i].asUint64());
+    auto route = jobRoute_.end();
+    try {
+      route = jobRoute_.find(items[i].asUint64());
+    } catch (const service::JsonParseError&) {
+      // No job has an id outside uint64 (-1, 1e30): unknown, like a string.
+    }
     if (route == jobRoute_.end()) {
       outcomes[i] = errorJson("\"wait\" needs a known job \"id\"");
       continue;

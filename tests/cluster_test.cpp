@@ -471,26 +471,36 @@ TEST_F(ClusterRouterTest, MultiplexedWaitResolvesManyIdsAcrossShards) {
     ids.push_back(ack.at("id").asUint64());
   }
 
-  // Scrambled order plus one unknown id: outcomes come back in request
-  // order, each stamped with its router id; the unknown id fails alone
-  // without poisoning the batch.
+  // Scrambled order plus an unknown id, one no job can have (-1) and a
+  // string, the bad ones in between good ones: outcomes come back in
+  // request order, each stamped with its router id; each bad id fails
+  // alone without poisoning the batch.
   Json wait = Json::object();
   wait.set("op", "wait");
   Json list = Json::array();
-  for (const std::size_t i : {2u, 0u, 3u, 1u}) list.push(ids[i]);
+  list.push(ids[2]);
+  list.push(-1);
+  list.push(ids[0]);
   list.push(std::uint64_t{999999});
+  list.push(ids[3]);
+  list.push("7");
+  list.push(ids[1]);
   wait.set("ids", std::move(list));
   const Json response = call(router, wait.dump());
   ASSERT_TRUE(response.at("ok").asBool()) << response.dump();
   const auto& outcomes = response.at("outcomes").items();
-  ASSERT_EQ(outcomes.size(), 5u);
+  ASSERT_EQ(outcomes.size(), 7u);
   const std::vector<std::uint64_t> expected{ids[2], ids[0], ids[3], ids[1]};
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].at("ok").asBool()) << outcomes[i].dump();
-    EXPECT_EQ(outcomes[i].at("id").asUint64(), expected[i]);
-    EXPECT_EQ(outcomes[i].at("state").asString(), "done");
+    const Json& outcome = outcomes[2 * i];
+    ASSERT_TRUE(outcome.at("ok").asBool()) << outcome.dump();
+    EXPECT_EQ(outcome.at("id").asUint64(), expected[i]);
+    EXPECT_EQ(outcome.at("state").asString(), "done");
   }
-  EXPECT_FALSE(outcomes[4].at("ok").asBool());
+  for (const std::size_t bad : {1u, 3u, 5u}) {
+    EXPECT_FALSE(outcomes[bad].at("ok").asBool()) << outcomes[bad].dump();
+    EXPECT_EQ(outcomes[bad].at("error").asString(), R"("wait" needs a known job "id")");
+  }
 
   // An empty or missing ids array is a request error, not a crash.
   EXPECT_FALSE(call(router, R"({"op":"wait","ids":[]})").at("ok").asBool());

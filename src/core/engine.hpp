@@ -205,7 +205,10 @@ struct EngineResult {
 
 class SynthesisEngine {
  public:
+  /// The engine keeps a reference to `t`, which must outlive it.
   SynthesisEngine(const tech::Technology& t, EngineOptions options);
+  /// A temporary technology would be destroyed before the first run.
+  SynthesisEngine(const tech::Technology&& t, EngineOptions options) = delete;
 
   /// Create the topology named by options.topology through the registry
   /// and run it.  Topology-specific outputs (layout cell, sized design,

@@ -380,7 +380,13 @@ Json JournalRecord::toJson() const {
 JournalRecord JournalRecord::fromJson(const Json& j) {
   JournalRecord rec;
   rec.type = journalRecordTypeFromName(j.at("type").asString());
-  rec.id = j.at("id").asUint64();
+  // asUint64's fallback would read a missing id as job 0, which no wait or
+  // cancel can address; such a record is undecodable like any other.
+  const Json& id = j.at("id");
+  if (id.type() != Json::Type::kNumber) {
+    throw std::invalid_argument("journal record has no numeric \"id\"");
+  }
+  rec.id = id.asUint64();
   rec.cacheKey = j.at("key").asString();
   rec.state = j.at("state").asString();
   rec.attempt = j.at("attempt").asInt();

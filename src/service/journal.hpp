@@ -178,6 +178,8 @@ struct JournalRecord {
   Json job;                ///< Serialised JobRequest (kSubmitted only).
 
   [[nodiscard]] Json toJson() const;
+  /// Throws std::invalid_argument on an unknown type or a missing or
+  /// non-numeric id.
   [[nodiscard]] static JournalRecord fromJson(const Json& j);
 };
 

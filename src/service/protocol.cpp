@@ -49,7 +49,10 @@ JobRequest parseJobRequest(const Json& request) {
   if (const Json* bias = request.find("bias")) {
     job.options.includeBiasGenerator = bias->asBool();
   }
-  if (const Json* spec = request.find("spec")) specsFromJson(*spec, job.specs);
+  if (const Json* spec = request.find("spec")) {
+    specsFromJson(*spec, job.specs);
+    requireSpecDomain(job.specs);
+  }
   if (const Json* plv = request.find("post_layout_verify")) {
     // Accepts a bare bool for the common case and an object for tuning:
     // {"post_layout_verify": true} or

@@ -1,6 +1,8 @@
 #include "service/serialize.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace lo::service {
 
@@ -273,6 +275,20 @@ void specsFromJson(const Json& j, sizing::OtaSpecs& specs) {
       }
     }
     if (!known) throw std::invalid_argument("unknown spec field \"" + key + "\"");
+  }
+}
+
+void requireSpecDomain(const sizing::OtaSpecs& specs) {
+  for (const SpecField& f : kSpecFields) {
+    const double v = specs.*(f.member);
+    const bool positive = f.member == &sizing::OtaSpecs::gbw ||
+                          f.member == &sizing::OtaSpecs::cload ||
+                          f.member == &sizing::OtaSpecs::vdd;
+    const char* problem =
+        !std::isfinite(v) ? "must be finite" : positive && v <= 0.0 ? "must be > 0" : nullptr;
+    if (problem != nullptr) {
+      throw std::invalid_argument("spec field \"" + std::string(f.name) + "\" " + problem);
+    }
   }
 }
 

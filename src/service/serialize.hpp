@@ -43,6 +43,10 @@ namespace lo::service {
 /// client typos fail loudly instead of silently synthesising the default.
 void specsFromJson(const Json& j, sizing::OtaSpecs& specs);
 
+/// Throws std::invalid_argument naming the first spec field no synthesis
+/// can take: a value that is not finite, or a gbw, cload or vdd <= 0.
+void requireSpecDomain(const sizing::OtaSpecs& specs);
+
 /// The OtaSpecs field names the protocol understands ("spec" object keys),
 /// in their canonical serialisation order.
 [[nodiscard]] const std::vector<std::string>& specFieldNames();

@@ -1,6 +1,9 @@
 #include "sizing/ota_evaluator.hpp"
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "device/inversion.hpp"
 #include "tech/units.hpp"
@@ -32,6 +35,32 @@ const OperatingChoices::GroupChoice& OperatingChoices::of(circuit::OtaGroup g) c
   return const_cast<OperatingChoices*>(this)->of(g);
 }
 
+void requireFinite(const char* who,
+                   std::initializer_list<std::pair<const char*, double>> figures) {
+  for (const auto& [name, value] : figures) {
+    if (!std::isfinite(value)) {
+      throw std::runtime_error(std::string(who) + ": " + name + " is not finite (" +
+                               std::to_string(value) + ")");
+    }
+  }
+}
+
+void requireFinite(const char* who, const OtaPerformance& p) {
+  requireFinite(who, {{"predicted DC gain", p.dcGainDb},
+                      {"predicted GBW", p.gbwHz},
+                      {"predicted phase margin", p.phaseMarginDeg},
+                      {"predicted slew rate", p.slewRateVPerUs},
+                      {"predicted CMRR", p.cmrrDb},
+                      {"predicted offset", p.offsetMv},
+                      {"predicted output resistance", p.outputResistanceMOhm},
+                      {"predicted input noise", p.inputNoiseUv},
+                      {"predicted thermal noise density", p.thermalNoiseDensityNv},
+                      {"predicted flicker noise", p.flickerNoiseUv},
+                      {"predicted power", p.powerMw},
+                      {"predicted PSRR", p.psrrDb},
+                      {"predicted settling time", p.settlingTimeNs}});
+}
+
 OtaOpSnapshot OtaEvaluator::snapshot(const FoldedCascodeOtaDesign& d, double inputCm) const {
   const double temp = tech_.temperature;
   const tech::MosModelCard& nmos = tech_.nmos;
@@ -47,12 +76,14 @@ OtaOpSnapshot OtaEvaluator::snapshot(const FoldedCascodeOtaDesign& d, double inp
       device::vgsForCurrent(model_, pmos, d.inputPair, iPair, 1.0, 0.0, d.vdd, temp);
   s.vtail = inputCm + vgs1;
 
-  // Folding node: fixed point through the NMOS cascode bias.
+  // Folding node: fixed point through the NMOS cascode bias.  Each solve
+  // starts from the previous iteration's VGS, which the loop barely moves.
   double vx = 0.3;
+  std::optional<double> vgsNc;
   for (int i = 0; i < 6; ++i) {
-    const double vgsNc = device::vgsForCurrent(model_, nmos, d.nCascode, iCasc,
-                                               std::max(s.vout - vx, 0.2), -vx, d.vdd, temp);
-    vx = d.vc1 - vgsNc;
+    vgsNc = device::vgsForCurrent(model_, nmos, d.nCascode, iCasc,
+                                  std::max(s.vout - vx, 0.2), -vx, d.vdd, temp, vgsNc);
+    vx = d.vc1 - *vgsNc;
     vx = std::max(vx, 0.05);
   }
   s.vx = vx;
@@ -62,13 +93,13 @@ OtaOpSnapshot OtaEvaluator::snapshot(const FoldedCascodeOtaDesign& d, double inp
       device::vgsForCurrent(model_, pmos, d.pSource, iCasc, 1.0, 0.0, d.vdd, temp);
   s.vy = d.vdd - vgsPs;
 
-  // PMOS cascode sources.
+  // PMOS cascode sources, warm-started the same way.
   double vz = d.vdd - 0.3;
+  std::optional<double> vgsPc;
   for (int i = 0; i < 6; ++i) {
-    const double vgsPc =
-        device::vgsForCurrent(model_, pmos, d.pCascode, iCasc,
-                              std::max(vz - s.vout, 0.2), -(d.vdd - vz), d.vdd, temp);
-    vz = d.vc3 + vgsPc;
+    vgsPc = device::vgsForCurrent(model_, pmos, d.pCascode, iCasc, std::max(vz - s.vout, 0.2),
+                                  -(d.vdd - vz), d.vdd, temp, vgsPc);
+    vz = d.vc3 + *vgsPc;
     vz = std::min(vz, d.vdd - 0.05);
   }
   s.vz = vz;
@@ -100,9 +131,9 @@ OtaCapBudget OtaEvaluator::capBudget(const FoldedCascodeOtaDesign& d,
   return c;
 }
 
-OtaPerformance OtaEvaluator::evaluate(const FoldedCascodeOtaDesign& d, const OtaSpecs& specs,
+OtaPerformance OtaEvaluator::evaluate(const FoldedCascodeOtaDesign& d,
+                                      const OtaOpSnapshot& s,
                                       const SizingPolicy& policy) const {
-  const OtaOpSnapshot s = snapshot(d, specs.inputCmMid());
   const OtaCapBudget c = capBudget(d, s, policy);
 
   OtaPerformance p;

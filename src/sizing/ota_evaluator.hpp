@@ -38,7 +38,8 @@ class OtaEvaluator {
       : tech_(t), model_(model) {}
 
   /// Solve the approximate DC picture by model inversion (fixed-point on
-  /// the cascode source nodes).
+  /// the folding and cascode source nodes, each solve starting from the
+  /// previous iteration's VGS).
   [[nodiscard]] OtaOpSnapshot snapshot(const circuit::FoldedCascodeOtaDesign& design,
                                        double inputCm) const;
 
@@ -49,9 +50,10 @@ class OtaEvaluator {
                                        const OtaOpSnapshot& snap,
                                        const SizingPolicy& policy) const;
 
-  /// Full Table-1 row predicted analytically.
+  /// Full Table-1 row predicted analytically from the design's snapshot at
+  /// the specs' mid input common mode (solved once, by the caller).
   [[nodiscard]] OtaPerformance evaluate(const circuit::FoldedCascodeOtaDesign& design,
-                                        const OtaSpecs& specs,
+                                        const OtaOpSnapshot& snap,
                                         const SizingPolicy& policy) const;
 
  private:

@@ -85,6 +85,12 @@ void OtaSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
   d.inputPair.l = pairChoice.length;
   d.tailCurrent = 2.0 * pair.id;
   d.cascodeCurrent = cascodeRatio * d.tailCurrent;
+  // A spec past the models' range overflows here or in the widths below:
+  // fail naming the quantity rather than hand it to the inversions.
+  requireFinite("OtaSizer", {{"input pair gm target", gm1},
+                             {"input pair width", d.inputPair.w},
+                             {"tail current", d.tailCurrent},
+                             {"cascode current", d.cascodeCurrent}});
 
   // Remaining groups by current at their fixed gate drive.
   auto sizeGroup = [&](OtaGroup g, const tech::MosModelCard& card, double current,
@@ -100,6 +106,11 @@ void OtaSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
   sizeGroup(OtaGroup::kNCascode, nmos, d.cascodeCurrent, d.nCascode);
   sizeGroup(OtaGroup::kPSource, pmos, d.cascodeCurrent, d.pSource);
   sizeGroup(OtaGroup::kPCascode, pmos, d.cascodeCurrent, d.pCascode);
+  requireFinite("OtaSizer", {{"tail width", d.tail.w},
+                             {"sink width", d.sink.w},
+                             {"NMOS cascode width", d.nCascode.w},
+                             {"PMOS source width", d.pSource.w},
+                             {"PMOS cascode width", d.pCascode.w}});
 
   // Junction knowledge per the policy.
   for (OtaGroup g : circuit::kAllOtaGroups) applyJunctionPolicy(policy, g, d.geometry(g));
@@ -167,10 +178,18 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
     // Phase-margin loop: more folded-branch current first, then larger gate
     // drives on the non-input devices (smaller, faster devices).  Excess
     // margin is trimmed back so the design lands just above the target and
-    // no power is wasted.
-    for (int inner = 0; inner < 30; ++inner) {
-      const OtaPerformance perf = evaluator_.evaluate(d, specs, policy);
-      if (perf.phaseMarginDeg < specs.phaseMarginDeg) {
+    // no power is wasted.  Each design is solved once: the last snapshot is
+    // of the design the loop leaves, so the GBW check below reuses it, and
+    // as the design does not change after that check, its row is the
+    // prediction.
+    OtaOpSnapshot snap;
+    for (int inner = 0;; ++inner) {
+      snap = evaluator_.snapshot(d, specs.inputCmMid());
+      result.predicted = evaluator_.evaluate(d, snap, policy);
+      requireFinite("OtaSizer", result.predicted);
+      const double pm = result.predicted.phaseMarginDeg;
+      if (inner == 30) break;
+      if (pm < specs.phaseMarginDeg) {
         ++result.pmIterations;
         if (cascodeRatio < 1.0) {
           cascodeRatio = std::min(1.0, cascodeRatio * 1.12);
@@ -180,7 +199,7 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
             choices.of(g).veff = std::min(0.6, choices.of(g).veff * 1.06);
           }
         }
-      } else if (perf.phaseMarginDeg > specs.phaseMarginDeg + 3.0 && cascodeRatio > 0.40) {
+      } else if (pm > specs.phaseMarginDeg + 3.0 && cascodeRatio > 0.40) {
         ++result.pmIterations;
         cascodeRatio = std::max(0.40, cascodeRatio * 0.93);
       } else {
@@ -191,21 +210,18 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
 
     // Re-estimate the GBW capacitance budget and the realised GBW;
     // converged when both are stable on target.
-    const OtaPerformance perf = evaluator_.evaluate(d, specs, policy);
-    const OtaOpSnapshot snap = evaluator_.snapshot(d, specs.inputCmMid());
     const double coutNew = evaluator_.capBudget(d, snap, policy).out;
-    const double gbwError = perf.gbwHz / specs.gbw - 1.0;
+    const double gbwError = result.predicted.gbwHz / specs.gbw - 1.0;
     if (std::abs(coutNew - cout) < 2e-3 * cout && std::abs(gbwError) < 5e-3) {
       result.converged = true;
       cout = coutNew;
       break;
     }
-    gmScale *= specs.gbw / perf.gbwHz;
+    gmScale *= specs.gbw / result.predicted.gbwHz;
     cout = coutNew;
   }
 
   result.design = d;
-  result.predicted = evaluator_.evaluate(d, specs, policy);
   result.finalChoices = choices;
   return result;
 }

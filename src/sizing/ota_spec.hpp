@@ -2,9 +2,11 @@
 // folded-cascode OTA synthesis (Table 1 of the paper).
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "circuit/ota.hpp"
 #include "circuit/two_stage.hpp"
@@ -94,6 +96,16 @@ struct OtaPerformance {
   double psrrDb = 0.0;           ///< Positive-supply rejection at DC.
   double settlingTimeNs = 0.0;   ///< 1% settling after the slew step.
 };
+
+/// Throws std::runtime_error naming the first of `figures` that is NaN or
+/// infinite.  A finite spec can still drive a design plan past the models'
+/// range (a 1e30 Hz GBW target); that sizing must fail, not answer with
+/// non-finite figures.
+void requireFinite(const char* who,
+                   std::initializer_list<std::pair<const char*, double>> figures);
+
+/// The same over every figure of a predicted row.
+void requireFinite(const char* who, const OtaPerformance& predicted);
 
 /// Frequency at which the flicker figure of OtaPerformance is quoted.
 inline constexpr double kFlickerSpotHz = 100.0;

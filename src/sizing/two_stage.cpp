@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <optional>
 
 #include "device/folding.hpp"
 #include "device/inversion.hpp"
@@ -49,12 +50,13 @@ TwoStageSnapshot TwoStageSizer::snapshot(const TwoStageOtaDesign& d, double inpu
 
   const double iPair = d.tailCurrent / 2.0;
   // Tail-node fixed point: the pair's VGS depends on its own source voltage
-  // through the body effect.
+  // through the body effect.  Each solve starts from the previous VGS.
   double vtail = 0.2;
+  std::optional<double> vgs1;
   for (int i = 0; i < 6; ++i) {
-    const double vgs1 = device::vgsForCurrent(model_, nmos, d.inputPair, iPair, 1.0,
-                                              -vtail, d.vdd, temp);
-    vtail = std::max(inputCm - vgs1, 0.05);
+    vgs1 = device::vgsForCurrent(model_, nmos, d.inputPair, iPair, 1.0, -vtail, d.vdd, temp,
+                                 vgs1);
+    vtail = std::max(inputCm - *vgs1, 0.05);
   }
   s.vtail = vtail;
   const double vgs3 =
@@ -218,6 +220,12 @@ void TwoStageSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& polic
     d.tailCurrent = 2.0 * std::abs(op.id) * d.inputPair.w / ref.w;
   }
   d.stage2Current = stage2Ratio * d.tailCurrent;
+  // A spec past the models' range overflows here or in the widths below:
+  // fail naming the quantity rather than hand it to the inversions.
+  requireFinite("TwoStageSizer", {{"input pair gm target", gm1},
+                                  {"input pair width", d.inputPair.w},
+                                  {"tail current", d.tailCurrent},
+                                  {"stage-2 current", d.stage2Current}});
 
   auto sizeGroup = [&](const tech::MosModelCard& card,
                        const OperatingChoices::GroupChoice& gc, double current,
@@ -248,6 +256,10 @@ void TwoStageSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& polic
     d.driver.w = device::widthForCurrent(model_, pmos, d.driver, d.stage2Current, vgs3,
                                          vgs3 + 0.3, 0.0, temp);
   }
+  requireFinite("TwoStageSizer", {{"mirror width", d.mirror.w},
+                                  {"tail width", d.tail.w},
+                                  {"stage-2 sink width", d.sink2.w},
+                                  {"driver width", d.driver.w}});
 
   for (TwoStageGroup g : circuit::kAllTwoStageGroups) {
     applyJunctionPolicy(tech_, policy, g, d.geometry(g));
@@ -273,12 +285,18 @@ TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPoli
     const double gm1 = 2.0 * M_PI * specs.gbw * (choices.ccOverCl * specs.cload) * gmScale;
     buildDesign(specs, policy, choices, gm1, stage2Ratio, d);
 
-    for (int inner = 0; inner < 25; ++inner) {
-      const OtaPerformance perf = evaluate(d, specs, policy);
-      if (perf.phaseMarginDeg < specs.phaseMarginDeg) {
+    // Each design is evaluated once: the loop's last row is of the design
+    // it leaves, which the GBW check reads, and as the design does not
+    // change after that check, the row is the prediction.
+    for (int inner = 0;; ++inner) {
+      result.predicted = evaluate(d, specs, policy);
+      requireFinite("TwoStageSizer", result.predicted);
+      const double pm = result.predicted.phaseMarginDeg;
+      if (inner == 25) break;
+      if (pm < specs.phaseMarginDeg) {
         ++result.pmIterations;
         stage2Ratio = std::min(12.0, stage2Ratio * 1.15);
-      } else if (perf.phaseMarginDeg > specs.phaseMarginDeg + 4.0 && stage2Ratio > 1.2) {
+      } else if (pm > specs.phaseMarginDeg + 4.0 && stage2Ratio > 1.2) {
         ++result.pmIterations;
         stage2Ratio = std::max(1.2, stage2Ratio * 0.92);
       } else {
@@ -287,17 +305,15 @@ TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPoli
       buildDesign(specs, policy, choices, gm1, stage2Ratio, d);
     }
 
-    const OtaPerformance perf = evaluate(d, specs, policy);
-    const double gbwError = perf.gbwHz / specs.gbw - 1.0;
+    const double gbwError = result.predicted.gbwHz / specs.gbw - 1.0;
     if (std::abs(gbwError) < 5e-3) {
       result.converged = true;
       break;
     }
-    gmScale *= specs.gbw / perf.gbwHz;
+    gmScale *= specs.gbw / result.predicted.gbwHz;
   }
 
   result.design = d;
-  result.predicted = evaluate(d, specs, policy);
   return result;
 }
 

@@ -266,6 +266,23 @@ class ClusterRouterTest : public ::testing::Test {
     return shards;
   }
 
+  /// Case-1 gbws [MHz], up to three owned by each shard of a two-shard
+  /// router.  The owner of a spec follows its cache key, which moves with
+  /// the key schema, so they are drawn from a summary sweep over twelve
+  /// candidates (a cold pass that also fills the shared store).
+  static std::vector<int> gbwsSpanningTwoShards(ClusterRouter& router) {
+    std::vector<int> candidates;
+    for (int gbw = 62; gbw < 74; ++gbw) candidates.push_back(gbw);
+    const std::vector<int> owners =
+        sweepShards(call(router, sweepLine(candidates)), candidates);
+    std::vector<int> gbws;
+    std::map<int, int> perShard;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      if (perShard[owners[i]]++ < 3) gbws.push_back(candidates[i]);
+    }
+    return gbws;
+  }
+
   std::string bin_;
   std::filesystem::path scratch_;
 };
@@ -651,7 +668,7 @@ TEST_F(ClusterRouterTest, ExplorationFailsOverWhenItsShardCannotRevive) {
 
 TEST_F(ClusterRouterTest, SweepAfterAKillRevivesTheShardAndKeepsRequestOrder) {
   ClusterRouter router(makeOptions(2));
-  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  const std::vector<int> gbws = gbwsSpanningTwoShards(router);
   const std::vector<int> before = sweepShards(call(router, sweepLine(gbws)), gbws);
   ASSERT_EQ(std::set<int>(before.begin(), before.end()).size(), 2u)
       << "the sweep must span both shards";
@@ -667,7 +684,7 @@ TEST_F(ClusterRouterTest, SweepAfterAKillWithoutRestartsReroutesToTheSurvivor) {
   RouterOptions options = makeOptions(2);
   options.restartDeadShards = false;
   ClusterRouter router(options);
-  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  const std::vector<int> gbws = gbwsSpanningTwoShards(router);
   const std::vector<int> before = sweepShards(call(router, sweepLine(gbws)), gbws);
   ASSERT_EQ(std::set<int>(before.begin(), before.end()).size(), 2u)
       << "the sweep must span both shards";
@@ -795,13 +812,13 @@ TEST_F(ClusterRouterTest, MultiplexedWaitKeepsTheSummaryAndTraceFlags) {
 }
 
 TEST_F(ClusterRouterTest, SweepAcrossAWedgedShardRecyclesItAndKeepsRequestOrder) {
-  const std::vector<int> gbws{62, 63, 64, 65, 66, 67};
+  std::vector<int> gbws;
   {
     // Compute the points once at the default timeout, so the one-second
     // router below serves them from the shared store and only the wedge
     // can miss a deadline.
     ClusterRouter warm(makeOptions(2));
-    (void)sweepShards(call(warm, sweepLine(gbws)), gbws);
+    gbws = gbwsSpanningTwoShards(warm);
   }
   RouterOptions options = makeOptions(2);
   options.requestTimeoutSeconds = 1.0;

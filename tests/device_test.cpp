@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "device/folding.hpp"
 #include "device/inversion.hpp"
@@ -205,26 +206,97 @@ TEST(Inversion, VgsForCurrentThrowsWhenUnreachable) {
                std::runtime_error);
 }
 
-TEST(Inversion, SizeForGmMeetsBothTargets) {
-  const tech::Technology t = tech060();
-  const auto model = MosModel::create("level1");
-  MosGeometry geo = defaultGeo();
-  const double targetGm = 1.3e-3, targetId = 100e-6;
-  const GmSizing s = sizeForGm(*model, t.nmos, geo, targetGm, targetId, 1.5, 0.0);
-  EXPECT_NEAR(s.gm, targetGm, targetGm * 1e-3);
-  geo.w = s.w;
-  const double id = model->currentNormalized(t.nmos, geo, s.vgs, 1.5, 0.0, 300.15);
-  EXPECT_NEAR(id, targetId, targetId * 1e-4);
-}
-
 TEST(Inversion, RejectsNonPositiveTargets) {
   const tech::Technology t = tech060();
   const auto model = MosModel::create("level1");
   MosGeometry geo = defaultGeo();
   EXPECT_THROW((void)widthForCurrent(*model, t.nmos, geo, -1e-6, 1.3, 1.5, 0.0),
                std::invalid_argument);
-  EXPECT_THROW((void)sizeForGm(*model, t.nmos, geo, 0.0, 1e-6, 1.5, 0.0),
+  EXPECT_THROW((void)vgsForCurrent(*model, t.nmos, geo, 0.0, 1.5, 0.0, 3.3),
                std::invalid_argument);
+}
+
+TEST(Inversion, RejectsNonFiniteTargets) {
+  // NaN passes a plain `target <= 0` test, and the Newton step takes its log.
+  const tech::Technology t = tech060();
+  const auto model = MosModel::create("ekv");
+  const MosGeometry geo = defaultGeo();
+  for (const double target : {std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW((void)widthForCurrent(*model, t.nmos, geo, target, 1.3, 1.5, 0.0),
+                 std::invalid_argument)
+        << target;
+    EXPECT_THROW((void)vgsForCurrent(*model, t.nmos, geo, target, 1.5, 0.0, 3.3),
+                 std::invalid_argument)
+        << target;
+  }
+}
+
+/// The bisection vgsForCurrent used to run, kept as the oracle: the bracket
+/// [0, vmax] halved until it stops shrinking.
+double bisectVgs(const MosModel& model, const tech::MosModelCard& card,
+                 const MosGeometry& geo, double targetId, double vds, double vbs,
+                 double vmax) {
+  double lo = 0.0, hi = vmax;
+  for (;;) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) return mid;
+    const double id = std::abs(model.currentNormalized(card, geo, mid, vds, vbs, 300.15));
+    (id < targetId ? lo : hi) = mid;
+  }
+}
+
+TEST(Inversion, VgsForCurrentMatchesBisectionOracle) {
+  // Both models and polarities, targets from 1 nA to 10 mA, drain biases
+  // from the triode edge to saturation, with and without body bias, solved
+  // cold and from start points inside and outside the bracket.
+  const tech::Technology t = tech060();
+  const MosGeometry geo = defaultGeo(200e-6, 1e-6);
+  const double vmax = 3.3;
+  int solved = 0, unreachable = 0;
+  for (const char* name : {"level1", "ekv"}) {
+    const auto model = MosModel::create(name);
+    for (const tech::MosModelCard* card : {&t.nmos, &t.pmos}) {
+      for (int decade = 0; decade <= 14; ++decade) {
+        const double target = 1e-9 * std::pow(10.0, 0.5 * decade);  // 1 nA .. 10 mA.
+        for (const double vds : {0.1, 0.5, 1.5, 3.0}) {
+          for (const double vbs : {0.0, -1.2}) {
+            SCOPED_TRACE(std::string(name) + (card == &t.nmos ? " nmos" : " pmos") +
+                         " target " + std::to_string(target) + " vds " +
+                         std::to_string(vds) + " vbs " + std::to_string(vbs));
+            if (std::abs(model->currentNormalized(*card, geo, vmax, vds, vbs, 300.15)) <
+                target) {
+              EXPECT_THROW((void)vgsForCurrent(*model, *card, geo, target, vds, vbs, vmax),
+                           std::runtime_error);
+              ++unreachable;
+              continue;
+            }
+            const double oracle = bisectVgs(*model, *card, geo, target, vds, vbs, vmax);
+            const double cold =
+                vgsForCurrent(*model, *card, geo, target, vds, vbs, vmax, 300.15);
+            EXPECT_NEAR(cold, oracle, 1e-12);
+            for (const double start : {oracle, oracle - 0.05, oracle + 0.2, 0.5 * oracle,
+                                       1e-3, vmax - 1e-3}) {
+              EXPECT_NEAR(vgsForCurrent(*model, *card, geo, target, vds, vbs, vmax,
+                                        300.15, start),
+                          oracle, 1e-12)
+                  << "start " << start;
+            }
+            // A start outside (0, vmax) is ignored: the cold solve, bit for bit.
+            for (const double start : {0.0, -0.4, vmax, vmax + 1.0, std::nan("")}) {
+              EXPECT_EQ(vgsForCurrent(*model, *card, geo, target, vds, vbs, vmax, 300.15,
+                                      start),
+                        cold)
+                  << "start " << start;
+            }
+            ++solved;
+          }
+        }
+      }
+    }
+  }
+  // Only targets of 3 mA and more at vds <= 0.5 V are out of reach (16).
+  EXPECT_EQ(solved + unreachable, 2 * 2 * 15 * 4 * 2);
+  EXPECT_LT(unreachable, 24);
 }
 
 }  // namespace

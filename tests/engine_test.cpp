@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "core/ota_topology.hpp"
 #include "service/scheduler.hpp"
@@ -12,6 +13,14 @@ namespace lo::core {
 namespace {
 
 const tech::Technology kTech = tech::Technology::generic060();
+
+// The engine keeps a reference to its technology: one built from a
+// temporary (`SynthesisEngine e(base.atCorner(c), o)`) would read it after
+// its destruction, so that form must not compile.
+static_assert(!std::is_constructible_v<SynthesisEngine, tech::Technology, EngineOptions>);
+static_assert(
+    !std::is_constructible_v<SynthesisEngine, const tech::Technology, EngineOptions>);
+static_assert(std::is_constructible_v<SynthesisEngine, const tech::Technology&, EngineOptions>);
 
 // --- Registry. ---
 

@@ -99,10 +99,10 @@ TEST(CacheKey, HooksAndSchedulingMetadataAreExcluded) {
   EXPECT_EQ(keyText(sizing::OtaSpecs{}, hooked), keyText(sizing::OtaSpecs{}));
 }
 
-TEST(CacheKey, CanonicalTextCarriesSchemaVersion5) {
-  // v5: the folded AC and noise solves moved result bits, so no v4 disk
-  // entry may be served as a v5 result.
-  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v5|", 0), 0u);
+TEST(CacheKey, CanonicalTextCarriesSchemaVersion6) {
+  // v6: sizing inverts the device model by Newton, which moved result bits,
+  // so no v5 disk entry may be served as a v6 result.
+  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v6|", 0), 0u);
 }
 
 TEST(CacheKey, TechFingerprintSeparatesTechnologies) {

@@ -117,6 +117,34 @@ TEST(JobJournal, RoundTripsRecordsAndDigestsPending) {
   EXPECT_EQ(restored.options.sizingCase, core::SizingCase::kCase1);
 }
 
+TEST(JobJournal, RecordWithoutANumericIdIsUndecodable) {
+  // An id that is missing or not a number must not default to job 0.
+  Json withId = submittedRecord(3, "c").toJson();
+  Json stringId = Json::object();
+  for (const auto& [key, value] : withId.members()) {
+    stringId.set(key, key == "id" ? Json("3") : value);
+  }
+  Json missing = Json::object();
+  for (const auto& [key, value] : withId.members()) {
+    if (key != "id") missing.set(key, value);
+  }
+  EXPECT_THROW((void)JournalRecord::fromJson(missing), std::invalid_argument);
+  EXPECT_THROW((void)JournalRecord::fromJson(stringId), std::invalid_argument);
+  EXPECT_EQ(JournalRecord::fromJson(withId).id, 3u);
+
+  // On replay such a frame is cut like a torn one, with all that follows.
+  const ScratchDir dirScratch("no_id");
+  FramedLogOptions log;
+  log.path = dirScratch.path + "/journal.wal";
+  FramedLog(log).rewrite({submittedRecord(1, "a").toJson().dump(), missing.dump(),
+                          submittedRecord(2, "b").toJson().dump()});
+  JobJournal journal(dirOptions(dirScratch.path));
+  const JournalReplay replay = journal.replay();
+  EXPECT_TRUE(replay.tornTail);
+  ASSERT_EQ(replay.pending.size(), 1u);
+  EXPECT_EQ(replay.pending[0].id, 1u);
+}
+
 TEST(JobJournal, DoubleReplayIsIdempotent) {
   const ScratchDir dirScratch("idempotent");
   const std::string& dir = dirScratch.path;

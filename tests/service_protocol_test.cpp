@@ -307,6 +307,15 @@ TEST(JobRequestFuzz, MutatedEntriesThrowOrRoundTrip) {
       }
       ++parsed;
       const std::string input = entry.dump();
+      // The same domain parseJobRequest enforces: every spec value finite,
+      // and gbw, cload and vdd positive.
+      const Json specs = toJson(request.specs);
+      for (const auto& [field, value] : specs.members()) {
+        ASSERT_TRUE(std::isfinite(value.asDouble())) << field << " in " << input;
+      }
+      ASSERT_GT(request.specs.gbw, 0.0) << input;
+      ASSERT_GT(request.specs.cload, 0.0) << input;
+      ASSERT_GT(request.specs.vdd, 0.0) << input;
       std::string key;
       ASSERT_NO_THROW(key = ResultCache::keyFor(request.options, request.specs,
                                                 request.corner, techPrint))
@@ -465,6 +474,51 @@ TEST_F(ProtocolTest, FailedJobReportsErrorWithOkTrue) {
   EXPECT_EQ(out.at("state").asString(), "failed");
   EXPECT_NE(out.at("error").asString().find("no_such_topology"),
             std::string::npos);
+}
+
+TEST_F(ProtocolTest, OutOfDomainSpecsAreRefusedNamingTheField) {
+  // Refused at the boundary with ok:false, so nothing is queued, journaled
+  // or cached.  1e999 parses as infinity.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"gbw":-5e6})", "gbw"},        {R"({"gbw":0})", "gbw"},
+      {R"({"cload":0})", "cload"},       {R"({"vdd":-3.3})", "vdd"},
+      {R"({"gbw":1e999})", "gbw"},       {R"({"cload":-1e999})", "cload"},
+      {R"({"output_high":1e999})", "output_high"}};
+  for (const auto& [spec, field] : cases) {
+    SCOPED_TRACE(spec);
+    const Json out = respond(std::string(R"({"op":"synthesize","case":1,"spec":)") + spec +
+                             "}");
+    EXPECT_FALSE(out.at("ok").asBool(true)) << out.dump();
+    EXPECT_NE(out.at("error").asString().find('"' + std::string(field) + '"'),
+              std::string::npos)
+        << out.dump();
+  }
+  const Json sweep = respond(
+      R"({"op":"sweep","jobs":[{"case":1},{"case":1,"spec":{"cload":0}}]})");
+  EXPECT_FALSE(sweep.at("ok").asBool(true)) << sweep.dump();
+  const Json stats = respond(R"({"op":"stats"})");
+  EXPECT_EQ(stats.at("stats").at("jobs").at("submitted").asUint64(), 0u) << stats.dump();
+}
+
+TEST_F(ProtocolTest, SpecThatDrivesSizingNonFiniteFailsUncached) {
+  // In-domain GBW targets that the models cannot size: the job fails
+  // instead of answering done with non-finite figures, and a resubmission
+  // runs again rather than hitting a cached result.
+  const std::pair<const char*, const char*> cases[] = {
+      {"folded_cascode_ota", "1e30"}, {"two_stage", "1e-300"}};
+  for (const auto& [topology, gbw] : cases) {
+    SCOPED_TRACE(topology);
+    const std::string request = std::string(R"({"op":"synthesize","case":1,"topology":")") +
+                                topology + R"(","spec":{"gbw":)" + gbw + "}}";
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const Json out = respond(request);
+      ASSERT_TRUE(out.at("ok").asBool()) << out.dump();
+      EXPECT_EQ(out.at("state").asString(), "failed") << out.dump();
+      EXPECT_NE(out.at("error").asString().find(" is not finite"), std::string::npos)
+          << out.dump();
+      EXPECT_FALSE(out.at("cache_hit").asBool(true)) << out.dump();
+    }
+  }
 }
 
 TEST_F(ProtocolTest, SweepReturnsOutcomesInOrder) {

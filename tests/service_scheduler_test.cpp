@@ -83,9 +83,9 @@ TEST(SchedulerBatch, MatchesSweepDriverBitForBit) {
     SCOPED_TRACE(statuses[i].label);
     ASSERT_EQ(statuses[i].state, JobState::kDone) << statuses[i].error;
     // The reference: a direct engine run at the job's corner.
+    const tech::Technology corner = kTech.atCorner(requests[i].corner);
     const core::EngineResult direct =
-        core::SynthesisEngine(kTech.atCorner(requests[i].corner), requests[i].options)
-            .run(requests[i].specs);
+        core::SynthesisEngine(corner, requests[i].options).run(requests[i].specs);
     EXPECT_EQ(std::memcmp(&statuses[i].result.measured, &direct.measured,
                           sizeof(sizing::OtaPerformance)),
               0);

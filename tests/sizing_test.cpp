@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "device/folding.hpp"
 #include "sizing/ota_evaluator.hpp"
 
@@ -78,6 +80,28 @@ TEST_P(SizerByModel, GroupCurrentsBalance) {
               r.design.cascodeCurrent * 0.15);
 }
 
+TEST_P(SizerByModel, GbwPastTheModelsRangeFailsInsteadOfNonFiniteFigures) {
+  // Finite specs that no device can meet drive the plan to overflow or
+  // 0/0: sizing must throw, naming what went non-finite, rather than
+  // return NaN figures.
+  OtaSizer sizer(kTech, *model_);
+  for (const double gbw : {1e30, 1e-300}) {
+    OtaSpecs specs;
+    specs.gbw = gbw;
+    for (const SizingPolicy& policy : {SizingPolicy::case1(), SizingPolicy::case2()}) {
+      try {
+        const SizingResult r = sizer.size(specs, policy);
+        ADD_FAILURE() << "gbw " << gbw << " sized, predicting a GBW of "
+                      << r.predicted.gbwHz;
+      } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("OtaSizer: "), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(" is not finite"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, SizerByModel, ::testing::Values("level1", "ekv"));
 
 TEST(SizingPolicy, Case1IgnoresJunctions) {
@@ -142,8 +166,9 @@ TEST(Evaluator, RoutingParasiticsLowerPredictedBandwidthMargin) {
   SizingPolicy withRouting = SizingPolicy::case2();
   withRouting.routingParasitics = &report;
 
-  const OtaPerformance base = eval.evaluate(r.design, specs, SizingPolicy::case2());
-  const OtaPerformance loaded = eval.evaluate(r.design, specs, withRouting);
+  const OtaOpSnapshot snap = eval.snapshot(r.design, specs.inputCmMid());
+  const OtaPerformance base = eval.evaluate(r.design, snap, SizingPolicy::case2());
+  const OtaPerformance loaded = eval.evaluate(r.design, snap, withRouting);
   EXPECT_LT(loaded.gbwHz, base.gbwHz);
   EXPECT_LT(loaded.phaseMarginDeg, base.phaseMarginDeg);
 }

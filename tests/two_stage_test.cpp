@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.hpp"
 #include "core/two_stage_topology.hpp"
 #include "layout/drc.hpp"
@@ -100,6 +102,26 @@ TEST(TwoStage, SizerConvergesOnGbw) {
   EXPECT_GE(r.predicted.phaseMarginDeg, 64.0);
   EXPECT_GT(r.design.stage2Current, r.design.tailCurrent);
   EXPECT_GT(r.design.rz, 0.0);
+}
+
+TEST(TwoStage, GbwPastTheModelsRangeFailsInsteadOfNonFiniteFigures) {
+  // Finite GBW targets whose gm target overflows or whose figures come out
+  // 0/0: sizing must throw, naming the quantity, not return NaN figures.
+  const auto model = device::MosModel::create("ekv");
+  sizing::TwoStageSizer sizer(kTech, *model);
+  for (const double gbw : {1e308, 1e-300}) {
+    sizing::OtaSpecs specs = twoStageSpecs();
+    specs.gbw = gbw;
+    try {
+      const auto r = sizer.size(specs, sizing::SizingPolicy::case1());
+      ADD_FAILURE() << "gbw " << gbw << " sized, predicting a GBW of " << r.predicted.gbwHz;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("TwoStageSizer: "), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(" is not finite"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TwoStage, SnapshotAllSaturated) {

@@ -2,7 +2,8 @@
 // stdin/stdout line protocol, every reply parsed as JSON.  Each case is one
 // end-to-end scenario -- a cache hit, an exploration, kill -9 recovery,
 // shutdown with jobs in flight, post-layout verification, a request nested
-// deeper than the parser's cap, and on a router over real shards:
+// deeper than the parser's cap, a journal record without an id, and on a
+// router over real shards:
 // kill-one-shard recovery, explore failover, drain under load and the
 // summary and trace flags of a multi-id wait.
 // tests/CMakeLists.txt registers each case under its own ctest name.
@@ -26,7 +27,9 @@
 #include <vector>
 
 #include "cluster/process.hpp"
+#include "service/journal.hpp"
 #include "service/json.hpp"
+#include "service/serialize.hpp"
 
 namespace lo {
 namespace {
@@ -307,6 +310,34 @@ TEST_F(Wire, LosynthdRecoverySmoke) {
   EXPECT_TRUE(journal.at("enabled").asBool()) << journal.dump();
   EXPECT_GT(journal.at("replayed_records").asInt(), 0) << journal.dump();
   EXPECT_EQ(journal.at("recovered_remaining").asInt(-1), 0) << journal.dump();
+}
+
+// A hand-written journal whose one frame checksums but holds a submitted
+// record with no id: replay cuts it like a torn frame, so the daemon boots
+// with no recovered job (an id-0 job no wait or cancel could address).
+TEST_F(Wire, LosynthdCutsAJournalRecordWithoutAnId) {
+  service::JournalRecord submitted;
+  submitted.cacheKey = "handwritten";
+  service::JobRequest job;
+  job.label = "no-id";
+  submitted.job = service::toJson(job);
+  const Json full = submitted.toJson();
+  Json record = Json::object();
+  for (const auto& [key, value] : full.members()) {
+    if (key != "id") record.set(key, value);
+  }
+  service::FramedLogOptions log;
+  log.path = dir("journal") + "/journal.wal";
+  service::FramedLog(log).rewrite({record.dump()});
+
+  const Transcript boot =
+      runToEof({kLosynthd, "--threads", "1", "--journal", dir("journal")},
+               {R"({"op":"health"})", R"({"op":"shutdown"})"}, scratch_ / "stdin");
+  EXPECT_EQ(boot.exitCode, 0);
+  ASSERT_EQ(boot.replies.size(), 2u);
+  const Json& journal = boot.replies[0].at("health").at("journal");
+  EXPECT_TRUE(journal.at("enabled").asBool()) << journal.dump();
+  EXPECT_EQ(journal.at("recovered_jobs").asInt(-1), 0) << journal.dump();
 }
 
 // Shutdown with slow case-4 jobs queued and running on two workers: the

@@ -20,7 +20,7 @@ namespace {
 /// Bumped whenever the canonical text, the stored JSON layout or the
 /// numbers a job produces change, so stale disk entries miss instead of
 /// misparsing or serving superseded figures.
-constexpr int kCacheSchemaVersion = 6;  // v6: Newton model inversion in sizing.
+constexpr int kCacheSchemaVersion = 7;  // v7: the transient skips devices that did not move.
 
 std::string hex64(std::uint64_t v) {
   char buf[17];

@@ -5,6 +5,7 @@
 
 #include "core/topology.hpp"
 #include "service/serialize.hpp"
+#include "verify/verify.hpp"
 
 namespace lo::service {
 
@@ -78,6 +79,7 @@ JobRequest parseJobRequest(const Json& request) {
     } else {
       pv.enabled = plv->asBool();
     }
+    verify::requireOptionsDomain(pv);
   }
   if (const Json* corner = request.find("corner")) {
     job.corner = cornerFromName(corner->asString());

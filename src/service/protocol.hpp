@@ -53,7 +53,8 @@ inline constexpr std::size_t kMaxRequestLineBytes = 1 << 20;
 /// max_retries, no_cache).  This is the protocol's lenient schema, not the
 /// journal's full-fidelity one (serialize.hpp); it is exposed so the
 /// cluster router derives exactly the cache key the shard will.  A spec
-/// outside requireSpecDomain is refused here, before it is journaled.
+/// outside requireSpecDomain, or post-layout verification options outside
+/// verify::requireOptionsDomain, is refused here, before it is journaled.
 [[nodiscard]] JobRequest parseJobRequest(const Json& request);
 
 class ServiceProtocol {

@@ -1,8 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <optional>
 
 #include "sim/linear.hpp"
@@ -89,6 +91,18 @@ std::vector<CapBranch> capBranches(const circuit::Circuit& ckt) {
   }
   return caps;
 }
+
+/// One MOS device's latest evaluation inside a transient: the terminal
+/// voltages it was taken at, its conductances (scaled by the multiplier)
+/// with the Ieq of that bias, and its cgs, cgd, cgb, cdb and csb.  The
+/// terminals start as NaN, which no voltage is within tolerance of, so
+/// the first use evaluates.
+struct MosRecord {
+  static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+  double vd = kUnset, vg = kUnset, vs = kUnset, vb = kUnset;
+  double gm = 0.0, gds = 0.0, gmb = 0.0, ieq = 0.0;
+  std::array<double, 5> caps{};
+};
 
 /// Where one full-MNA unknown lands in the folded system: a reduced
 /// unknown, a pinned (known) value, or neither (ground).
@@ -1057,6 +1071,10 @@ double integratePsd(const std::vector<NoisePoint>& points, double f0, double f1,
 
 std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
   if (tStop <= 0 || dt <= 0) throw std::invalid_argument("transient: bad time arguments");
+  // Refuses a NaN or infinite count too: the loops cast it to int.
+  if (!(std::ceil(tStop / dt) <= std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("transient: step count does not fit in an int");
+  }
   return options_.solver == SolverMode::kFast ? transientFolded(tStop, dt)
                                               : transientReference(tStop, dt);
 }
@@ -1086,41 +1104,76 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
     if (plan.vsourceVar[i] >= 0) x[plan.vsourceVar[i]] = op0.vsourceCurrents[i];
   }
 
+  const int steps = static_cast<int>(std::ceil(tStop / dt));
   std::vector<TranPoint> out;
+  out.reserve(static_cast<std::size_t>(steps) + 1);
   out.push_back({0.0, v});
 
   DenseMatrix<double> a(n);
   std::vector<double> stepBuf, work, stepRhs(n), rhs(n), pinV(nPins), vPrev;
   std::vector<std::size_t> perm;
-  std::vector<device::MosConductance> g(nMos);
 
-  const int steps = static_cast<int>(std::ceil(tStop / dt));
+  // Each device's latest evaluation.  A device is evaluated again only
+  // when one of its terminals has moved past the Newton tolerance since
+  // then; until it does, its record's linearisation is stamped as it
+  // stands.  `capsBehind`: the step's capacitor stamps are not built yet,
+  // or some record is newer than them.  `refactor`: some stamp changed
+  // since the factors in `a`.
+  std::vector<MosRecord> dev(nMos);
+  bool capsBehind = true, refactor = true;
+  const auto still = [&](double now, double then) {
+    return std::abs(now - then) <= options_.absTolV + options_.relTol * std::abs(now);
+  };
+  const auto refresh = [&](std::size_t i) {
+    const circuit::Mos& m = circuit_.mosfets[i];
+    MosRecord& r = dev[i];
+    if (still(v[m.drain], r.vd) && still(v[m.gate], r.vg) && still(v[m.source], r.vs) &&
+        still(v[m.bulk], r.vb)) {
+      return;
+    }
+    r.vd = v[m.drain];
+    r.vg = v[m.gate];
+    r.vs = v[m.source];
+    r.vb = v[m.bulk];
+    const double vgs = r.vg - r.vs, vds = r.vd - r.vs, vbs = r.vb - r.vs;
+    const device::MosOpPoint op =
+        model_.evaluate(cards[i], m.geo, vgs, vds, vbs, options_.tempK);
+    r.gm = op.gm * m.mult;
+    r.gds = op.gds * m.mult;
+    r.gmb = op.gmb * m.mult;
+    // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
+    r.ieq = op.id * m.mult - r.gm * vgs - r.gds * vds - r.gmb * vbs;
+    r.caps = {op.cgs * m.mult, op.cgd * m.mult, op.cgb * m.mult, op.cdb * m.mult,
+              op.csb * m.mult};
+    ++stats_.tranDeviceEvaluations;
+    capsBehind = refactor = true;
+  };
+
   for (int step = 1; step <= steps; ++step) {
     const double t = std::min(step * dt, tStop);
     for (std::size_t k = 0; k < nPins; ++k) {
       pinV[k] = plan.pins[k].sign * circuit_.vsources[plan.pins[k].vsource].wave.at(t);
     }
-    // Step-start device evaluation: its bias is exactly iteration 0's, so
-    // it sets the capacitances and linearises the first iteration.
-    for (std::size_t i = 0; i < nMos; ++i) {
-      const circuit::Mos& m = circuit_.mosfets[i];
-      const double vs = v[m.source];
-      const device::MosOpPoint op = model_.evaluate(cards[i], m.geo, v[m.gate] - vs,
-                                                    v[m.drain] - vs, v[m.bulk] - vs,
-                                                    options_.tempK);
-      g[i] = {op.id * m.mult, op.gm * m.mult, op.gds * m.mult, op.gmb * m.mult};
-      caps[mosCapBase + 5 * i + 0].c = op.cgs * m.mult;
-      caps[mosCapBase + 5 * i + 1].c = op.cgd * m.mult;
-      caps[mosCapBase + 5 * i + 2].c = op.cgb * m.mult;
-      caps[mosCapBase + 5 * i + 3].c = op.cdb * m.mult;
-      caps[mosCapBase + 5 * i + 4].c = op.csb * m.mult;
+    // Step start.  A converged step ends within tolerance of its last
+    // iterate, so only the first step evaluates here.
+    for (std::size_t i = 0; i < nMos; ++i) refresh(i);
+    // The step's capacitances: every device's latest, held for the step
+    // and its commit (a later evaluation waits for the next step).
+    if (capsBehind) {
+      for (std::size_t i = 0; i < nMos; ++i) {
+        for (std::size_t k = 0; k < 5; ++k) caps[mosCapBase + 5 * i + k].c = dev[i].caps[k];
+      }
+      stepBuf = base;
+      for (std::size_t k = 0; k < caps.size(); ++k) {
+        if (caps[k].c > 0) stampAdmittance(stepBuf.data(), plan.caps[k], 2.0 * caps[k].c / dt);
+      }
+      capsBehind = false;
+      refactor = true;
     }
-    stats_.tranDeviceEvaluations += static_cast<long>(nMos);
     vPrev = v;
 
-    // Everything constant over the step: static stamps, sources at t and
-    // the capacitor companions.
-    stepBuf = base;
+    // Everything else constant over the step: sources at t and the
+    // capacitor companions' history currents.
     std::fill(stepRhs.begin(), stepRhs.end(), 0.0);
     for (const StampPlan::Drive& d : plan.drives) stepRhs[d.row] += d.sign * d.wave->at(t);
     for (std::size_t k = 0; k < caps.size(); ++k) {
@@ -1129,7 +1182,6 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
       const double geq = 2.0 * cb.c / dt;
       const double ieq = geq * (vPrev[cb.a] - vPrev[cb.b]) + cb.iPrev;
       const Admittance& y = plan.caps[k];
-      stampAdmittance(stepBuf.data(), y, geq);
       if (y.rowA >= 0) stepRhs[y.rowA] += ieq;
       if (y.rowB >= 0) stepRhs[y.rowB] -= ieq;
     }
@@ -1137,38 +1189,30 @@ std::vector<TranPoint> Simulator::transientFolded(double tStop, double dt) const
     bool converged = false;
     for (int iter = 0; iter < options_.maxNewtonIters; ++iter) {
       if (iter > 0) {
-        for (std::size_t i = 0; i < nMos; ++i) {
-          const circuit::Mos& m = circuit_.mosfets[i];
-          const double vs = v[m.source];
-          const device::MosConductance c =
-              model_.conductances(cards[i], m.geo, v[m.gate] - vs, v[m.drain] - vs,
-                                  v[m.bulk] - vs, options_.tempK);
-          g[i] = {c.id * m.mult, c.gm * m.mult, c.gds * m.mult, c.gmb * m.mult};
-        }
-        stats_.tranDeviceEvaluations += static_cast<long>(nMos);
+        for (std::size_t i = 0; i < nMos; ++i) refresh(i);
       }
-      work = stepBuf;
+      // Unchanged stamps keep their factors: only the right-hand side is new.
+      if (refactor) {
+        work = stepBuf;
+        for (std::size_t i = 0; i < nMos; ++i) {
+          stampMos(work.data(), plan.mosfets[i], dev[i].gm, dev[i].gds, dev[i].gmb);
+        }
+        std::copy(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(n * n), a.data());
+        if (!luFactorize(a, perm)) throw SimulationError("transient: singular matrix");
+        ++stats_.tranFactorizations;
+        refactor = false;
+      }
       rhs = stepRhs;
       for (std::size_t i = 0; i < nMos; ++i) {
         const MosSlots& f = plan.mosfets[i];
-        const circuit::Mos& m = circuit_.mosfets[i];
-        const device::MosConductance& op = g[i];
-        const double vgs = v[m.gate] - v[m.source];
-        const double vds = v[m.drain] - v[m.source];
-        const double vbs = v[m.bulk] - v[m.source];
-        // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
-        const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
-        stampMos(work.data(), f, op.gm, op.gds, op.gmb);
-        if (f.rowD >= 0) rhs[f.rowD] -= ieq;
-        if (f.rowS >= 0) rhs[f.rowS] += ieq;
+        if (f.rowD >= 0) rhs[f.rowD] -= dev[i].ieq;
+        if (f.rowS >= 0) rhs[f.rowS] += dev[i].ieq;
       }
       // Pinned columns to the right-hand side: rhs -= P * pinned.
       const double* p = work.data() + n * n;
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t k = 0; k < nPins; ++k) rhs[r] -= p[r * nPins + k] * pinV[k];
       }
-      std::copy(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(n * n), a.data());
-      if (!luFactorize(a, perm)) throw SimulationError("transient: singular matrix");
       luSolveFactored(a, perm, rhs);
       ++stats_.tranNewtonIterations;
 

@@ -21,8 +21,10 @@ namespace lo::sim {
 /// Solve-path selector.  DC operating points and sweeps are bit-identical
 /// across the modes; AC and noise agree within 1e-9 (of each curve's
 /// largest phasor, or relative for noise PSDs) and transients within the
-/// Newton tolerance (the golden solver tests prove all three).  The modes
-/// differ in how much work and memory traffic they spend getting there.
+/// Newton tolerance absTolV + relTol * |v| per sample, since the fast one
+/// re-evaluates a device only once it moves past that tolerance (the
+/// golden solver tests prove all three).  The modes differ in how much
+/// work and memory traffic they spend getting there.
 enum class SolverMode {
   /// The transient, AC, AC-batch and noise analyses solve the folded
   /// system compiled once per Simulator: a node held by a grounded V
@@ -62,7 +64,8 @@ struct SimStats {
   long warmStartMisses = 0;   ///< Warm attempts that fell back to the cold ladder.
   long tranSteps = 0;              ///< Transient time steps taken.
   long tranNewtonIterations = 0;   ///< Newton steps across every transient step.
-  long tranDeviceEvaluations = 0;  ///< MOS model evaluations inside transients.
+  long tranDeviceEvaluations = 0;  ///< MOS model calls inside transients.
+  long tranFactorizations = 0;     ///< Transient LU factorizations (kFast only).
   long tranUnknowns = 0;           ///< Newton system size of the latest transient.
 };
 
@@ -231,16 +234,27 @@ class Simulator {
                                               double fStop, int pointsPerDecade) const;
 
   /// Fixed-step trapezoidal transient from the DC operating point.
+  /// Throws std::invalid_argument unless tStop and dt are positive and
+  /// ceil(tStop / dt) is a step count that fits in an int.
   ///
   /// kFast solves a folded system: a node held by a grounded V source is
   /// pinned to the source's value at each step, so its KCL row, its
   /// column and the source's branch current leave the Newton system.  A
   /// pinned node therefore follows its source exactly, even across an
   /// edge larger than SimOptions::maxStepV, where kReference damps it like
-  /// any other node and reaches the same point in more iterations.  Each
-  /// MOS is evaluated once per Newton iteration: the step-start
-  /// evaluation that sets the capacitances is iteration 0's bias, and
-  /// later iterations need only MosModel::conductances().
+  /// any other node and reaches the same point in more iterations.
+  ///
+  /// kFast evaluation schedule: each MOS keeps its latest
+  /// MosModel::evaluate() -- terminal voltages, conductances with the Ieq
+  /// of that bias, capacitances.  At step start and at Newton iterations
+  /// >= 1 a device is evaluated again only if a terminal has moved more
+  /// than absTolV + relTol * |v| since; otherwise that record is stamped.
+  /// A converged step ends within that tolerance of its last iterate, so
+  /// only the first step evaluates at step start, and a quiescent stretch
+  /// evaluates nothing.  Each step copies every device's latest
+  /// capacitances at its start and keeps them through its commit.  The
+  /// matrix is factored again only when a stamp changed; otherwise the
+  /// kept factors solve the new right-hand side.
   [[nodiscard]] std::vector<TranPoint> transient(double tStop, double dt) const;
 
   [[nodiscard]] const SimOptions& options() const { return options_; }

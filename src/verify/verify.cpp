@@ -15,25 +15,16 @@ using circuit::Circuit;
 using circuit::NodeId;
 using circuit::Waveform;
 
+/// Bounds on the work one set of options may ask for (requireOptionsDomain).
+constexpr long long kMaxThdSteps = 65536;
+constexpr int kMaxSweepPoints = 1001;
+
 void requireUsable(const VerificationSetup& setup, const VerificationOptions& options) {
   if (!setup.preLayout || !setup.postLayout) {
     throw std::invalid_argument(
         "runVerification: topology does not supply a verification setup");
   }
-  if (options.thdCycles <= 0 || options.thdSettleCycles < 0 ||
-      options.thdSamplesPerCycle <= 0 || options.thdFundamentalHz <= 0.0) {
-    throw std::invalid_argument("runVerification: bad THD options");
-  }
-  const std::size_t n = static_cast<std::size_t>(options.thdCycles) *
-                        static_cast<std::size_t>(options.thdSamplesPerCycle);
-  if (!sim::isPowerOfTwo(n)) {
-    throw std::invalid_argument(
-        "runVerification: thdCycles * thdSamplesPerCycle (" + std::to_string(n) +
-        ") must be a power of two");
-  }
-  if (options.sweepPoints < 3) {
-    throw std::invalid_argument("runVerification: sweepPoints must be >= 3");
-  }
+  requireOptionsDomain(options);
 }
 
 sim::SimOptions simOptionsFor(const tech::Technology& t,
@@ -51,17 +42,8 @@ double measureThd(const tech::Technology& t, const device::MosModel& model,
                   const sizing::AmpInstantiateFn& instantiate, double inputCm,
                   const layout::ParasiticReport* parasitics,
                   const VerificationOptions& options) {
-  Circuit c;
-  c.title = "thd testbench";
-  instantiate(c);
+  const Circuit c = buildThdTestbench(instantiate, inputCm, parasitics, options);
   const NodeId out = *c.findNode("out");
-  const NodeId inn = *c.findNode("inn");
-  const NodeId inp = *c.findNode("inp");
-  c.addVSource("VSHORT", out, inn, Waveform::makeDc(0.0));
-  c.addVSource("VIN", inp, circuit::kGround,
-               Waveform::makeSin(inputCm, options.thdAmplitudeV,
-                                 options.thdFundamentalHz));
-  if (parasitics) layout::annotateCircuit(c, *parasitics);
 
   const double period = 1.0 / options.thdFundamentalHz;
   const double dt = period / options.thdSamplesPerCycle;
@@ -154,12 +136,56 @@ void measureIcmr(const tech::Technology& t, const device::MosModel& model,
 
 }  // namespace
 
+void requireOptionsDomain(const VerificationOptions& options) {
+  const auto refuse = [](const std::string& what) {
+    throw std::invalid_argument("post_layout_verify: " + what);
+  };
+  if (options.thdCycles <= 0) refuse("\"thd_cycles\" must be > 0");
+  if (options.thdSettleCycles < 0) refuse("\"thd_settle_cycles\" must be >= 0");
+  if (options.thdSamplesPerCycle <= 0) refuse("\"thd_samples_per_cycle\" must be > 0");
+  if (!(options.thdFundamentalHz > 0.0) || !std::isfinite(options.thdFundamentalHz)) {
+    refuse("\"thd_fundamental_hz\" must be finite and > 0");
+  }
+  const long long perCycle = options.thdSamplesPerCycle;
+  const long long analysed = options.thdCycles * perCycle;
+  if (!sim::isPowerOfTwo(static_cast<std::size_t>(analysed))) {
+    refuse("\"thd_cycles\" * \"thd_samples_per_cycle\" (" + std::to_string(analysed) +
+           ") must be a power of two");
+  }
+  const long long steps =
+      (static_cast<long long>(options.thdSettleCycles) + options.thdCycles) * perCycle;
+  if (steps > kMaxThdSteps) {
+    refuse("(\"thd_settle_cycles\" + \"thd_cycles\") * \"thd_samples_per_cycle\" asks for " +
+           std::to_string(steps) + " transient steps, limit " + std::to_string(kMaxThdSteps));
+  }
+  if (options.sweepPoints < 3 || options.sweepPoints > kMaxSweepPoints) {
+    refuse("\"sweep_points\" must be in [3, " + std::to_string(kMaxSweepPoints) + "]");
+  }
+}
+
+Circuit buildThdTestbench(const sizing::AmpInstantiateFn& instantiate, double inputCm,
+                          const layout::ParasiticReport* parasitics,
+                          const VerificationOptions& options) {
+  Circuit c;
+  c.title = "thd testbench";
+  instantiate(c);
+  const NodeId out = *c.findNode("out");
+  const NodeId inn = *c.findNode("inn");
+  const NodeId inp = *c.findNode("inp");
+  c.addVSource("VSHORT", out, inn, Waveform::makeDc(0.0));
+  c.addVSource("VIN", inp, circuit::kGround,
+               Waveform::makeSin(inputCm, options.thdAmplitudeV, options.thdFundamentalHz));
+  if (parasitics) layout::annotateCircuit(c, *parasitics);
+  return c;
+}
+
 ExtendedMeasures measureExtended(const tech::Technology& t,
                                  const device::MosModel& model,
                                  const sizing::AmpInstantiateFn& instantiate,
                                  double inputCm, double vdd,
                                  const layout::ParasiticReport* parasitics,
                                  const VerificationOptions& options) {
+  requireOptionsDomain(options);
   ExtendedMeasures m;
   m.thdPercent = measureThd(t, model, instantiate, inputCm, parasitics, options);
   measureSwing(t, model, instantiate, inputCm, vdd, parasitics, options, m);

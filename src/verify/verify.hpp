@@ -117,8 +117,27 @@ struct VerificationSetup {
   double vdd = 0.0;
 };
 
+/// Throws std::invalid_argument naming the first option, by its wire
+/// name, that the measurements cannot run or that asks for more work
+/// than any figure needs: a THD cycle or sample count out of range, an
+/// analysed capture that is not a power of two, a THD transient of more
+/// than 65,536 steps ((thdSettleCycles + thdCycles) * thdSamplesPerCycle;
+/// the defaults take 384, each kept as a sample), a tone that is not
+/// finite and positive, or a sweep outside [3, 1001] points.
+/// runVerification and measureExtended check it, and
+/// service::parseJobRequest refuses a request that fails it.
+void requireOptionsDomain(const VerificationOptions& options);
+
+/// The THD testbench: the amplifier as a hard unity-feedback buffer
+/// driven by the verify tone about `inputCm` (exposed for tests).
+[[nodiscard]] circuit::Circuit buildThdTestbench(const sizing::AmpInstantiateFn& instantiate,
+                                                 double inputCm,
+                                                 const layout::ParasiticReport* parasitics,
+                                                 const VerificationOptions& options);
+
 /// Measure THD, output swing and ICMR for one netlist (offset and PSRR
-/// come from sizing::measureAmplifier's core record).  Exposed for tests.
+/// come from sizing::measureAmplifier's core record).  Exposed for tests;
+/// throws std::invalid_argument on options outside requireOptionsDomain.
 [[nodiscard]] ExtendedMeasures measureExtended(
     const tech::Technology& t, const device::MosModel& model,
     const sizing::AmpInstantiateFn& instantiate, double inputCm, double vdd,

@@ -268,17 +268,21 @@ class ClusterRouterTest : public ::testing::Test {
 
   /// Case-1 gbws [MHz], up to three owned by each shard of a two-shard
   /// router.  The owner of a spec follows its cache key, which moves with
-  /// the key schema, so they are drawn from a summary sweep over twelve
-  /// candidates (a cold pass that also fills the shared store).
+  /// the key schema, and the ring is uneven (under the v7 keys one shard
+  /// owns about one case-1 point in ten), so they are drawn from summary
+  /// sweeps of twelve candidates at a time, from 62 MHz up, until each
+  /// shard owns three (cold passes that also fill the shared store).
   static std::vector<int> gbwsSpanningTwoShards(ClusterRouter& router) {
-    std::vector<int> candidates;
-    for (int gbw = 62; gbw < 74; ++gbw) candidates.push_back(gbw);
-    const std::vector<int> owners =
-        sweepShards(call(router, sweepLine(candidates)), candidates);
     std::vector<int> gbws;
     std::map<int, int> perShard;
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-      if (perShard[owners[i]]++ < 3) gbws.push_back(candidates[i]);
+    for (int first = 62; first < 158 && (perShard[0] < 3 || perShard[1] < 3); first += 12) {
+      std::vector<int> candidates;
+      for (int gbw = first; gbw < first + 12; ++gbw) candidates.push_back(gbw);
+      const std::vector<int> owners =
+          sweepShards(call(router, sweepLine(candidates)), candidates);
+      for (std::size_t i = 0; i < owners.size(); ++i) {
+        if (perShard[owners[i]]++ < 3) gbws.push_back(candidates[i]);
+      }
     }
     return gbws;
   }

@@ -99,10 +99,11 @@ TEST(CacheKey, HooksAndSchedulingMetadataAreExcluded) {
   EXPECT_EQ(keyText(sizing::OtaSpecs{}, hooked), keyText(sizing::OtaSpecs{}));
 }
 
-TEST(CacheKey, CanonicalTextCarriesSchemaVersion6) {
-  // v6: sizing inverts the device model by Newton, which moved result bits,
-  // so no v5 disk entry may be served as a v6 result.
-  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v6|", 0), 0u);
+TEST(CacheKey, CanonicalTextCarriesSchemaVersion7) {
+  // v7: the transient re-evaluates a device only once it moves past the
+  // Newton tolerance, which moved slew and THD bits, so no v6 disk entry
+  // may be served as a v7 result.
+  EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v7|", 0), 0u);
 }
 
 TEST(CacheKey, TechFingerprintSeparatesTechnologies) {

@@ -316,6 +316,23 @@ TEST(JobRequestFuzz, MutatedEntriesThrowOrRoundTrip) {
       ASSERT_GT(request.specs.gbw, 0.0) << input;
       ASSERT_GT(request.specs.cload, 0.0) << input;
       ASSERT_GT(request.specs.vdd, 0.0) << input;
+      // And every post-layout verification option the measurements can
+      // run: at most 65,536 THD steps over a power-of-two capture, and
+      // 3 to 1001 sweep points.
+      const verify::VerificationOptions& pv = request.options.postLayoutVerify;
+      ASSERT_GT(pv.thdCycles, 0) << input;
+      ASSERT_GE(pv.thdSettleCycles, 0) << input;
+      ASSERT_GT(pv.thdSamplesPerCycle, 0) << input;
+      const long long capture = static_cast<long long>(pv.thdCycles) * pv.thdSamplesPerCycle;
+      ASSERT_EQ(capture & (capture - 1), 0) << input;
+      ASSERT_LE((static_cast<long long>(pv.thdSettleCycles) + pv.thdCycles) *
+                    pv.thdSamplesPerCycle,
+                65536)
+          << input;
+      ASSERT_GT(pv.thdFundamentalHz, 0.0) << input;
+      ASSERT_TRUE(std::isfinite(pv.thdFundamentalHz)) << input;
+      ASSERT_GE(pv.sweepPoints, 3) << input;
+      ASSERT_LE(pv.sweepPoints, 1001) << input;
       std::string key;
       ASSERT_NO_THROW(key = ResultCache::keyFor(request.options, request.specs,
                                                 request.corner, techPrint))
@@ -498,6 +515,59 @@ TEST_F(ProtocolTest, OutOfDomainSpecsAreRefusedNamingTheField) {
   EXPECT_FALSE(sweep.at("ok").asBool(true)) << sweep.dump();
   const Json stats = respond(R"({"op":"stats"})");
   EXPECT_EQ(stats.at("stats").at("jobs").at("submitted").asUint64(), 0u) << stats.dump();
+}
+
+TEST_F(ProtocolTest, OutOfDomainVerificationOptionsAreRefusedNamingTheField) {
+  // Options the verification tier cannot run answer ok:false at the
+  // boundary instead of a job that fails later, so nothing is queued,
+  // journaled or cached.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"thd_cycles":0})", "thd_cycles"},
+      {R"({"thd_settle_cycles":-1})", "thd_settle_cycles"},
+      {R"({"thd_samples_per_cycle":60})", "thd_samples_per_cycle"},
+      {R"({"sweep_points":2})", "sweep_points"},
+      {R"({"sweep_points":1002})", "sweep_points"}};
+  for (const auto& [options, field] : cases) {
+    SCOPED_TRACE(options);
+    const Json out = respond(
+        std::string(R"({"op":"synthesize","case":1,"post_layout_verify":)") + options + "}");
+    EXPECT_FALSE(out.at("ok").asBool(true)) << out.dump();
+    EXPECT_NE(out.at("error").asString().find('"' + std::string(field) + '"'),
+              std::string::npos)
+        << out.dump();
+  }
+  const Json stats = respond(R"({"op":"stats"})");
+  EXPECT_EQ(stats.at("stats").at("jobs").at("submitted").asUint64(), 0u) << stats.dump();
+}
+
+TEST(ParseJobRequest, BoundsTheVerificationWorkOneRequestAsks) {
+  // Parsed only, never run: each of these asks one worker for hours of
+  // transient or sweep work and gigabytes of samples, and a settle count
+  // of 2^31 - 1 would overflow the int step arithmetic of the THD
+  // measurement.  One case per field, each naming its field.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"thd_settle_cycles":2147483647})", "thd_settle_cycles"},
+      {R"({"thd_cycles":1048576})", "thd_cycles"},
+      {R"({"thd_samples_per_cycle":16777216,"thd_cycles":1})", "thd_samples_per_cycle"},
+      {R"({"sweep_points":2147483647})", "sweep_points"}};
+  const auto parse = [](const std::string& options) {
+    return parseJobRequest(Json::parse(R"({"case":1,"post_layout_verify":)" + options + "}"));
+  };
+  for (const auto& [options, field] : cases) {
+    SCOPED_TRACE(options);
+    try {
+      (void)parse(options);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + std::string(field) + '"'), std::string::npos)
+          << e.what();
+    }
+  }
+  // The bounds themselves: (1020 + 4) * 64 = 65536 THD steps, 1001 points.
+  EXPECT_EQ(parse(R"({"thd_settle_cycles":1020})").options.postLayoutVerify.thdSettleCycles,
+            1020);
+  EXPECT_EQ(parse(R"({"sweep_points":1001})").options.postLayoutVerify.sweepPoints, 1001);
+  EXPECT_THROW((void)parse(R"({"thd_settle_cycles":1021})"), std::invalid_argument);
 }
 
 TEST_F(ProtocolTest, SpecThatDrivesSizingNonFiniteFailsUncached) {

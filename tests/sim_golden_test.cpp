@@ -5,10 +5,13 @@
 // BIT -- full double precision, byte-identical -- on both amplifier
 // topologies.  The fast transient, AC, noise and AC-batch paths solve a
 // folded system instead (nodes held by grounded V sources leave the LU),
-// so they part from full MNA at LU rounding: transient samples are held to
-// kTranTolV, small-signal phasors to kSmallSignalTol of their curve's
-// largest magnitude, and noise PSDs and measured figures to
-// kSmallSignalTol relative.  The companion system-level proof is the
+// so they part from full MNA at LU rounding: small-signal phasors are held
+// to kSmallSignalTol of their curve's largest magnitude, and noise PSDs and
+// measured figures to kSmallSignalTol relative.  The fast transient also
+// stamps a device's last evaluation until the device moves past the Newton
+// tolerance, so its samples are held to that tolerance where the circuit
+// moves, and to kTranTolV on the AC testbenches, whose sources hold
+// still.  The companion system-level proof is the
 // differential oracle's engine_reference_solver path (testkit), which
 // compares whole engine runs over the 50-point corpus.
 #include <gtest/gtest.h>
@@ -18,10 +21,13 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuit/ota.hpp"
 #include "circuit/two_stage.hpp"
+#include "core/engine.hpp"
+#include "core/topology.hpp"
 #include "device/folding.hpp"
 #include "sim/measure.hpp"
 #include "sim/simulator.hpp"
@@ -29,6 +35,7 @@
 #include "sizing/two_stage.hpp"
 #include "sizing/verify.hpp"
 #include "tech/technology.hpp"
+#include "verify/verify.hpp"
 
 namespace lo::sim {
 namespace {
@@ -166,9 +173,10 @@ void expectNoiseWithin(const std::vector<NoisePoint>& a, const std::vector<Noise
   }
 }
 
-/// Per-sample bound between the folded and the full-MNA transient: the
-/// two solve different (but equivalent) linear systems, so they part at
-/// LU rounding, far inside the Newton tolerance.
+/// Per-sample bound between the folded and the full-MNA transient on a
+/// circuit that sits at its operating point: the two solve different (but
+/// equivalent) linear systems, so they part at LU rounding, far inside the
+/// Newton tolerance.
 constexpr double kTranTolV = 1e-9;
 
 void expectTranWithin(const std::vector<TranPoint>& a, const std::vector<TranPoint>& b) {
@@ -532,6 +540,10 @@ void expectFoldedMatchesFullMna(const Circuit& c, const device::MosModel& model,
   }
   EXPECT_LT(fast.stats().tranUnknowns, ref.stats().tranUnknowns);
   EXPECT_LT(fast.stats().tranDeviceEvaluations, ref.stats().tranDeviceEvaluations);
+  // Some devices stood still for some iterations, so the bound above held
+  // while the fast path stamped kept evaluations, not only fresh ones.
+  EXPECT_LT(fast.stats().tranDeviceEvaluations,
+            fast.stats().tranNewtonIterations * static_cast<long>(c.mosfets.size()));
 }
 
 TEST(SimGolden, FoldedTransientMatchesFullMnaOnEverySourceKind) {
@@ -601,6 +613,71 @@ TEST(SimGolden, FoldedTransientMatchesFullMnaOnSwitchedCapacitorIntegrator) {
   expectFoldedMatchesFullMna(c, *designs().model, 2.5 * period, 1e-9);
 }
 
+/// The netlists post-layout verification simulates for one topology: the
+/// engine's case-4 run at default specs, then its extracted design with the
+/// layout's parasitics annotated, in the slew and THD testbenches.
+struct ExtractedBenches {
+  Circuit slew, thd;
+  explicit ExtractedBenches(const char* topologyName) {
+    const device::MosModel& model = *designs().model;
+    core::EngineOptions options;
+    options.topology = topologyName;
+    const std::unique_ptr<core::Topology> topology =
+        core::TopologyRegistry::instance().create(topologyName, kTech, model);
+    sizing::OtaSpecs specs;
+    if (std::string(topologyName) == core::kTwoStageTopologyName) specs.gbw = 30e6;
+    (void)core::SynthesisEngine(kTech, options).run(*topology, specs);
+    const verify::VerificationSetup setup = topology->verificationSetup();
+    slew = sizing::buildAmpSlewTestbench(setup.postLayout, setup.inputCm, setup.parasitics,
+                                         options.verifyOptions);
+    thd = verify::buildThdTestbench(setup.postLayout, setup.inputCm, setup.parasitics,
+                                    options.postLayoutVerify);
+  }
+};
+
+const ExtractedBenches& extractedBenches(const char* topologyName) {
+  static const ExtractedBenches folded(core::kFoldedCascodeOtaTopologyName);
+  static const ExtractedBenches twoStage(core::kTwoStageTopologyName);
+  return std::string(topologyName) == core::kTwoStageTopologyName ? twoStage : folded;
+}
+
+TEST(SimGolden, FoldedTransientMatchesFullMnaOnTheExtractedNetlists) {
+  // What verification simulates: the parasitic-annotated slew testbench
+  // over its full 500 ns, and the THD testbench over its settle and
+  // analysed cycles, with devices skipped and re-evaluated all through
+  // each run.
+  const sizing::VerifyOptions slew;
+  const verify::VerificationOptions thd;
+  const double period = 1.0 / thd.thdFundamentalHz;
+  for (const char* topology : {core::kFoldedCascodeOtaTopologyName,
+                               core::kTwoStageTopologyName}) {
+    SCOPED_TRACE(topology);
+    const ExtractedBenches& benches = extractedBenches(topology);
+    expectFoldedMatchesFullMna(benches.slew, *designs().model, slew.tranStop, slew.tranStep);
+    expectFoldedMatchesFullMna(benches.thd, *designs().model,
+                               period * (thd.thdSettleCycles + thd.thdCycles),
+                               period / thd.thdSamplesPerCycle);
+  }
+}
+
+TEST(SimGolden, FoldedTransientEvaluatesOnlyTheDevicesThatMoved) {
+  // The annotated folded-cascode slew testbench: 18 unknowns, 1000 steps.
+  // Evaluating every device at each Newton iteration reads about 23
+  // evaluations per step here; a converged step leaves nothing to evaluate
+  // at the next step's start, and a quiescent device is not evaluated.
+  const Circuit& c = extractedBenches(core::kFoldedCascodeOtaTopologyName).slew;
+  const sizing::VerifyOptions opt;
+  Simulator sim(c, kTech, *designs().model, optionsFor(SolverMode::kFast));
+  (void)sim.transient(opt.tranStop, opt.tranStep);
+  const SimStats& s = sim.stats();
+  ASSERT_EQ(s.tranSteps, 1000);
+  EXPECT_EQ(s.tranUnknowns, 18);
+  const double steps = static_cast<double>(s.tranSteps);
+  EXPECT_LE(static_cast<double>(s.tranDeviceEvaluations) / steps, 10.0)
+      << s.tranDeviceEvaluations << " evaluations";
+  EXPECT_LE(static_cast<double>(s.tranNewtonIterations) / steps, 2.2)
+      << s.tranNewtonIterations << " iterations";
+}
 
 /// A cascode gain stage wired so the fold meets every source shape: VDD and
 /// VB pin their nodes, VIN pins "in" from its neg terminal (pos = ground,

@@ -106,6 +106,25 @@ TEST(SimTran, RejectsBadTimeArguments) {
   EXPECT_THROW((void)sim.transient(1e-6, 0.0), std::invalid_argument);
 }
 
+TEST(SimTran, RejectsAStepCountPastInt) {
+  // 1e12 steps do not fit the int the step loop counts in; neither do a
+  // NaN or infinite count.
+  Circuit c;
+  c.addResistor("R1", c.node("a"), circuit::kGround, 1e3);
+  const auto model = device::MosModel::create("level1");
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    SimOptions opt;
+    opt.solver = mode;
+    Simulator sim(c, kTech, *model, opt);
+    EXPECT_THROW((void)sim.transient(1.0, 1e-12), std::invalid_argument);
+    EXPECT_THROW((void)sim.transient(1.0, 1e-320), std::invalid_argument);
+    EXPECT_THROW((void)sim.transient(std::nan(""), 1e-9), std::invalid_argument);
+    EXPECT_THROW((void)sim.transient(1e-6, std::nan("")), std::invalid_argument);
+    // 2^31 - 1 steps would still fit; one step past it does not.
+    EXPECT_THROW((void)sim.transient(2147483648.0, 1.0), std::invalid_argument);
+  }
+}
+
 TEST(SimTran, EnergyConservationOnLinearRc) {
   // Trapezoidal integration is A-stable and nearly lossless: after charging,
   // the capacitor holds its voltage when the source is flat.

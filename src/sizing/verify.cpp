@@ -77,16 +77,13 @@ OtaPerformance measureAmplifier(const tech::Technology& t, const device::MosMode
 
   sim::SimOptions simOpt;
   simOpt.tempK = t.temperature;
-  simOpt.solver =
-      options.referenceSolver ? sim::SolverMode::kReference : sim::SolverMode::kFast;
 
   // --- One AC testbench, one operating point, every small-signal figure.
   // The excitations (differential, common-mode, supply, output probe) are
   // moved onto branches at solve time (acFrom / acBatch) instead of baked
   // into four acMag-variant copies of the same netlist, so the whole
-  // small-signal suite shares a single DC solve -- and, in the fast solver
-  // mode, the low-band excitation block shares each frequency point's
-  // factorization. ---
+  // small-signal suite shares a single DC solve, and the low-band
+  // excitation block shares each frequency point's factorization. ---
   {
     const Circuit c = buildAmpAcTestbench(instantiate, inputCm, parasitics, 0.0, 0.0, 0.0);
     sim::Simulator sim(c, t, model, simOpt);

@@ -38,11 +38,6 @@ struct VerifyOptions {
   double tranStep = 0.5e-9;
   double tranStop = 500e-9;
   double stepAmplitude = 0.4;  ///< Input step for the slew-rate test [V].
-  /// Run the simulator's pre-optimization reference solve path instead of
-  /// the fast one.  Both are bit-identical (the golden solver tests prove
-  /// it), so this changes speed, never results -- which is why it is
-  /// deliberately excluded from serialization and cache keys.
-  bool referenceSolver = false;
 };
 
 /// Adds the amplifier under test to the circuit.  Must create nodes named

@@ -27,12 +27,9 @@ void requireUsable(const VerificationSetup& setup, const VerificationOptions& op
   requireOptionsDomain(options);
 }
 
-sim::SimOptions simOptionsFor(const tech::Technology& t,
-                              const VerificationOptions& options) {
+sim::SimOptions simOptionsFor(const tech::Technology& t) {
   sim::SimOptions opt;
   opt.tempK = t.temperature;
-  opt.solver = options.referenceSolver ? sim::SolverMode::kReference
-                                       : sim::SolverMode::kFast;
   return opt;
 }
 
@@ -48,7 +45,7 @@ double measureThd(const tech::Technology& t, const device::MosModel& model,
   const double period = 1.0 / options.thdFundamentalHz;
   const double dt = period / options.thdSamplesPerCycle;
   const double tStop = period * (options.thdSettleCycles + options.thdCycles);
-  sim::Simulator sim(c, t, model, simOptionsFor(t, options));
+  sim::Simulator sim(c, t, model, simOptionsFor(t));
   const auto tran = sim.transient(tStop, dt);
 
   const std::size_t n = static_cast<std::size_t>(options.thdCycles) *
@@ -85,7 +82,7 @@ void measureSwing(const tech::Technology& t, const device::MosModel& model,
   // Sweep the input so the ideal output covers a bit beyond both rails.
   const double vLo = inputCm - (vdd + 0.2 - inputCm) / kGain;
   const double vHi = inputCm + (inputCm + 0.2) / kGain;
-  sim::Simulator sim(c, t, model, simOptionsFor(t, options));
+  sim::Simulator sim(c, t, model, simOptionsFor(t));
   const auto sweep = sim.dcSweep("VIN", vLo, vHi, options.sweepPoints);
 
   bool any = false;
@@ -119,7 +116,7 @@ void measureIcmr(const tech::Technology& t, const device::MosModel& model,
   c.addVSource("VIN", inp, circuit::kGround, Waveform::makeDc(vdd / 2));
   if (parasitics) layout::annotateCircuit(c, *parasitics);
 
-  sim::Simulator sim(c, t, model, simOptionsFor(t, options));
+  sim::Simulator sim(c, t, model, simOptionsFor(t));
   const auto sweep = sim.dcSweep("VIN", 0.05, vdd - 0.05, options.sweepPoints);
 
   bool inRange = false;

@@ -55,11 +55,6 @@ struct VerificationOptions {
   int harmonics = 5;              ///< Highest harmonic included in THD.
   int sweepPoints = 41;           ///< DC sweep resolution (swing / ICMR).
   double trackingTolerance = 0.02;  ///< Tracking window for swing / ICMR [V].
-  /// Run the measurements on the simulator's pre-optimization reference
-  /// solve path.  Bit-identical to the fast path by construction, so --
-  /// unlike every knob above -- it is NOT part of a job's identity and is
-  /// excluded from serialization and the result-cache key.
-  bool referenceSolver = false;
 };
 
 /// The measurements beyond the Table 1 core that the verification tier

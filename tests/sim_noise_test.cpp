@@ -121,5 +121,25 @@ TEST(SimNoise, UnknownInputSourceThrows) {
   EXPECT_THROW((void)sim.noise(op, circuit::kGround, "VX", 1.0, 1e6, 5), SimulationError);
 }
 
+TEST(SimNoise, OutputAndInjectionNodesOutsideTheCircuitThrow) {
+  // An output or injection node the circuit does not have would index
+  // past the solver's node table.
+  Circuit c;
+  const auto a = c.node("a");
+  c.addVSource("VIN", a, circuit::kGround, Waveform::makeDc(1.0), 1.0);
+  c.addResistor("R1", a, c.node("b"), 1e3);
+  c.addResistor("R2", c.node("b"), circuit::kGround, 1e3);
+  const auto model = device::MosModel::create("level1");
+  Simulator sim(c, kTech, *model);
+  const DcSolution op = sim.dcOperatingPoint();
+  for (const circuit::NodeId bad : {c.nodeCount(), -1}) {
+    EXPECT_THROW((void)sim.noise(op, bad, "VIN", 1.0, 1e6, 5), SimulationError);
+    EXPECT_THROW((void)sim.acBatch(op, {AcExcitation::unitCurrent(circuit::kGround, bad)}, 1.0,
+                                   1e6, 5),
+                 SimulationError);
+  }
+  EXPECT_NO_THROW((void)sim.noise(op, *c.findNode("b"), "VIN", 1.0, 1e6, 5));
+}
+
 }  // namespace
 }  // namespace lo::sim

@@ -17,8 +17,9 @@
 //     evaluate() (capacitances, noise) instead of conductances() fails it;
 //   * warm chain: every solve a warm-start hit, at most kWarmItersMax
 //     Newton iterations per solve (3 today; the cold ladder takes 73) and
-//     at most kWarmAllocsMax heap allocations (6 today, half of them the
-//     result's vectors; a buffer allocated per Newton iteration fails it);
+//     at most kWarmAllocsMax heap allocations (3 today, the result's three
+//     vectors; a buffer allocated per Newton iteration reads 6 and fails
+//     it);
 //   * AC batch: one LU factorization per frequency for the whole
 //     three-excitation block and one solve per (frequency, excitation) --
 //     factoring once per excitation fails it -- and at most kAcAllocsMax
@@ -154,7 +155,7 @@ int gSimReps = 60;  // Repetition budget; CI passes a smaller one.
 
 /// Gate bounds (see the file comment).
 constexpr double kWarmItersMax = 4.0;
-constexpr double kWarmAllocsMax = 6.0;
+constexpr double kWarmAllocsMax = 3.0;
 constexpr double kAcAllocsMax = 0.5;
 constexpr long kTranUnknownsMax = 18;
 constexpr double kTranEvalsPerStepMax = 10.0;

@@ -3,7 +3,9 @@
 // Circuit matrices here are tens of unknowns, so dense LU with partial
 // pivoting is both simpler and faster than a sparse package.  The template
 // is instantiated with double (DC, transient) and std::complex<double> (AC,
-// noise).
+// noise).  Every analysis factors with luFactorize and solves with
+// luSolveFactored (or its transpose); the one-shot luSolve is the oracle
+// tests/linear_lu_test.cpp holds them to, bit for bit.
 #pragma once
 
 #include <cmath>
@@ -23,17 +25,9 @@ class DenseMatrix {
   [[nodiscard]] T& at(std::size_t r, std::size_t c) { return data_[r * n_ + c]; }
   [[nodiscard]] const T& at(std::size_t r, std::size_t c) const { return data_[r * n_ + c]; }
 
-  void clear() { std::fill(data_.begin(), data_.end(), T{}); }
-
   /// Row-major storage, for callers that precompute flat offsets
   /// r * size() + c.
   [[nodiscard]] T* data() { return data_.data(); }
-
-  /// Additive stamp helper (ignores out-of-range index -1 used for ground).
-  void stamp(std::ptrdiff_t r, std::ptrdiff_t c, T value) {
-    if (r < 0 || c < 0) return;
-    data_[static_cast<std::size_t>(r) * n_ + static_cast<std::size_t>(c)] += value;
-  }
 
  private:
   std::size_t n_ = 0;
@@ -156,7 +150,8 @@ void luSolveFactoredTransposed(const DenseMatrix<T>& lu, const std::vector<std::
 }
 
 /// Solve A x = b in place by LU with partial pivoting; returns false when
-/// the matrix is numerically singular.  A is destroyed; b becomes x.
+/// the matrix is numerically singular.  A is destroyed; b becomes x.  The
+/// reference the factored path is tested against; no analysis calls it.
 template <typename T>
 [[nodiscard]] bool luSolve(DenseMatrix<T>& a, std::vector<T>& b) {
   const std::size_t n = a.size();

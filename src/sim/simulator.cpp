@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <optional>
 
@@ -42,18 +41,43 @@ tech::MosModelCard deviceCard(const tech::Technology& tech, const circuit::Mos& 
   return card;
 }
 
-/// Call `eval(card, vgs, vds, vbs)` for `mos` at the bias held in the
-/// full-MNA unknowns `x`, copying the card only when mismatch applies.
-template <typename Eval>
-auto evalAtBias(const tech::Technology& tech, const circuit::Mos& mos,
-                const std::vector<double>& x, Eval eval) {
-  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
-  const double vs = v(mos.source);
-  const double vgs = v(mos.gate) - vs, vds = v(mos.drain) - vs, vbs = v(mos.bulk) - vs;
-  if (mos.vtoDelta != 0.0 || mos.kpScale != 1.0) {
-    return eval(deviceCard(tech, mos), vgs, vds, vbs);
+/// A MOS device's vgs, vds and vbs, from node voltages indexed by NodeId.
+struct MosBias {
+  double vgs = 0.0, vds = 0.0, vbs = 0.0;
+};
+
+MosBias biasOf(const circuit::Mos& m, const std::vector<double>& v) {
+  const double vs = v[m.source];
+  return {v[m.gate] - vs, v[m.drain] - vs, v[m.bulk] - vs};
+}
+
+/// A MOS device's Newton linearisation, i_d = ieq + gm vgs + gds vds +
+/// gmb vbs, scaled by its multiplier.
+struct MosLinear {
+  double gm = 0.0, gds = 0.0, gmb = 0.0, ieq = 0.0;
+};
+
+/// `op` (a conductances() or evaluate() result at bias `b`) linearised.
+template <typename Op>
+MosLinear linearise(const Op& op, double mult, const MosBias& b) {
+  MosLinear l{op.gm * mult, op.gds * mult, op.gmb * mult, 0.0};
+  l.ieq = op.id * mult - l.gm * b.vgs - l.gds * b.vds - l.gmb * b.vbs;
+  return l;
+}
+
+/// Newton's damped update x += clamp(xNew - x), the node voltages (the
+/// unknowns [0, freeNodes)) limited to maxStepV.  True when every unknown
+/// moved within absTolV + relTol * |x|.
+bool dampedUpdate(const SimOptions& o, std::size_t freeNodes, const std::vector<double>& xNew,
+                  std::vector<double>& x) {
+  double maxDelta = 0.0;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double limit = k < freeNodes ? o.maxStepV : 1e9;  // Damp voltages only.
+    const double delta = std::clamp(xNew[k] - x[k], -limit, limit);
+    x[k] += delta;
+    maxDelta = std::max(maxDelta, std::abs(delta) / (o.absTolV + o.relTol * std::abs(x[k])));
   }
-  return eval(tech.card(mos.type), vgs, vds, vbs);
+  return maxDelta < 1.0;
 }
 
 /// Log-spaced frequency grid, inclusive of both endpoints.
@@ -93,14 +117,14 @@ std::vector<CapBranch> capBranches(const circuit::Circuit& ckt) {
 }
 
 /// One MOS device's latest evaluation inside a transient: the terminal
-/// voltages it was taken at, its conductances (scaled by the multiplier)
-/// with the Ieq of that bias, and its cgs, cgd, cgb, cdb and csb.  The
-/// terminals start as NaN, which no voltage is within tolerance of, so
-/// the first use evaluates.
+/// voltages it was taken at, its linearisation at that bias, and its cgs,
+/// cgd, cgb, cdb and csb (scaled by the multiplier).  The terminals start
+/// as NaN, which no voltage is within tolerance of, so the first use
+/// evaluates.
 struct MosRecord {
   static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
   double vd = kUnset, vg = kUnset, vs = kUnset, vb = kUnset;
-  double gm = 0.0, gds = 0.0, gmb = 0.0, ieq = 0.0;
+  MosLinear lin;
   std::array<double, 5> caps{};
 };
 
@@ -147,8 +171,16 @@ inline void stampMos(double* buf, const MosSlots& f, double gm, double gds, doub
   stamp(buf, f.ss, gm + gds + gmb);
 }
 
-/// The folded system the transient and small-signal analyses solve,
-/// compiled once per Simulator.
+/// The Ieq half: the drain current's constant term on the right-hand side.
+inline void stampIeq(std::vector<double>& rhs, const MosSlots& f, double ieq) {
+  if (f.rowD >= 0) rhs[f.rowD] -= ieq;
+  if (f.rowS >= 0) rhs[f.rowS] += ieq;
+}
+
+/// The system an analysis solves, compiled once per Simulator.  DC solves
+/// the plan that pins nothing: full MNA, nodes by NodeId, then every V
+/// source's branch current, then the VCVSs'.  The transient and
+/// small-signal analyses solve the folded plan.
 ///
 /// A node held by a grounded V source is pinned: its value is known (the
 /// source's value at a transient step, its excitation in a small-signal
@@ -213,6 +245,22 @@ struct StampPlan {
     const Ref r = node[id];
     return r.var >= 0 ? x[r.var] : r.pin >= 0 ? pinned[r.pin] : Cplx{};
   }
+  /// Scatter the reduced solution and the pinned values into `v`, node
+  /// voltages indexed by NodeId (ground untouched).
+  void voltages(const std::vector<double>& x, const std::vector<double>& pinned,
+                std::vector<double>& v) const {
+    for (std::size_t k = 0; k < freeNodes; ++k) v[nodeOf[k]] = x[k];
+    for (std::size_t k = 0; k < pins.size(); ++k) v[pins[k].node] = pinned[k];
+  }
+  /// Seed the unknowns from an operating point: the free node voltages and
+  /// the branch currents of the V sources left in the system.  VCVS
+  /// branches keep what `x` holds.
+  void seed(const DcSolution& op, std::vector<double>& x) const {
+    for (std::size_t k = 0; k < freeNodes; ++k) x[k] = op.nodeVoltages[nodeOf[k]];
+    for (std::size_t i = 0; i < vsourceVar.size(); ++i) {
+      if (vsourceVar[i] >= 0) x[static_cast<std::size_t>(vsourceVar[i])] = op.vsourceCurrents[i];
+    }
+  }
 
   /// The value-independent stamps: gmin on every node, resistors, branch
   /// incidences and VCVS gains.
@@ -242,14 +290,15 @@ struct StampPlan {
   }
 };
 
-StampPlan compileStampPlan(const circuit::Circuit& ckt) {
+StampPlan compileStampPlan(const circuit::Circuit& ckt, bool pin) {
   StampPlan plan;
   plan.node.assign(static_cast<std::size_t>(ckt.nodeCount()), Ref{});
-  // Pin every node a grounded V source holds (the first such source wins;
-  // a second one on the same node stays a branch, as in full MNA).
+  // With `pin`, pin every node a grounded V source holds (the first such
+  // source wins; a second one on the same node stays a branch, as in full
+  // MNA).
   plan.vsourceVar.assign(ckt.vsources.size(), -1);
   plan.vsourcePin.assign(ckt.vsources.size(), -1);
-  for (std::size_t i = 0; i < ckt.vsources.size(); ++i) {
+  for (std::size_t i = 0; pin && i < ckt.vsources.size(); ++i) {
     const circuit::VSource& s = ckt.vsources[i];
     const bool posGround = s.pos == circuit::kGround;
     if (posGround == (s.neg == circuit::kGround)) continue;
@@ -307,12 +356,15 @@ struct FoldedDrive {
 /// so steady-state Newton iterations and AC frequency points perform no
 /// heap allocation.
 struct Simulator::Workspace {
-  // DC Newton buffers.
+  // The plans, compiled on first use: DC's pins nothing; the other
+  // analyses' pins every node a grounded V source holds.
+  std::optional<StampPlan> dcPlan, foldedPlan;
+  // DC Newton: one solve's static stamps and device cards; each
+  // iteration's node voltages (by NodeId), matrix and right-hand side,
+  // which the solve turns into the next iterate.
+  std::vector<double> base, v, rhs;
+  std::vector<tech::MosModelCard> cards;
   DenseMatrix<double> a;
-  std::vector<double> rhs;
-  std::vector<double> xNew;
-  // The folded plan, compiled on first use.
-  std::optional<StampPlan> plan;
   // Small-signal: one operating point's conductance and capacitance
   // stamps, each frequency's factored A and realised P and Q blocks, the
   // excitations and the reduced solution.
@@ -321,10 +373,11 @@ struct Simulator::Workspace {
   std::vector<Cplx> acPQ;
   std::vector<FoldedDrive> drives;
   std::vector<Cplx> acX;
-  std::vector<std::size_t> perm;
+  std::vector<std::size_t> perm;  ///< The latest factorization's pivots.
 
-  const StampPlan& planFor(const circuit::Circuit& ckt) {
-    if (!plan) plan = compileStampPlan(ckt);
+  const StampPlan& planFor(const circuit::Circuit& ckt, bool pin) {
+    std::optional<StampPlan>& plan = pin ? foldedPlan : dcPlan;
+    if (!plan) plan = compileStampPlan(ckt, pin);
     return *plan;
   }
 };
@@ -340,145 +393,80 @@ Simulator::Workspace& Simulator::ws() const {
   return *ws_;
 }
 
-std::size_t Simulator::unknownCount() const {
-  return static_cast<std::size_t>(circuit_.nodeCount() - 1) + circuit_.vsources.size() +
-         circuit_.vcvs.size();
-}
-
 device::MosOpPoint Simulator::evalMos(const circuit::Mos& mos,
-                                      const std::vector<double>& x) const {
+                                      const std::vector<double>& v) const {
   ++stats_.dcDeviceEvaluations;
-  return scaleByMult(evalAtBias(tech_, mos, x,
-                                [&](const tech::MosModelCard& card, double vgs, double vds,
-                                    double vbs) {
-                                  return model_.evaluate(card, mos.geo, vgs, vds, vbs,
-                                                         options_.tempK);
-                                }),
-                     mos.mult);
+  const MosBias b = biasOf(mos, v);
+  return scaleByMult(
+      model_.evaluate(deviceCard(tech_, mos), mos.geo, b.vgs, b.vds, b.vbs, options_.tempK),
+      mos.mult);
 }
 
 // ---------------------------------------------------------------------------
-// DC: Newton iteration with companion-model stamping.
+// DC: Newton iteration on the plan that pins nothing.
 // ---------------------------------------------------------------------------
 
 bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale,
                             int maxIters, int* itersOut) const {
-  const std::size_t nUnknowns = unknownCount();
-  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
   Workspace& w = ws();
-  DenseMatrix<double>& a = w.a;
-  std::vector<double>& rhs = w.rhs;
-  if (a.size() != nUnknowns) a = DenseMatrix<double>(nUnknowns);
-  rhs.resize(nUnknowns);
-
-  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };  // Ground maps to -1.
-  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
+  const StampPlan& plan = w.planFor(circuit_, false);
+  const std::size_t n = plan.n;
+  // Constant over the solve: gmin, resistors, branches and VCVS gains, and
+  // each device's card.
+  w.base.assign(plan.entries(), 0.0);
+  plan.stampStatic(circuit_, gmin, w.base.data());
+  w.cards.clear();
+  for (const circuit::Mos& m : circuit_.mosfets) w.cards.push_back(deviceCard(tech_, m));
+  w.v.assign(static_cast<std::size_t>(circuit_.nodeCount()), 0.0);
+  if (w.a.size() != n) w.a = DenseMatrix<double>(n);
 
   for (int iter = 0; iter < maxIters; ++iter) {
-    a.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-
-    for (std::size_t i = 0; i < nNodes; ++i) a.stamp(i, i, gmin);
-
-    for (const circuit::Resistor& r : circuit_.resistors) {
-      const double g = 1.0 / r.ohms;
-      a.stamp(idx(r.a), idx(r.a), g);
-      a.stamp(idx(r.b), idx(r.b), g);
-      a.stamp(idx(r.a), idx(r.b), -g);
-      a.stamp(idx(r.b), idx(r.a), -g);
+    std::copy(w.base.begin(), w.base.end(), w.a.data());
+    w.rhs.assign(n, 0.0);
+    for (const StampPlan::Drive& d : plan.drives) {
+      w.rhs[d.row] += d.sign * (srcScale * d.wave->dcValue());
     }
-
-    for (const circuit::ISource& s : circuit_.isources) {
-      const double i0 = srcScale * s.wave.dcValue();
-      if (idx(s.pos) >= 0) rhs[idx(s.pos)] -= i0;
-      if (idx(s.neg) >= 0) rhs[idx(s.neg)] += i0;
+    plan.voltages(x, {}, w.v);
+    for (std::size_t i = 0; i < w.cards.size(); ++i) {
+      // The stamps need only id/gm/gds/gmb: conductances() is that part
+      // of evaluate().
+      const circuit::Mos& m = circuit_.mosfets[i];
+      const MosBias b = biasOf(m, w.v);
+      const MosLinear l = linearise(
+          model_.conductances(w.cards[i], m.geo, b.vgs, b.vds, b.vbs, options_.tempK), m.mult, b);
+      stampMos(w.a.data(), plan.mosfets[i], l.gm, l.gds, l.gmb);
+      stampIeq(w.rhs, plan.mosfets[i], l.ieq);
     }
-
-    std::size_t branch = nNodes;
-    for (const circuit::VSource& s : circuit_.vsources) {
-      a.stamp(idx(s.pos), branch, 1.0);
-      a.stamp(idx(s.neg), branch, -1.0);
-      a.stamp(branch, idx(s.pos), 1.0);
-      a.stamp(branch, idx(s.neg), -1.0);
-      rhs[branch] = srcScale * s.wave.dcValue();
-      ++branch;
-    }
-    for (const circuit::Vcvs& e : circuit_.vcvs) {
-      a.stamp(idx(e.pos), branch, 1.0);
-      a.stamp(idx(e.neg), branch, -1.0);
-      a.stamp(branch, idx(e.pos), 1.0);
-      a.stamp(branch, idx(e.neg), -1.0);
-      a.stamp(branch, idx(e.cp), -e.gain);
-      a.stamp(branch, idx(e.cn), e.gain);
-      ++branch;
-    }
-
-    for (const circuit::Mos& m : circuit_.mosfets) {
-      // The stamps need only id/gm/gds/gmb: ask the model for exactly
-      // those (conductances() is that part of evaluate()), scaled by the
-      // multiplier as scaleByMult scales them.
-      device::MosConductance op =
-          evalAtBias(tech_, m, x,
-                     [&](const tech::MosModelCard& card, double vgs, double vds, double vbs) {
-                       return model_.conductances(card, m.geo, vgs, vds, vbs, options_.tempK);
-                     });
-      op = {op.id * m.mult, op.gm * m.mult, op.gds * m.mult, op.gmb * m.mult};
-      const double vgs = v(m.gate) - v(m.source);
-      const double vds = v(m.drain) - v(m.source);
-      const double vbs = v(m.bulk) - v(m.source);
-      // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
-      const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
-      const auto d = idx(m.drain), g = idx(m.gate), s = idx(m.source), b = idx(m.bulk);
-      a.stamp(d, g, op.gm);
-      a.stamp(d, d, op.gds);
-      a.stamp(d, b, op.gmb);
-      a.stamp(d, s, -(op.gm + op.gds + op.gmb));
-      a.stamp(s, g, -op.gm);
-      a.stamp(s, d, -op.gds);
-      a.stamp(s, b, -op.gmb);
-      a.stamp(s, s, op.gm + op.gds + op.gmb);
-      if (d >= 0) rhs[d] -= ieq;
-      if (s >= 0) rhs[s] += ieq;
-    }
-
-    std::vector<double>& xNew = w.xNew;
-    xNew.assign(rhs.begin(), rhs.end());
-    if (!luSolve(a, xNew)) return false;
-
-    double maxDelta = 0.0;
-    for (std::size_t i = 0; i < nUnknowns; ++i) {
-      double delta = xNew[i] - x[i];
-      const double limit = i < nNodes ? options_.maxStepV : 1e9;  // Damp voltages only.
-      delta = std::clamp(delta, -limit, limit);
-      x[i] += delta;
-      maxDelta = std::max(maxDelta, std::abs(delta) /
-                                        (options_.absTolV + options_.relTol * std::abs(x[i])));
-    }
+    if (!luFactorize(w.a, w.perm)) return false;
+    luSolveFactored(w.a, w.perm, w.rhs);
+    const bool within = dampedUpdate(options_, plan.freeNodes, w.rhs, x);
     ++stats_.newtonIterations;
     if (itersOut) ++*itersOut;
-    if (maxDelta < 1.0 && iter > 0) return true;
+    if (within && iter > 0) return true;
   }
   return false;
 }
 
 DcSolution Simulator::finalizeSolution(const std::vector<double>& x, int iters) const {
+  const StampPlan& plan = ws().planFor(circuit_, false);
   DcSolution sol;
   sol.converged = true;
   sol.iterations = iters;
   sol.nodeVoltages.assign(circuit_.nodeCount(), 0.0);
-  for (int n = 1; n < circuit_.nodeCount(); ++n) sol.nodeVoltages[n] = x[n - 1];
-  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
+  plan.voltages(x, {}, sol.nodeVoltages);
   sol.vsourceCurrents.resize(circuit_.vsources.size());
   for (std::size_t i = 0; i < circuit_.vsources.size(); ++i) {
-    sol.vsourceCurrents[i] = x[nNodes + i];
+    sol.vsourceCurrents[i] = x[static_cast<std::size_t>(plan.vsourceVar[i])];
   }
   sol.mosOps.reserve(circuit_.mosfets.size());
-  for (const circuit::Mos& m : circuit_.mosfets) sol.mosOps.push_back(evalMos(m, x));
+  for (const circuit::Mos& m : circuit_.mosfets) {
+    sol.mosOps.push_back(evalMos(m, sol.nodeVoltages));
+  }
   return sol;
 }
 
 DcSolution Simulator::dcOperatingPoint() const {
-  std::vector<double> x(unknownCount(), 0.0);
+  std::vector<double> x(ws().planFor(circuit_, false).n, 0.0);
   int iters = 0;
 
   // Gmin stepping.
@@ -499,31 +487,22 @@ DcSolution Simulator::dcOperatingPoint() const {
   return finalizeSolution(x, iters);
 }
 
-void Simulator::packContinuation(const DcSolution& sol, std::vector<double>& x) const {
-  // Only node voltages and V-source branch currents carry over; dependent
-  // source branch entries keep whatever the previous Newton left (the
-  // continuation seeding the DC sweep has always used).
-  for (int n = 1; n < circuit_.nodeCount(); ++n) x[n - 1] = sol.nodeVoltages[n];
-  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
-  for (std::size_t k = 0; k < circuit_.vsources.size(); ++k) {
-    x[nNodes + k] = sol.vsourceCurrents[k];
-  }
-}
-
 Simulator::WarmStart Simulator::warmStartFrom(const DcSolution& seed) const {
   if (seed.nodeVoltages.size() != static_cast<std::size_t>(circuit_.nodeCount()) ||
       seed.vsourceCurrents.size() != circuit_.vsources.size()) {
     throw std::invalid_argument("warmStartFrom: solution does not match circuit layout");
   }
+  const StampPlan& plan = ws().planFor(circuit_, false);
   WarmStart warm;
-  warm.x_.assign(unknownCount(), 0.0);
-  packContinuation(seed, warm.x_);
+  warm.x_.assign(plan.n, 0.0);
+  plan.seed(seed, warm.x_);
   warm.valid_ = true;
   return warm;
 }
 
 DcSolution Simulator::dcOperatingPoint(WarmStart& warm) const {
-  if (warm.valid_ && warm.x_.size() == unknownCount()) {
+  const StampPlan& plan = ws().planFor(circuit_, false);
+  if (warm.valid_ && warm.x_.size() == plan.n) {
     // One Newton run at the final gmin, straight from the seed.
     int iters = 0;
     if (newtonSolve(warm.x_, options_.gminFloor, 1.0, options_.maxNewtonIters, &iters)) {
@@ -533,8 +512,10 @@ DcSolution Simulator::dcOperatingPoint(WarmStart& warm) const {
   }
   ++stats_.warmStartMisses;
   DcSolution sol = dcOperatingPoint();  // Throws when the cold ladder fails too.
-  if (warm.x_.size() != unknownCount()) warm.x_.assign(unknownCount(), 0.0);
-  packContinuation(sol, warm.x_);
+  // VCVS branches keep what the refused warm Newton left, as the DC
+  // sweep's continuation always has.
+  if (warm.x_.size() != plan.n) warm.x_.assign(plan.n, 0.0);
+  plan.seed(sol, warm.x_);
   warm.valid_ = true;
   return sol;
 }
@@ -712,7 +693,7 @@ std::vector<std::vector<AcPoint>> Simulator::acSolveGrid(
     const DcSolution& op, const std::vector<AcExcitation>& excitations,
     const std::vector<double>& freqs, const std::string& failPrefix) const {
   Workspace& w = ws();
-  const StampPlan& plan = w.planFor(circuit_);
+  const StampPlan& plan = w.planFor(circuit_, true);
   // Resolve every excitation onto the plan once (the public callers
   // validated them).
   w.drives.resize(excitations.size());
@@ -793,7 +774,7 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
 
   // The folded system, driven by a unit excitation on the input.
   Workspace& wk = ws();
-  const StampPlan& plan = wk.planFor(circuit_);
+  const StampPlan& plan = wk.planFor(circuit_, true);
   wk.drives.resize(1);
   foldExcitation(plan, circuit_, AcExcitation::unitVsource(inputVsrc), inputIndex,
                  wk.drives[0]);
@@ -872,7 +853,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
   if (!(std::ceil(tStop / dt) <= std::numeric_limits<int>::max())) {
     throw std::invalid_argument("transient: step count does not fit in an int");
   }
-  const StampPlan& plan = ws().planFor(circuit_);
+  const StampPlan& plan = ws().planFor(circuit_, true);
   std::vector<CapBranch> caps = capBranches(circuit_);
   const std::size_t mosCapBase = circuit_.capacitors.size();
   const std::size_t n = plan.n;
@@ -891,10 +872,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
   const DcSolution op0 = dcOperatingPoint();
   std::vector<double> v = op0.nodeVoltages;
   std::vector<double> x(n, 0.0);
-  for (std::size_t k = 0; k < plan.freeNodes; ++k) x[k] = v[plan.nodeOf[k]];
-  for (std::size_t i = 0; i < circuit_.vsources.size(); ++i) {
-    if (plan.vsourceVar[i] >= 0) x[plan.vsourceVar[i]] = op0.vsourceCurrents[i];
-  }
+  plan.seed(op0, x);
 
   // Steps of dt, the last one ending at tStop.  A remainder within
   // rounding of zero adds no step (1.1e-6 / 1e-7 reads 11.000000000000002);
@@ -934,14 +912,10 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
     r.vg = v[m.gate];
     r.vs = v[m.source];
     r.vb = v[m.bulk];
-    const double vgs = r.vg - r.vs, vds = r.vd - r.vs, vbs = r.vb - r.vs;
+    const MosBias b = biasOf(m, v);
     const device::MosOpPoint op =
-        model_.evaluate(cards[i], m.geo, vgs, vds, vbs, options_.tempK);
-    r.gm = op.gm * m.mult;
-    r.gds = op.gds * m.mult;
-    r.gmb = op.gmb * m.mult;
-    // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
-    r.ieq = op.id * m.mult - r.gm * vgs - r.gds * vds - r.gmb * vbs;
+        model_.evaluate(cards[i], m.geo, b.vgs, b.vds, b.vbs, options_.tempK);
+    r.lin = linearise(op, m.mult, b);
     r.caps = {op.cgs * m.mult, op.cgd * m.mult, op.cgb * m.mult, op.cdb * m.mult,
               op.csb * m.mult};
     ++stats_.tranDeviceEvaluations;
@@ -996,7 +970,8 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
       if (refactor) {
         work = stepBuf;
         for (std::size_t i = 0; i < nMos; ++i) {
-          stampMos(work.data(), plan.mosfets[i], dev[i].gm, dev[i].gds, dev[i].gmb);
+          const MosLinear& l = dev[i].lin;
+          stampMos(work.data(), plan.mosfets[i], l.gm, l.gds, l.gmb);
         }
         std::copy(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(n * n), a.data());
         if (!luFactorize(a, perm)) throw SimulationError("transient: singular matrix");
@@ -1004,11 +979,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         refactor = false;
       }
       rhs = stepRhs;
-      for (std::size_t i = 0; i < nMos; ++i) {
-        const MosSlots& f = plan.mosfets[i];
-        if (f.rowD >= 0) rhs[f.rowD] -= dev[i].ieq;
-        if (f.rowS >= 0) rhs[f.rowS] += dev[i].ieq;
-      }
+      for (std::size_t i = 0; i < nMos; ++i) stampIeq(rhs, plan.mosfets[i], dev[i].lin.ieq);
       // Pinned columns to the right-hand side: rhs -= P * pinned.
       const double* p = work.data() + n * n;
       for (std::size_t r = 0; r < n; ++r) {
@@ -1016,20 +987,9 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
       }
       luSolveFactored(a, perm, rhs);
       ++stats_.tranNewtonIterations;
-
-      double maxDelta = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        double delta = rhs[k] - x[k];
-        // Damp voltages only.
-        const double limit = k < plan.freeNodes ? options_.maxStepV : 1e9;
-        delta = std::clamp(delta, -limit, limit);
-        x[k] += delta;
-        maxDelta = std::max(maxDelta, std::abs(delta) / (options_.absTolV +
-                                                         options_.relTol * std::abs(x[k])));
-      }
-      for (std::size_t k = 0; k < plan.freeNodes; ++k) v[plan.nodeOf[k]] = x[k];
-      for (std::size_t k = 0; k < nPins; ++k) v[plan.pins[k].node] = pinV[k];
-      if (maxDelta < 1.0 && iter > 0) {
+      const bool within = dampedUpdate(options_, plan.freeNodes, rhs, x);
+      plan.voltages(x, pinV, v);
+      if (within && iter > 0) {
         converged = true;
         break;
       }

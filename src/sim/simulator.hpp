@@ -6,16 +6,20 @@
 // transient analysis (trapezoidal).  MOS devices are evaluated through the
 // exact same device::MosModel code the sizing tool uses.
 //
-// The transient, AC, AC-batch and noise analyses solve a folded system,
-// compiled once per Simulator: a node held by a grounded V source is
-// pinned to the source's value (its excitation, in a small-signal
-// analysis), so its KCL row, its column and the source's branch current
-// leave the LU.  One factorization per frequency serves a whole excitation
-// block and the noise adjoint (a transposed solve on the same factors).  DC
-// keeps full MNA, since the cold gmin ladder converges along that path,
-// and evaluates only the device conductances its Newton iterations stamp.
-// Every solve runs in a simulator-owned workspace, so a steady-state
-// Newton iteration or frequency point allocates nothing.
+// Every analysis stamps through one stamp plan, compiled once per
+// Simulator.  The transient, AC, AC-batch and noise analyses solve the
+// folded plan: a node held by a grounded V source is pinned to the
+// source's value (its excitation, in a small-signal analysis), so its KCL
+// row, its column and the source's branch current leave the LU.  One
+// factorization per frequency serves a whole excitation block and the
+// noise adjoint (a transposed solve on the same factors).  DC solves the
+// plan compiled with nothing pinned -- full MNA's unknowns in full MNA's
+// order, since the cold gmin ladder converges along that path -- and
+// evaluates only the device conductances its Newton iterations stamp.  DC
+// and the transient share one MOS linearisation and one damped Newton
+// update.  Every solve runs in a simulator-owned workspace, so a
+// steady-state Newton iteration or frequency point allocates nothing: a
+// warm DC solve makes 3 heap allocations, the returned solution's vectors.
 #pragma once
 
 #include <complex>
@@ -258,9 +262,7 @@ class Simulator {
                                  int maxIters, int* itersOut) const;
   [[nodiscard]] DcSolution finalizeSolution(const std::vector<double>& x, int iters) const;
   [[nodiscard]] device::MosOpPoint evalMos(const circuit::Mos& mos,
-                                           const std::vector<double>& x) const;
-  [[nodiscard]] std::size_t unknownCount() const;
-  void packContinuation(const DcSolution& sol, std::vector<double>& x) const;
+                                           const std::vector<double>& v) const;
   [[nodiscard]] std::size_t vsourceIndexOrThrow(const std::string& name,
                                                 const char* context) const;
   void requireNode(circuit::NodeId node, const char* context) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace lo::sim {
@@ -14,17 +13,6 @@ AcCurve curveAt(const std::vector<AcPoint>& ac, circuit::NodeId node) {
   for (const AcPoint& p : ac) {
     c.freq.push_back(p.freq);
     c.h.push_back(p.at(node));
-  }
-  return c;
-}
-
-AcCurve curveDiff(const std::vector<AcPoint>& ac, circuit::NodeId p, circuit::NodeId n) {
-  AcCurve c;
-  c.freq.reserve(ac.size());
-  c.h.reserve(ac.size());
-  for (const AcPoint& pt : ac) {
-    c.freq.push_back(pt.freq);
-    c.h.push_back(pt.at(p) - pt.at(n));
   }
   return c;
 }
@@ -96,28 +84,6 @@ double gainAt(const AcCurve& curve, double freq) {
     }
   }
   return std::abs(curve.h.back());
-}
-
-std::string acToCsv(const std::vector<AcPoint>& ac, circuit::NodeId node) {
-  std::string out = "freq,mag,mag_db,phase_deg\n";
-  char line[128];
-  for (const AcPoint& p : ac) {
-    const std::complex<double> h = p.at(node);
-    std::snprintf(line, sizeof line, "%.6e,%.6e,%.3f,%.3f\n", p.freq, std::abs(h),
-                  toDb(std::abs(h)), std::arg(h) * 180.0 / M_PI);
-    out += line;
-  }
-  return out;
-}
-
-std::string tranToCsv(const std::vector<TranPoint>& tran, circuit::NodeId node) {
-  std::string out = "time,v\n";
-  char line[64];
-  for (const TranPoint& p : tran) {
-    std::snprintf(line, sizeof line, "%.6e,%.6e\n", p.time, p.nodeV[node]);
-    out += line;
-  }
-  return out;
 }
 
 SlewRates slewRates(const std::vector<TranPoint>& tran, circuit::NodeId node,

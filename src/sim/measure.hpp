@@ -22,10 +22,6 @@ struct AcCurve {
 /// already contains the excitation, so this is just the node voltage).
 [[nodiscard]] AcCurve curveAt(const std::vector<AcPoint>& ac, circuit::NodeId node);
 
-/// Differential curve V(p) - V(n).
-[[nodiscard]] AcCurve curveDiff(const std::vector<AcPoint>& ac, circuit::NodeId p,
-                                circuit::NodeId n);
-
 [[nodiscard]] double toDb(double magnitude);
 
 /// Magnitude of the first point (taken as the DC/low-frequency gain).
@@ -44,13 +40,6 @@ struct AcCurve {
 
 /// Gain magnitude at a specific frequency (log-interpolated).
 [[nodiscard]] double gainAt(const AcCurve& curve, double freq);
-
-/// CSV export of an AC sweep at one node: "freq,mag,mag_db,phase_deg".
-[[nodiscard]] std::string acToCsv(const std::vector<AcPoint>& ac, circuit::NodeId node);
-
-/// CSV export of a transient waveform at one node: "time,v".
-[[nodiscard]] std::string tranToCsv(const std::vector<TranPoint>& tran,
-                                    circuit::NodeId node);
 
 /// Maximum rising and falling slopes of a node's transient waveform [V/s].
 struct SlewRates {

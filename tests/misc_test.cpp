@@ -154,23 +154,5 @@ TEST(Misc, ContactOverGateRule) {
   EXPECT_TRUE(sawGateRule);
 }
 
-TEST(Misc, CsvExports) {
-  std::vector<sim::AcPoint> ac(1);
-  ac[0].freq = 1000.0;
-  ac[0].nodeV = {{0, 0}, {2.0, 0.0}};
-  const std::string csv = sim::acToCsv(ac, 1);
-  EXPECT_NE(csv.find("freq,mag,mag_db,phase_deg"), std::string::npos);
-  EXPECT_NE(csv.find("6.021"), std::string::npos);  // 20 log10(2).
-
-  std::vector<sim::TranPoint> tr(2);
-  tr[0].time = 0.0;
-  tr[0].nodeV = {0.0, 1.5};
-  tr[1].time = 1e-9;
-  tr[1].nodeV = {0.0, 1.6};
-  const std::string tcsv = sim::tranToCsv(tr, 1);
-  EXPECT_NE(tcsv.find("time,v"), std::string::npos);
-  EXPECT_NE(tcsv.find("1.500000e+00"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace lo

@@ -106,6 +106,69 @@ TEST(CacheKey, CanonicalTextCarriesSchemaVersion7) {
   EXPECT_EQ(keyText(sizing::OtaSpecs{}).rfind("v7|", 0), 0u);
 }
 
+// The bytes of two keys, pinned so a change to how numbers or hex are
+// written cannot move a key (and orphan every disk entry) unnoticed.
+TEST(CacheKey, DefaultRequestPinsItsTextAndKey) {
+  const sizing::OtaSpecs specs;
+  const core::EngineOptions options;
+  EXPECT_EQ(keyText(specs, options),
+            "v7|topology=folded_cascode_ota|case=case4|model=ekv|bias=0|"
+            "max_layout_calls=8|tol=0.02|verify=10,1000000000,12,"
+            "5.0000000000000003e-10,4.9999999999999998e-07,0.40000000000000002|"
+            "spec=3.2999999999999998,65000000,65,3.0000000000000001e-12,"
+            "0.55000000000000004,1.8400000000000001,0.51000000000000001,"
+            "2.3100000000000001|corner=tt|tech=feedfacefeedface");
+  EXPECT_EQ(ResultCache::keyFor(options, specs, tech::ProcessCorner::kTypical,
+                                "feedfacefeedface"),
+            "f5cae9c094665d50");
+}
+
+TEST(CacheKey, NonIntegerPostLayoutRequestPinsItsTextAndKey) {
+  sizing::OtaSpecs specs;
+  specs.gbw = 47.3e6;
+  specs.cload = 2.7e-12;
+  specs.phaseMarginDeg = 61.7;
+  core::EngineOptions options;
+  options.postLayoutVerify.enabled = true;
+  EXPECT_EQ(keyText(specs, options, tech::ProcessCorner::kSlowNFastP),
+            "v7|topology=folded_cascode_ota|case=case4|model=ekv|bias=0|"
+            "max_layout_calls=8|tol=0.02|verify=10,1000000000,12,"
+            "5.0000000000000003e-10,4.9999999999999998e-07,0.40000000000000002|"
+            "spec=3.2999999999999998,47300000,61.700000000000003,"
+            "2.6999999999999998e-12,0.55000000000000004,1.8400000000000001,"
+            "0.51000000000000001,2.3100000000000001|plv=0.10000000000000001,1000000,"
+            "0.050000000000000003,2,4,64,5,41,0.02|corner=sf|tech=feedfacefeedface");
+  EXPECT_EQ(ResultCache::keyFor(options, specs, tech::ProcessCorner::kSlowNFastP,
+                                "feedfacefeedface"),
+            "87db90aac93dfbc2");
+}
+
+TEST(CacheEntry, SyntheticResultDumpsToPinnedBytes) {
+  // The disk store writes exactly these bytes, and a warm hit sends them.
+  EXPECT_EQ(toJson(makeResult(1)).dump(),
+            "{\"critical_nets\":[\"out\",\"tail\",\"x1\"],"
+            "\"iterations\":[{\"layout_call\":1,\"net_caps\":[3.3333333333333334e-14,"
+            "2.5010000000000001e-13,1.4285714285714284e-13],"
+            "\"primary_current\":0.00010010000000000001,"
+            "\"pair_width\":8.6500000000000002e-06},{\"layout_call\":2,"
+            "\"net_caps\":[3.3333333333333334e-14,2.5010000000000001e-13,"
+            "1.4285714285714284e-13],\"primary_current\":0.00010010000000000001,"
+            "\"pair_width\":8.6500000000000002e-06}],\"layout_calls\":2,"
+            "\"parasitic_converged\":true,\"convergence\":{\"verdict\":\"converged\","
+            "\"loop_ran\":false,\"worst_residual\":0,\"call_deltas\":[],"
+            "\"cycle_length\":0},\"layout_width_um\":0,\"layout_height_um\":0,"
+            "\"predicted\":{\"dc_gain_db\":70.333333333333329,\"gbw_hz\":65000001,"
+            "\"phase_margin_deg\":0,\"slew_rate_v_per_us\":0,\"cmrr_db\":0,"
+            "\"offset_mv\":0,\"output_resistance_mohm\":0,\"input_noise_uv\":0,"
+            "\"thermal_noise_density_nv\":0,\"flicker_noise_uv\":0,\"power_mw\":0,"
+            "\"psrr_db\":0,\"settling_time_ns\":0},"
+            "\"measured\":{\"dc_gain_db\":69.142857142857139,\"gbw_hz\":64900001,"
+            "\"phase_margin_deg\":0,\"slew_rate_v_per_us\":0,\"cmrr_db\":0,"
+            "\"offset_mv\":0,\"output_resistance_mohm\":0,\"input_noise_uv\":0,"
+            "\"thermal_noise_density_nv\":0,\"flicker_noise_uv\":0,\"power_mw\":0,"
+            "\"psrr_db\":0,\"settling_time_ns\":10.500000000000002}}");
+}
+
 TEST(CacheKey, TechFingerprintSeparatesTechnologies) {
   const std::string p060 = ResultCache::techFingerprint(tech::Technology::generic060());
   const std::string p100 = ResultCache::techFingerprint(tech::Technology::generic100());

@@ -1,7 +1,7 @@
 #include "service/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace lo::service {
@@ -55,17 +55,29 @@ const Json& Json::at(const std::string& key) const {
   return found ? *found : kNull;
 }
 
-std::string Json::formatNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan.
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
+void Json::appendNumber(std::string& out, double v) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan.
+    out += "null";
+    return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[32];  // The longest %.17g text, "-2.2250738585072014e-308", is 24.
+  const std::to_chars_result written =
+      v == std::floor(v) && std::abs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v))
+          // The standard defines this as printf's %.17g in the C locale.
+          : std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, written.ptr);
+}
+
+std::string Json::formatNumber(double v) {
+  std::string out;
+  appendNumber(out, v);
+  return out;
 }
 
 namespace {
+
+constexpr char kHexDigits[] = "0123456789abcdef";
 
 void escapeInto(const std::string& s, std::string& out) {
   out += '"';
@@ -80,9 +92,9 @@ void escapeInto(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          out += "\\u00";
+          out += kHexDigits[c >> 4];
+          out += kHexDigits[c & 0xf];
         } else {
           out += c;
         }
@@ -95,7 +107,7 @@ void dumpInto(const Json& j, std::string& out) {
   switch (j.type()) {
     case Json::Type::kNull: out += "null"; break;
     case Json::Type::kBool: out += j.asBool() ? "true" : "false"; break;
-    case Json::Type::kNumber: out += Json::formatNumber(j.asDouble()); break;
+    case Json::Type::kNumber: Json::appendNumber(out, j.asDouble()); break;
     case Json::Type::kString: escapeInto(j.asString(), out); break;
     case Json::Type::kArray: {
       out += '[';
@@ -287,9 +299,17 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double v = 0.0;
+    const std::from_chars_result read = std::from_chars(first, last, v);
+    if (read.ec == std::errc{} && read.ptr == last) return Json(v);
+    // from_chars reads what strtod reads, except a leading '+' and a value
+    // beyond the double range, which strtod turns into 0 or infinity; so
+    // strtod decides every token from_chars did not read whole.
+    const std::string token(first, last);
     char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
+    v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("malformed number");
     return Json(v);
   }

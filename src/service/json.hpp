@@ -6,10 +6,15 @@
 //  * Objects keep insertion order, so dump() output is deterministic and
 //    two serialisations of the same value are byte-identical -- the
 //    cache's cold-vs-warm byte-equality check rests on this.
-//  * Numbers round-trip exactly: dump() prints integers as integers and
-//    everything else with %.17g, which strtod() parses back to the same
-//    IEEE double.  A result that goes through the disk store comes back
-//    bit-identical.
+//  * Numbers round-trip exactly through one <charconv> codec: dump() and
+//    formatNumber() print an integer below 1e15 as its digits and every
+//    other finite double with std::to_chars at 17 significant digits
+//    (which the standard defines as printf's %.17g), and parse() reads each
+//    number with std::from_chars, handing the tokens it does not read whole
+//    (a leading '+', an exponent past the double range) to strtod.  The
+//    bytes are printf's and the values strtod's, so cache keys and stored
+//    entries are the same as with those functions, and a result that goes
+//    through the disk store comes back bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +97,8 @@ class Json {
 
   /// Exact-round-trip number formatting shared with the cache key builder.
   [[nodiscard]] static std::string formatNumber(double v);
+  /// formatNumber(v) appended to `out`, with no string of its own.
+  static void appendNumber(std::string& out, double v);
 
   /// Parse one JSON document; trailing non-whitespace is an error.
   [[nodiscard]] static Json parse(std::string_view text);

@@ -63,6 +63,17 @@ TEST(Json, ParseHandlesEscapesAndNesting) {
   EXPECT_EQ(j.find("missing"), nullptr);
 }
 
+TEST(Json, ControlCharactersDumpAsLowerCaseUnicodeEscapes) {
+  std::string controls;
+  for (char c = 0; c < 0x20; ++c) controls += c;
+  EXPECT_EQ(Json(controls).dump(),
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\"");
+  EXPECT_EQ(Json::parse(Json(controls).dump()).asString(), controls);
+}
+
 TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("{ not json"), JsonParseError);
   EXPECT_THROW((void)Json::parse(""), JsonParseError);

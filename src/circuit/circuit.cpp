@@ -126,13 +126,6 @@ Mos* Circuit::findMos(const std::string& name) {
   return nullptr;
 }
 
-const Mos* Circuit::findMos(const std::string& name) const {
-  for (const Mos& m : mosfets) {
-    if (m.name == name) return &m;
-  }
-  return nullptr;
-}
-
 VSource* Circuit::findVSource(const std::string& name) {
   for (VSource& v : vsources) {
     if (v.name == name) return &v;

@@ -116,7 +116,6 @@ class Circuit {
                 double gain);
 
   [[nodiscard]] Mos* findMos(const std::string& name);
-  [[nodiscard]] const Mos* findMos(const std::string& name) const;
   [[nodiscard]] VSource* findVSource(const std::string& name);
   [[nodiscard]] Capacitor* findCapacitor(const std::string& name);
 

@@ -1,45 +1,28 @@
-// SPICE-flavoured netlist reader/writer.
+// SPICE-flavoured netlist writer.
 //
-// The extractor emits parasitic-annotated netlists in this format and the
-// test suite round-trips circuits through it.  Supported cards:
+// The examples write each synthesised netlist as a .sp file next to its
+// layout, for inspection or for an external simulator.  Cards emitted:
 //
-//   * comment lines, .end
-//   M<name> d g s b <nmos|pmos> W= L= [NF= AD= AS= PD= PS= M=]
+//   * <title>, .end
+//   M<name> d g s b <nmos|pmos> W= L= NF= AD= AS= PD= PS= M=
 //   R<name> a b <ohms>
 //   C<name> a b <farads>
-//   V<name> p n [DC <v>] [AC <mag> [phase]] [PULSE(v1 v2 td tr tf pw per)]
-//            [SIN(off ampl freq)]
-//   I<name> p n [DC <v>] [AC <mag>]
+//   V<name> p n DC <v> | PULSE(v1 v2 td tr tf pw per) | SIN(off ampl freq)
+//            [AC <mag> <phase>]
+//   I<name> p n DC <v> | PULSE(...) | SIN(...) [AC <mag>]
 //   E<name> p n cp cn <gain>
 //
-// Numbers accept the usual SI suffixes (f p n u m k meg g t).
+// Numbers carry the usual SI suffixes (f p n u m k meg g t).
 #pragma once
 
-#include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "circuit/circuit.hpp"
 
 namespace lo::circuit {
 
-class NetlistParseError : public std::runtime_error {
- public:
-  explicit NetlistParseError(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Parse a netlist; throws NetlistParseError on malformed input.
-[[nodiscard]] Circuit parseNetlist(std::string_view text);
-
-/// Serialise a circuit to netlist text (round-trippable through
-/// parseNetlist).
+/// Serialise a circuit to netlist text.
 [[nodiscard]] std::string writeNetlist(const Circuit& circuit);
-
-/// Parse one SPICE number with optional SI suffix ("2.5u", "3MEG", "10k"),
-/// case-insensitively.  The suffix must match exactly: trailing characters
-/// after a recognised suffix ("10megx", "1m5") throw NetlistParseError
-/// instead of silently parsing as the prefix.
-[[nodiscard]] double parseSpiceNumber(std::string_view token);
 
 /// Format a value in engineering notation with SI suffix (e.g. "2.5u").
 [[nodiscard]] std::string formatSpiceNumber(double value);

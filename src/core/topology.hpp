@@ -5,9 +5,8 @@
 // only the design plan, the layout program and the netlist differ between
 // circuits.  A Topology bundles exactly those pieces behind the hooks the
 // engine drives, so a new circuit plugs into the methodology by
-// implementing this interface and registering a factory -- the paper's
-// "hierarchy simplifies the addition of new topologies" claim, made into
-// an API boundary.
+// implementing this interface -- the paper's "hierarchy simplifies the
+// addition of new topologies" claim, made into an API boundary.
 //
 // A Topology instance is *stateful per run*: the engine calls the hooks in
 // a fixed order and the adapter accumulates the sizing result, the layout
@@ -18,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,20 +96,17 @@ class Topology {
   [[nodiscard]] virtual geom::Coord layoutHeight() const { return 0; }
 };
 
-/// String-keyed factory table for topologies.  The built-in adapters
-/// (folded_cascode_ota, two_stage) are registered on first access; new
-/// topologies register themselves at startup or from user code.
+/// String-keyed factory table of the built-in topologies (folded_cascode_ota,
+/// two_stage), the names EngineOptions::topology selects.  It is filled once,
+/// in its constructor, so concurrent readers need no lock.  A caller's own
+/// topology runs through SynthesisEngine::run(Topology&, specs).
 class TopologyRegistry {
  public:
   using Factory = std::function<std::unique_ptr<Topology>(
       const tech::Technology&, const device::MosModel&)>;
 
-  /// The process-wide registry (thread safe).
+  /// The process-wide registry.
   [[nodiscard]] static TopologyRegistry& instance();
-
-  /// Register a factory under `name`; throws std::invalid_argument when the
-  /// name is already taken (silent replacement hid registration clashes).
-  void add(const std::string& name, Factory factory);
 
   /// Instantiate a registered topology; throws std::invalid_argument
   /// naming the unknown key and the known ones.
@@ -119,15 +114,12 @@ class TopologyRegistry {
       const std::string& name, const tech::Technology& t,
       const device::MosModel& model) const;
 
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   TopologyRegistry();
 
-  mutable std::mutex mutex_;
   std::map<std::string, Factory> factories_;
 };
 

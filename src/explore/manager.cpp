@@ -216,9 +216,4 @@ std::vector<ExploreManager::Snapshot> ExploreManager::snapshots() const {
   return out;
 }
 
-std::size_t ExploreManager::count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 }  // namespace lo::explore

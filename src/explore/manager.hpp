@@ -71,8 +71,6 @@ class ExploreManager {
   /// Live view of every exploration ever started, ordered by id.
   [[nodiscard]] std::vector<Snapshot> snapshots() const;
 
-  [[nodiscard]] std::size_t count() const;
-
   [[nodiscard]] bool journalEnabled() const { return journal_ != nullptr; }
   /// Valid only when journalEnabled().
   [[nodiscard]] const SessionJournal* journal() const { return journal_.get(); }

@@ -255,15 +255,6 @@ std::vector<DrcViolation> auditSymmetry(const ConstraintSet& constraints,
   return out;
 }
 
-std::vector<DrcViolation> runDrc(const tech::Technology& t, const geom::ShapeList& shapes,
-                                 const ConstraintSet& constraints,
-                                 const std::map<std::string, PlacedLeaf>& leaves) {
-  std::vector<DrcViolation> out = runDrc(t, shapes);
-  const std::vector<DrcViolation> sym = auditSymmetry(constraints, leaves, t.rules.grid);
-  out.insert(out.end(), sym.begin(), sym.end());
-  return out;
-}
-
 std::string formatViolations(const std::vector<DrcViolation>& violations) {
   std::ostringstream os;
   for (const DrcViolation& v : violations) {

@@ -42,11 +42,6 @@ struct DrcViolation {
     const ConstraintSet& constraints, const std::map<std::string, PlacedLeaf>& leaves,
     geom::Coord tolerance);
 
-/// Geometric checks plus the symmetry audit of the declared constraints.
-[[nodiscard]] std::vector<DrcViolation> runDrc(
-    const tech::Technology& t, const geom::ShapeList& shapes,
-    const ConstraintSet& constraints, const std::map<std::string, PlacedLeaf>& leaves);
-
 /// Render a violation list for logs/tests.
 [[nodiscard]] std::string formatViolations(const std::vector<DrcViolation>& violations);
 

@@ -195,13 +195,4 @@ OtaPerformance OtaVerifier::verify(const FoldedCascodeOtaDesign& design,
       design.inputCm, design.vdd, parasitics, options_);
 }
 
-OtaPerformance verifyTwoStage(const tech::Technology& t, const device::MosModel& model,
-                              const circuit::TwoStageOtaDesign& design,
-                              const layout::ParasiticReport* parasitics,
-                              const VerifyOptions& options) {
-  return measureAmplifier(
-      t, model, [&](Circuit& c) { circuit::instantiateTwoStage(c, design); },
-      design.inputCm, design.vdd, parasitics, options);
-}
-
 }  // namespace lo::sizing

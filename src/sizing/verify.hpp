@@ -15,8 +15,8 @@
 //
 // The measurement core is topology independent: any amplifier that exposes
 // "inp" / "inn" / "out" nodes and a supply source named "VDD" can be
-// measured through measureAmplifier(); OtaVerifier and verifyTwoStage are
-// the two packaged instances.
+// measured through measureAmplifier(); OtaVerifier packages the folded
+// cascode, and the two-stage topology passes circuit::instantiateTwoStage.
 #pragma once
 
 #include <functional>
@@ -90,13 +90,6 @@ class OtaVerifier {
   const device::MosModel& model_;
   VerifyOptions options_;
 };
-
-/// Measure the two-stage Miller OTA with the same testbenches.
-[[nodiscard]] OtaPerformance verifyTwoStage(const tech::Technology& t,
-                                            const device::MosModel& model,
-                                            const circuit::TwoStageOtaDesign& design,
-                                            const layout::ParasiticReport* parasitics,
-                                            const VerifyOptions& options = {});
 
 /// Replace the design's device geometries with the exact per-device
 /// junction figures the layout tool extracted (fold-quantised widths

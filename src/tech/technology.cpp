@@ -24,15 +24,6 @@ Nm Technology::minWireWidth(Layer l) const {
   }
 }
 
-Nm Technology::minWireSpacing(Layer l) const {
-  switch (l) {
-    case Layer::kPoly: return rules.polySpacing;
-    case Layer::kMetal1: return rules.metal1Spacing;
-    case Layer::kMetal2: return rules.metal2Spacing;
-    default: throw std::invalid_argument("minWireSpacing: not a routing layer");
-  }
-}
-
 Nm Technology::wireWidthForCurrent(Layer l, double amps) const {
   const double limit = layer(l).emMaxAmpPerM;
   Nm width = minWireWidth(l);

@@ -88,9 +88,6 @@ class Technology {
   /// Minimum drawn wire width on a routing layer [nm].
   [[nodiscard]] Nm minWireWidth(Layer l) const;
 
-  /// Minimum same-layer spacing on a routing layer [nm].
-  [[nodiscard]] Nm minWireSpacing(Layer l) const;
-
   /// Width (grid-snapped, >= layer minimum) a wire on `l` needs to carry
   /// `amps` of DC current without violating the electromigration limit.
   [[nodiscard]] Nm wireWidthForCurrent(Layer l, double amps) const;

@@ -5,14 +5,11 @@
 #include <random>
 #include <string>
 
-#include "circuit/spice_io.hpp"
 #include "core/engine.hpp"
-#include "core/ota_topology.hpp"
+#include "device/folding.hpp"
 #include "layout/drc.hpp"
 #include "layout/router.hpp"
 #include "layout/slicing.hpp"
-#include "sim/measure.hpp"
-#include "sim/simulator.hpp"
 
 namespace lo {
 namespace {
@@ -168,36 +165,6 @@ TEST_P(SlicingFuzz, RandomTreesPlaceDisjointLeavesInsideTheOutline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlicingFuzz, ::testing::Range(100, 110));
-
-// --- Netlist round trip through text preserves simulation results. ---
-
-TEST(Integration, ExtractedNetlistRoundTripSimulatesIdentically) {
-  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
-  core::FoldedCascodeOtaTopology topology(kTech, engine.model());
-  (void)engine.run(topology, sizing::OtaSpecs{});
-
-  // Build the extracted AC testbench, write it to SPICE text, parse it back.
-  sizing::OtaVerifier verifier(kTech, engine.model());
-  const circuit::Circuit direct = verifier.buildAcTestbench(
-      topology.extractedDesign(), &topology.layout().parasitics, 1.0, 0.0, 0.0);
-  const circuit::Circuit reparsed = circuit::parseNetlist(circuit::writeNetlist(direct));
-  ASSERT_EQ(reparsed.mosfets.size(), direct.mosfets.size());
-  ASSERT_EQ(reparsed.capacitors.size(), direct.capacitors.size());
-
-  sim::Simulator simA(direct, kTech, engine.model());
-  sim::Simulator simB(reparsed, kTech, engine.model());
-  const auto opA = simA.dcOperatingPoint();
-  const auto opB = simB.dcOperatingPoint();
-  const auto outA = *direct.findNode("out");
-  const auto outB = *reparsed.findNode("out");
-  EXPECT_NEAR(opA.voltage(outA), opB.voltage(outB), 1e-6);
-
-  const auto acA = simA.ac(opA, 10.0, 1e9, 8);
-  const auto acB = simB.ac(opB, 10.0, 1e9, 8);
-  const double gbwA = sim::unityGainFrequency(sim::curveAt(acA, outA));
-  const double gbwB = sim::unityGainFrequency(sim::curveAt(acB, outB));
-  EXPECT_NEAR(gbwA, gbwB, gbwA * 1e-3);
-}
 
 // --- Technology text round trip preserves the whole flow result. ---
 

@@ -297,10 +297,12 @@ TEST_F(SymmetryAudit, MissingItemReported) {
   EXPECT_NE(v[0].detail.find("not placed"), std::string::npos);
 }
 
-TEST_F(SymmetryAudit, RunDrcOverloadAppendsSymmetryViolations) {
+TEST_F(SymmetryAudit, ViolationsAppendToTheGeometricChecks) {
   leaves_["R"].rect = {3000, 0, 4200, 2000};
   const geom::ShapeList noShapes;
-  const auto v = runDrc(kTech, noShapes, constraints_, leaves_);
+  auto v = runDrc(kTech, noShapes);
+  const auto sym = auditSymmetry(constraints_, leaves_, kTech.rules.grid);
+  v.insert(v.end(), sym.begin(), sym.end());
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].rule, "symmetry.mirror");
 }

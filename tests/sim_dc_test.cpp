@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "circuit/spice_io.hpp"
 #include "device/folding.hpp"
 #include "sim/simulator.hpp"
 #include "tech/technology.hpp"

@@ -139,7 +139,9 @@ TEST(TwoStage, VerificationTracksPrediction) {
   const auto model = device::MosModel::create("ekv");
   sizing::TwoStageSizer sizer(kTech, *model);
   const auto r = sizer.size(twoStageSpecs(), sizing::SizingPolicy::case2());
-  const auto m = sizing::verifyTwoStage(kTech, *model, r.design, nullptr);
+  const auto m = sizing::measureAmplifier(
+      kTech, *model, [&](circuit::Circuit& c) { circuit::instantiateTwoStage(c, r.design); },
+      r.design.inputCm, r.design.vdd, nullptr);
   EXPECT_NEAR(m.dcGainDb, r.predicted.dcGainDb, 2.0);
   EXPECT_NEAR(m.gbwHz, r.predicted.gbwHz, r.predicted.gbwHz * 0.15);
   EXPECT_NEAR(m.phaseMarginDeg, r.predicted.phaseMarginDeg, 6.0);

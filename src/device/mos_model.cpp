@@ -64,12 +64,6 @@ double MosModel::currentNormalized(const tech::MosModelCard& card, const MosGeom
   return normalizedCurrent(card, geo, vgs, vds, vbs, tempK).id;
 }
 
-double MosModel::drainCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                              double vgs, double vds, double vbs, double tempK) const {
-  const double p = card.polarity();
-  return p * currentNormalized(card, geo, p * vgs, p * vds, p * vbs, tempK);
-}
-
 MosConductance MosModel::conductances(const tech::MosModelCard& card, const MosGeometry& geo,
                                       double vgs, double vds, double vbs,
                                       double tempK) const {
@@ -257,10 +251,6 @@ Slope ekvRoot(double v) {
 
 double EkvModel::pinchOff(const tech::MosModelCard& card, double vg) {
   return pinchOffSlope(card, vg).v;
-}
-
-double EkvModel::slopeFactorAt(const tech::MosModelCard& card, double vp) {
-  return slopeFactorSlope(card, vp).v;
 }
 
 double EkvModel::threshold(const tech::MosModelCard& card, double vbs) const {

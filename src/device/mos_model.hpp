@@ -37,12 +37,6 @@ class MosModel {
                                          const MosGeometry& geo, double vgs, double vds,
                                          double vbs, double tempK) const;
 
-  /// Drain terminal current with real polarity: pass actual terminal
-  /// voltages; PMOS returns negative current in normal operation.  [A]
-  [[nodiscard]] double drainCurrent(const tech::MosModelCard& card, const MosGeometry& geo,
-                                    double vgs, double vds, double vbs,
-                                    double tempK = 300.15) const;
-
   /// Drain current plus gm/gds/gmb from the analytic derivatives of the
   /// current equation (actual terminal voltages, as evaluate()).  Exactly
   /// the id/gm/gds/gmb evaluate() reports, without its capacitances,
@@ -114,8 +108,6 @@ class EkvModel final : public MosModel {
 
   /// Pinch-off voltage VP for a bulk-referenced gate voltage [V].
   [[nodiscard]] static double pinchOff(const tech::MosModelCard& card, double vg);
-  /// Slope factor n at pinch-off voltage vp.
-  [[nodiscard]] static double slopeFactorAt(const tech::MosModelCard& card, double vp);
 
  protected:
   [[nodiscard]] MosConductance forwardCurrent(const tech::MosModelCard& card,

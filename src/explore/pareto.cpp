@@ -37,16 +37,6 @@ bool ParetoArchive::weaklyDominates(const PointEval& a, const PointEval& b,
   return true;
 }
 
-bool ParetoArchive::dominates(const PointEval& a, const PointEval& b,
-                              const std::vector<Objective>& objectives) {
-  bool strict = false;
-  for (const Objective o : objectives) {
-    if (a.objective(o) > b.objective(o)) return false;
-    if (a.objective(o) < b.objective(o)) strict = true;
-  }
-  return strict;
-}
-
 bool ParetoArchive::insert(const PointEval& p) {
   if (!p.feasible) return false;
   if (requirePostLayout_ && !p.postLayoutPass) return false;

@@ -76,9 +76,6 @@ class ParetoArchive {
   /// a is no worse than b on every selected objective.
   [[nodiscard]] static bool weaklyDominates(const PointEval& a, const PointEval& b,
                                             const std::vector<Objective>& objectives);
-  /// Weak dominance plus strictly better on at least one objective.
-  [[nodiscard]] static bool dominates(const PointEval& a, const PointEval& b,
-                                      const std::vector<Objective>& objectives);
 
   /// Offer a point.  Infeasible points and points weakly dominated by a
   /// current member are rejected; an accepted point evicts every member it

@@ -30,15 +30,6 @@ bool xSpansOverlap(Coord a0, Coord a1, Coord b0, Coord b1) { return a0 <= b1 && 
 
 }  // namespace
 
-double RoutingResult::totalCapOn(const std::string& net) const {
-  const RoutedNet* rn = find(net);
-  double total = rn ? rn->capToGround : 0.0;
-  for (const auto& [pair, cap] : coupling) {
-    if (pair.first == net || pair.second == net) total += cap;
-  }
-  return total;
-}
-
 RoutingResult routeCell(const tech::Technology& t, const Cell& cell,
                         const std::vector<NetRequest>& nets,
                         const std::vector<Channel>& channels, bool emitGeometry) {

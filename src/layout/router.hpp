@@ -59,8 +59,6 @@ struct RoutingResult {
     }
     return nullptr;
   }
-  /// Ground capacitance plus every coupling involving `net`.
-  [[nodiscard]] double totalCapOn(const std::string& net) const;
 };
 
 /// Route the given nets over `cell`'s ports.  Nets with fewer than two

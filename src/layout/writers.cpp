@@ -211,49 +211,6 @@ std::string toGds(const geom::ShapeList& shapes, const std::string& cellName) {
   return g.str();
 }
 
-geom::ShapeList fromGds(const std::string& stream) {
-  geom::ShapeList shapes;
-  std::size_t pos = 0;
-  int currentLayer = -1;
-  auto u16 = [&](std::size_t at) {
-    return (static_cast<unsigned>(static_cast<unsigned char>(stream[at])) << 8) |
-           static_cast<unsigned char>(stream[at + 1]);
-  };
-  auto i32 = [&](std::size_t at) {
-    std::int32_t v = 0;
-    for (int k = 0; k < 4; ++k) v = (v << 8) | static_cast<unsigned char>(stream[at + k]);
-    return v;
-  };
-  while (pos + 4 <= stream.size()) {
-    const std::size_t len = u16(pos);
-    if (len < 4 || pos + len > stream.size()) {
-      throw std::runtime_error("fromGds: malformed record length");
-    }
-    const unsigned char type = stream[pos + 2];
-    if (type == 0x0d) {  // LAYER.
-      currentLayer = static_cast<int>(u16(pos + 4));
-    } else if (type == 0x10) {  // XY.
-      const std::size_t n = (len - 4) / 8;
-      if (n != 5) throw std::runtime_error("fromGds: only rectangles supported");
-      const std::int32_t x0 = i32(pos + 4), y0 = i32(pos + 8);
-      const std::int32_t x1 = i32(pos + 20), y1 = i32(pos + 24);
-      tech::Layer layer = tech::Layer::kMetal1;
-      bool found = false;
-      for (tech::Layer l : tech::kAllLayers) {
-        if (gdsLayerNumber(l) == currentLayer) {
-          layer = l;
-          found = true;
-        }
-      }
-      if (!found) throw std::runtime_error("fromGds: unknown layer number");
-      shapes.add(layer, geom::Rect(x0, y0, x1, y1));
-    }
-    pos += len;
-  }
-  if (pos != stream.size()) throw std::runtime_error("fromGds: trailing bytes");
-  return shapes;
-}
-
 void writeFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);

@@ -25,11 +25,6 @@ namespace lo::layout {
 /// GDS layer number assigned to a symbolic layer.
 [[nodiscard]] int gdsLayerNumber(tech::Layer layer);
 
-/// Parse a GDSII stream produced by toGds() (rectangular BOUNDARY elements
-/// only); throws std::runtime_error on malformed input or non-rectangular
-/// boundaries.  Net tags are not stored in GDS and come back empty.
-[[nodiscard]] geom::ShapeList fromGds(const std::string& stream);
-
 /// Write a string to a file; throws std::runtime_error on failure.
 void writeFile(const std::string& path, const std::string& content);
 

@@ -256,13 +256,6 @@ void setSpecField(sizing::OtaSpecs& specs, const std::string& name, double value
   throw std::invalid_argument("unknown spec field \"" + name + "\"");
 }
 
-double specField(const sizing::OtaSpecs& specs, const std::string& name) {
-  for (const SpecField& f : kSpecFields) {
-    if (name == f.name) return specs.*(f.member);
-  }
-  throw std::invalid_argument("unknown spec field \"" + name + "\"");
-}
-
 void specsFromJson(const Json& j, sizing::OtaSpecs& specs) {
   if (!j.isObject()) throw std::invalid_argument("\"spec\" must be a JSON object");
   for (const auto& [key, value] : j.members()) {

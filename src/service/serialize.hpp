@@ -51,11 +51,10 @@ void requireSpecDomain(const sizing::OtaSpecs& specs);
 /// in their canonical serialisation order.
 [[nodiscard]] const std::vector<std::string>& specFieldNames();
 
-/// Get / set one spec field by its protocol name; throws
-/// std::invalid_argument on an unknown name.  The explorer sweeps spec
-/// axes by name through these instead of hard-coding members.
+/// Set one spec field by its protocol name; throws std::invalid_argument
+/// on an unknown name.  The explorer sweeps spec axes by name through it
+/// instead of hard-coding members.
 void setSpecField(sizing::OtaSpecs& specs, const std::string& name, double value);
-[[nodiscard]] double specField(const sizing::OtaSpecs& specs, const std::string& name);
 
 /// "case1".."case4" (or bare 1..4) -> SizingCase; throws on anything else.
 [[nodiscard]] core::SizingCase sizingCaseFromJson(const Json& j);

@@ -34,15 +34,6 @@ void fftRadix2(std::vector<std::complex<double>>& data) {
   }
 }
 
-std::vector<double> hannWindow(std::size_t n) {
-  std::vector<double> w(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    w[k] = 0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(k) /
-                                static_cast<double>(n));
-  }
-  return w;
-}
-
 std::vector<double> amplitudeSpectrum(const std::vector<double>& samples) {
   const std::size_t n = samples.size();
   std::vector<std::complex<double>> spec(n);

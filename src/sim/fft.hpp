@@ -19,10 +19,6 @@ namespace lo::sim {
 /// unless data.size() is a power of two.
 void fftRadix2(std::vector<std::complex<double>>& data);
 
-/// Periodic Hann window of length n (w[k] = 0.5 - 0.5 cos(2 pi k / n)),
-/// the right variant for FFT analysis of periodic captures.
-[[nodiscard]] std::vector<double> hannWindow(std::size_t n);
-
 /// Single-sided amplitude spectrum of a real signal: result[k] is the
 /// amplitude of the k-th bin (result[0] is the DC level; interior bins are
 /// scaled by 2/N so a pure tone of amplitude A reports A in its bin).

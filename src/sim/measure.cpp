@@ -71,21 +71,6 @@ double phaseMarginDeg(const AcCurve& curve) {
   return 180.0;
 }
 
-double gainAt(const AcCurve& curve, double freq) {
-  if (curve.size() == 0) return 0.0;
-  if (freq <= curve.freq.front()) return std::abs(curve.h.front());
-  if (freq >= curve.freq.back()) return std::abs(curve.h.back());
-  for (std::size_t i = 0; i + 1 < curve.size(); ++i) {
-    if (curve.freq[i] <= freq && freq <= curve.freq[i + 1]) {
-      const double t = std::log(freq / curve.freq[i]) /
-                       std::log(curve.freq[i + 1] / curve.freq[i]);
-      const double m0 = std::abs(curve.h[i]), m1 = std::abs(curve.h[i + 1]);
-      return m0 * std::pow(m1 / std::max(m0, 1e-30), t);
-    }
-  }
-  return std::abs(curve.h.back());
-}
-
 SlewRates slewRates(const std::vector<TranPoint>& tran, circuit::NodeId node,
                     double tStart, double tStop) {
   SlewRates out;

@@ -38,9 +38,6 @@ struct AcCurve {
 /// 180 when the curve never reaches unity.
 [[nodiscard]] double phaseMarginDeg(const AcCurve& curve);
 
-/// Gain magnitude at a specific frequency (log-interpolated).
-[[nodiscard]] double gainAt(const AcCurve& curve, double freq);
-
 /// Maximum rising and falling slopes of a node's transient waveform [V/s].
 struct SlewRates {
   double rising = 0.0;   ///< Max positive dV/dt.

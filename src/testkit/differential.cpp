@@ -2,12 +2,50 @@
 
 #include <stdexcept>
 
-#include "explore/diffpath.hpp"
+#include "explore/explore.hpp"
 #include "service/serialize.hpp"
 
 namespace lo::testkit {
 
 namespace {
+
+/// Push one (topology, spec, corner) point through the same code the
+/// explorer runs -- space validation, canonical coordinate keys,
+/// evaluateBatch's dedup and its scheduler submission: a budget-1
+/// exploration over a one-axis space anchored at the point, so exactly one
+/// job (the point itself) is evaluated.  Returns its PointEval; the
+/// synthesis result lands in scheduler.cache() under the point's
+/// content-addressed key.
+explore::PointEval evaluateSinglePoint(service::JobScheduler& scheduler,
+                                       const core::EngineOptions& options,
+                                       const sizing::OtaSpecs& specs,
+                                       tech::ProcessCorner corner) {
+  explore::ExploreSpace space;
+  space.engineOptions = options;
+  space.corner = corner;
+  space.base = specs;
+  // One axis whose lower bound is exactly the requested GBW: the budget-1
+  // seed evaluates only the grid's first point, which is the point itself
+  // (specsAt overrides "gbw" with the axis value, bit-identically).
+  explore::SpecAxis axis;
+  axis.field = "gbw";
+  axis.lo = specs.gbw;
+  axis.hi = specs.gbw * 2.0;
+  axis.points = 2;
+  space.axes.push_back(axis);
+
+  explore::ExploreOptions exploreOptions;
+  exploreOptions.budget = 1;
+  exploreOptions.maxRounds = 1;
+
+  explore::Explorer explorer(scheduler, std::move(space), exploreOptions);
+  const explore::ExploreResult result = explorer.run();
+  if (result.points.size() != 1) {
+    throw std::logic_error("single-point exploration evaluated " +
+                           std::to_string(result.points.size()) + " points");
+  }
+  return result.points.front();
+}
 
 PathOutcome outcomeFromStatus(const service::JobStatus& status) {
   PathOutcome out;
@@ -143,8 +181,8 @@ DifferentialDriver standardDriver(service::JobScheduler& scheduler) {
 
   driver.registerPath("explore_cell", [&scheduler](const CorpusPoint& point) {
     PathOutcome out;
-    const explore::PointEval eval = explore::evaluateSinglePoint(
-        scheduler, point.options, point.specs, point.corner);
+    const explore::PointEval eval =
+        evaluateSinglePoint(scheduler, point.options, point.specs, point.corner);
     out.ok = eval.ok;
     out.cacheHit = eval.cacheHit;
     if (!eval.ok) {

@@ -78,10 +78,8 @@ TEST_P(ModelProperties, SourceDrainSymmetry) {
 
 TEST_P(ModelProperties, PmosMirrorsNmosBehaviour) {
   const MosGeometry geo = defaultGeo();
-  const double idP =
-      model_->drainCurrent(tech_.pmos, geo, -1.5, -2.0, 0.0, 300.15);
-  EXPECT_LT(idP, 0.0);  // PMOS conducts negative drain current.
   const MosOpPoint op = model_->evaluate(tech_.pmos, geo, -1.5, -2.0, 0.0, 300.15);
+  EXPECT_LT(op.id, 0.0);  // PMOS conducts negative drain current.
   EXPECT_GT(op.gm, 0.0);
   EXPECT_GT(op.gds, 0.0);
   EXPECT_EQ(op.region, MosRegion::kSaturation);
@@ -166,7 +164,9 @@ TEST(Ekv, WeakInversionSlopeIsExponential) {
   // about exp(0.1 / (n vt)).
   const double i1 = model.currentNormalized(t.nmos, geo, 0.30, 1.0, 0.0, 300.15);
   const double i2 = model.currentNormalized(t.nmos, geo, 0.40, 1.0, 0.0, 300.15);
-  const double n = EkvModel::slopeFactorAt(t.nmos, EkvModel::pinchOff(t.nmos, 0.35));
+  // EKV slope factor at the pinch-off voltage: n = 1 + gamma / (2 sqrt(phi + vp)).
+  const double vp = EkvModel::pinchOff(t.nmos, 0.35);
+  const double n = 1.0 + t.nmos.gamma / (2.0 * std::sqrt(t.nmos.phi + vp));
   const double expectedRatio = std::exp(0.1 / (n * thermalVoltage()));
   EXPECT_NEAR(std::log(i2 / i1), std::log(expectedRatio), 0.35);
 }

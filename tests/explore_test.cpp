@@ -35,9 +35,8 @@ TEST(Pareto, DominanceDefinitions) {
   const PointEval c = makePoint("c", 0.5, 20.0, 5.0);
 
   EXPECT_TRUE(ParetoArchive::weaklyDominates(a, a, objectives));
-  EXPECT_FALSE(ParetoArchive::dominates(a, a, objectives));
-  EXPECT_TRUE(ParetoArchive::dominates(a, b, objectives));
-  EXPECT_FALSE(ParetoArchive::dominates(b, a, objectives));
+  EXPECT_TRUE(ParetoArchive::weaklyDominates(a, b, objectives));
+  EXPECT_FALSE(ParetoArchive::weaklyDominates(b, a, objectives));
   // a and c trade power against area: neither dominates.
   EXPECT_FALSE(ParetoArchive::weaklyDominates(a, c, objectives));
   EXPECT_FALSE(ParetoArchive::weaklyDominates(c, a, objectives));
@@ -47,7 +46,8 @@ TEST(Pareto, DominanceRespectsObjectiveSubset) {
   const std::vector<Objective> powerOnly{Objective::kPowerMw};
   const PointEval a = makePoint("a", 1.0, 99.0, 99.0);
   const PointEval b = makePoint("b", 2.0, 1.0, 1.0);
-  EXPECT_TRUE(ParetoArchive::dominates(a, b, powerOnly));
+  EXPECT_TRUE(ParetoArchive::weaklyDominates(a, b, powerOnly));
+  EXPECT_FALSE(ParetoArchive::weaklyDominates(b, a, powerOnly));
 }
 
 TEST(Pareto, InsertKeepsOnlyNonDominatedFeasiblePoints) {

@@ -97,6 +97,7 @@ TEST(Resistance, TrunkResistanceScalesWithLength) {
   const auto* b = r.find("b");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
+  EXPECT_EQ(r.find("zz"), nullptr);
   // 4x the span; the constant via-stack term dilutes the ratio.
   EXPECT_GT(b->resistanceOhm, 2.0 * a->resistanceOhm);
   // 100 um of 1 um metal1 at 0.07 ohm/sq is about 7 ohm.

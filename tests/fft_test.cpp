@@ -116,17 +116,6 @@ TEST(Fft, AmplitudeSpectrumTwoTones) {
   EXPECT_NEAR(spectrum[6], 0.0, 1e-9);
 }
 
-TEST(Fft, HannWindowEndpointsAndSum) {
-  const std::vector<double> w = hannWindow(8);
-  ASSERT_EQ(w.size(), 8u);
-  EXPECT_NEAR(w[0], 0.0, 1e-12);        // Periodic variant starts at zero...
-  EXPECT_NEAR(w[4], 1.0, 1e-12);        // ...peaks at n/2...
-  EXPECT_GT(w[7], 0.0);                 // ...and does NOT return to zero.
-  double sum = 0.0;
-  for (const double v : w) sum += v;
-  EXPECT_NEAR(sum, 4.0, 1e-12);  // Coherent gain of periodic Hann is n/2.
-}
-
 TEST(Fft, ThdOfPureToneIsZero) {
   const std::vector<double> samples = sineSamples(256, 4.0, 1.0);
   EXPECT_NEAR(thdPercent(samples, 4, 5), 0.0, 1e-7);

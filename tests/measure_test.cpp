@@ -54,14 +54,6 @@ TEST(Measure, UnityNeverCrossed) {
   EXPECT_DOUBLE_EQ(phaseMarginDeg(c), 180.0);
 }
 
-TEST(Measure, GainAtInterpolatesOnLogGrid) {
-  const AcCurve c = twoPoleCurve(100.0, 1e5, 1e12);
-  EXPECT_NEAR(gainAt(c, 1e5), 100.0 / std::sqrt(2.0), 1.0);
-  EXPECT_NEAR(gainAt(c, 1e7), 1.0, 0.05);  // -20 dB/dec: two decades past pole.
-  // Ends clamp.
-  EXPECT_NEAR(gainAt(c, 0.1), 100.0, 0.5);
-}
-
 TEST(Measure, UnwrappedPhaseIsContinuous) {
   const AcCurve c = twoPoleCurve(1000.0, 1e3, 1e5);
   const auto phase = unwrappedPhaseDeg(c);

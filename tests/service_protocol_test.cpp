@@ -986,7 +986,6 @@ TEST(Serialize, SpecFieldNamesIncludeExtendedAxes) {
   sizing::OtaSpecs specs;
   setSpecField(specs, "psrr_min_db", 60.0);
   EXPECT_DOUBLE_EQ(specs.psrrMinDb, 60.0);
-  EXPECT_DOUBLE_EQ(specField(specs, "psrr_min_db"), 60.0);
   setSpecField(specs, "thd_max_percent", 0.5);
   setSpecField(specs, "offset_max_mv", 2.0);
   EXPECT_DOUBLE_EQ(specs.thdMaxPercent, 0.5);

@@ -28,10 +28,12 @@ TEST(SimAc, RcLowPassPole) {
   const AcCurve curve = curveAt(ac, out);
 
   const double fp = 1.0 / (2 * M_PI * 10e3 * 1e-9);
-  // DC gain 1, -3 dB at the pole, -20 dB/dec after.
+  // DC gain 1, -3 dB at the pole, -20 dB/dec after: |H| = 1 / sqrt(1 + (f/fp)^2).
   EXPECT_NEAR(dcGain(curve), 1.0, 1e-3);
-  EXPECT_NEAR(gainAt(curve, fp), 1.0 / std::sqrt(2.0), 0.02);
-  EXPECT_NEAR(gainAt(curve, 100 * fp), 0.01, 0.002);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    const double x = curve.freq[i] / fp;
+    EXPECT_NEAR(std::abs(curve.h[i]), 1.0 / std::sqrt(1.0 + x * x), 1e-6) << curve.freq[i];
+  }
   // Phase at the pole is -45 degrees.
   const double pm = phaseMarginDeg(curve);  // Unity never crossed from above 1... gain==1 at DC.
   (void)pm;

@@ -32,8 +32,8 @@ void printAblation() {
   (void)refEngine.run(refTopo, specs);
   const circuit::FoldedCascodeOtaDesign& refDesign = refTopo.sizingResult().design;
 
-  layout::OtaLayoutOptions internal;
-  layout::OtaLayoutOptions alternating;
+  layout::LayoutOptions internal;
+  layout::LayoutOptions alternating;
   alternating.foldStyle = device::FoldStyle::kAlternating;
 
   std::printf("\n=== Fold-policy ablation: internal drains vs alternating ===\n");
@@ -87,7 +87,7 @@ void BM_LayoutParasiticMode(benchmark::State& state) {
   const SynthesisEngine engine(t, base);
   FoldedCascodeOtaTopology topo(t, engine.model());
   (void)engine.run(topo, sizing::OtaSpecs{});
-  layout::OtaLayoutOptions opt;
+  layout::LayoutOptions opt;
   if (state.range(0)) opt.foldStyle = device::FoldStyle::kAlternating;
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(t, topo.sizingResult().design, opt, false);

@@ -32,9 +32,9 @@ void printSweep() {
   std::printf("%8s %10s %10s %8s %10s %8s %8s %10s\n", "aspect", "W um", "H um",
               "ratio", "area mm^2", "nf pair", "nf sink", "C(x1) fF");
   for (double aspect : {0.3, 0.5, 1.0, 2.0, 3.0}) {
-    layout::OtaLayoutOptions opt;
-    opt.shape = layout::ShapeConstraint{};
-    opt.shape.aspectRatio = aspect;
+    layout::LayoutOptions opt;
+    opt.placer.shape = layout::ShapeConstraint{};
+    opt.placer.shape.aspectRatio = aspect;
     const auto lay = layout::generateOtaLayout(t, refDesign, opt, false);
     std::printf("%8.2f %10.1f %10.1f %8.2f %10.4f %8d %8d %10.2f\n", aspect,
                 lay.width / 1e3, lay.height / 1e3,
@@ -48,9 +48,9 @@ void printSweep() {
   std::printf("\nheight-cap sweep:\n%10s %10s %10s %10s\n", "cap um", "W um", "H um",
               "area mm^2");
   for (double capUm : {80.0, 100.0, 130.0, 200.0}) {
-    layout::OtaLayoutOptions opt;
-    opt.shape = layout::ShapeConstraint{};
-    opt.shape.maxHeight = static_cast<geom::Coord>(capUm * 1000);
+    layout::LayoutOptions opt;
+    opt.placer.shape = layout::ShapeConstraint{};
+    opt.placer.shape.maxHeight = static_cast<geom::Coord>(capUm * 1000);
     const auto lay = layout::generateOtaLayout(t, refDesign, opt, false);
     std::printf("%10.0f %10.1f %10.1f %10.4f\n", capUm, lay.width / 1e3,
                 lay.height / 1e3, lay.width / 1e6 * (lay.height / 1e6));
@@ -63,9 +63,9 @@ void BM_FloorplanOnly(benchmark::State& state) {
   FoldedCascodeOtaTopology topo(t, engine.model());
   (void)engine.run(topo, sizing::OtaSpecs{});
   const circuit::FoldedCascodeOtaDesign& refDesign = topo.sizingResult().design;
-  layout::OtaLayoutOptions opt;
-  opt.shape = layout::ShapeConstraint{};
-  opt.shape.aspectRatio = 1.0;
+  layout::LayoutOptions opt;
+  opt.placer.shape = layout::ShapeConstraint{};
+  opt.placer.shape.aspectRatio = 1.0;
   opt.maxFoldCandidates = static_cast<int>(state.range(0));
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(t, refDesign, opt, false);

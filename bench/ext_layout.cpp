@@ -89,10 +89,10 @@ Sample measure(const char* topology, const char* mode, Fn&& generate) {
 }
 
 Sample runOta(layout::RowSearch search) {
-  layout::OtaLayoutOptions opt;
-  opt.placerSearch = search;
-  opt.placerCandidates = gCandidates;
-  opt.placerThreads = 4;
+  layout::LayoutOptions opt;
+  opt.placer.search = search;
+  opt.placer.candidates = gCandidates;
+  opt.placer.threads = 4;
   const char* mode = search == layout::RowSearch::kDeclared ? "declared" : "seeded";
   return measure("folded_cascode_ota", mode, [&] {
     return layout::generateOtaLayout(tech060(), otaDesign(), opt, false);
@@ -100,10 +100,10 @@ Sample runOta(layout::RowSearch search) {
 }
 
 Sample runTwoStage(layout::RowSearch search) {
-  layout::TwoStageLayoutOptions opt;
-  opt.placerSearch = search;
-  opt.placerCandidates = gCandidates;
-  opt.placerThreads = 4;
+  layout::LayoutOptions opt;
+  opt.placer.search = search;
+  opt.placer.candidates = gCandidates;
+  opt.placer.threads = 4;
   const char* mode = search == layout::RowSearch::kDeclared ? "declared" : "seeded";
   return measure("two_stage", mode, [&] {
     return layout::generateTwoStageLayout(tech060(), twoStageDesign(), opt, false);
@@ -177,17 +177,17 @@ int runSnapshot() {
 void BM_OtaRowPlacerDeclared(benchmark::State& state) {
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(
-        tech060(), otaDesign(), layout::OtaLayoutOptions{}, false);
+        tech060(), otaDesign(), layout::LayoutOptions{}, false);
     benchmark::DoNotOptimize(lay);
   }
 }
 BENCHMARK(BM_OtaRowPlacerDeclared)->Unit(benchmark::kMillisecond);
 
 void BM_OtaRowPlacerSeeded(benchmark::State& state) {
-  layout::OtaLayoutOptions opt;
-  opt.placerSearch = layout::RowSearch::kSeeded;
-  opt.placerCandidates = gCandidates;
-  opt.placerThreads = 4;
+  layout::LayoutOptions opt;
+  opt.placer.search = layout::RowSearch::kSeeded;
+  opt.placer.candidates = gCandidates;
+  opt.placer.threads = 4;
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(tech060(), otaDesign(), opt, false);
     benchmark::DoNotOptimize(lay);
@@ -196,10 +196,10 @@ void BM_OtaRowPlacerSeeded(benchmark::State& state) {
 BENCHMARK(BM_OtaRowPlacerSeeded)->Unit(benchmark::kMillisecond);
 
 void BM_TwoStageRowPlacerSeeded(benchmark::State& state) {
-  layout::TwoStageLayoutOptions opt;
-  opt.placerSearch = layout::RowSearch::kSeeded;
-  opt.placerCandidates = gCandidates;
-  opt.placerThreads = 4;
+  layout::LayoutOptions opt;
+  opt.placer.search = layout::RowSearch::kSeeded;
+  opt.placer.candidates = gCandidates;
+  opt.placer.threads = 4;
   for (auto _ : state) {
     const auto lay =
         layout::generateTwoStageLayout(tech060(), twoStageDesign(), opt, false);

@@ -35,7 +35,7 @@ void printFigure5() {
   std::printf("\nfloorplan rows (leaf, position, fold count):\n");
   for (const char* name : {"MP3C", "MP3", "MP5", "MP4", "MP4C", "PAIR", "MN1C", "SINK",
                            "MN2C"}) {
-    const auto& leaf = lay.floorplan.leaves.at(name);
+    const auto& leaf = lay.placement.floorplan.leaves.at(name);
     std::printf("  %-5s at (%6.1f, %6.1f) um, %5.1f x %5.1f um, nf/fingers=%d\n", name,
                 leaf.rect.x0 / 1e3, leaf.rect.y0 / 1e3, leaf.rect.width() / 1e3,
                 leaf.rect.height() / 1e3, leaf.tag);
@@ -94,7 +94,7 @@ void BM_OtaLayoutParasiticMode(benchmark::State& state) {
   (void)engine.run(topology, sizing::OtaSpecs{});
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(t, topology.sizingResult().design,
-                                               layout::OtaLayoutOptions{}, false);
+                                               layout::LayoutOptions{}, false);
     benchmark::DoNotOptimize(lay);
   }
 }
@@ -107,7 +107,7 @@ void BM_OtaLayoutGenerationMode(benchmark::State& state) {
   (void)engine.run(topology, sizing::OtaSpecs{});
   for (auto _ : state) {
     const auto lay = layout::generateOtaLayout(t, topology.sizingResult().design,
-                                               layout::OtaLayoutOptions{}, true);
+                                               layout::LayoutOptions{}, true);
     benchmark::DoNotOptimize(lay);
   }
 }

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace lo::core;
 
   EngineOptions options;
-  layout::OtaLayoutOptions layoutOptions;
+  layout::LayoutOptions layoutOptions;
   sizing::OtaSpecs specs;
   int mcSamples = 0;
   bool withBias = false;
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
     } else if (key == "--cl") {
       specs.cload = std::stod(val) * 1e-12;
     } else if (key == "--aspect") {
-      layoutOptions.shape = layout::ShapeConstraint{};
-      layoutOptions.shape.aspectRatio = std::stod(val);
+      layoutOptions.placer.shape = layout::ShapeConstraint{};
+      layoutOptions.placer.shape.aspectRatio = std::stod(val);
     } else if (key == "--mc") {
       mcSamples = std::stoi(val);
     } else {

@@ -4,7 +4,7 @@ namespace lo::core {
 
 FoldedCascodeOtaTopology::FoldedCascodeOtaTopology(const tech::Technology& t,
                                                    const device::MosModel& model,
-                                                   layout::OtaLayoutOptions layoutOptions)
+                                                   layout::LayoutOptions layoutOptions)
     : tech_(t), model_(model), layoutOptions_(std::move(layoutOptions)) {}
 
 const std::vector<std::string>& FoldedCascodeOtaTopology::criticalNets() const {
@@ -41,14 +41,11 @@ void FoldedCascodeOtaTopology::prepareGeneration(bool includeBiasGenerator) {
 }
 
 void FoldedCascodeOtaTopology::layoutGenerate() {
-  layout::OtaLayoutOptions genOptions = layoutOptions_;
-  if (biasEnabled_) {
-    // Draw the bias generator into the rows; its nets are then routed and
-    // their parasitics appear in the report.
-    genOptions.biasGenerator = &bias_;
-  }
-  layout_ = layout::generateOtaLayout(tech_, sizing_.design, genOptions,
-                                      /*generateGeometry=*/true);
+  // With the bias generator on, it is drawn into the rows; its nets are
+  // then routed and their parasitics appear in the report.
+  layout_ = layout::generateOtaLayout(tech_, sizing_.design, layoutOptions_,
+                                      /*generateGeometry=*/true,
+                                      biasEnabled_ ? &bias_ : nullptr);
 }
 
 void FoldedCascodeOtaTopology::applyExtracted() {

@@ -13,14 +13,14 @@ namespace lo::core {
 class FoldedCascodeOtaTopology final : public Topology {
  public:
   FoldedCascodeOtaTopology(const tech::Technology& t, const device::MosModel& model,
-                           layout::OtaLayoutOptions layoutOptions = {});
+                           layout::LayoutOptions layoutOptions = {});
 
   [[nodiscard]] std::string_view name() const override {
     return kFoldedCascodeOtaTopologyName;
   }
   [[nodiscard]] const std::vector<std::string>& criticalNets() const override;
   [[nodiscard]] layout::ConstraintSet placementConstraints() const override {
-    return layout::otaPlacementConstraints(layoutOptions_, biasEnabled_);
+    return layout::otaPlacementConstraints(biasEnabled_);
   }
 
   void size(const sizing::OtaSpecs& specs, const sizing::SizingPolicy& policy) override;
@@ -52,7 +52,7 @@ class FoldedCascodeOtaTopology final : public Topology {
  private:
   const tech::Technology& tech_;
   const device::MosModel& model_;
-  layout::OtaLayoutOptions layoutOptions_;
+  layout::LayoutOptions layoutOptions_;
 
   sizing::SizingResult sizing_;
   layout::OtaLayoutResult parasiticRun_;

@@ -4,7 +4,7 @@ namespace lo::core {
 
 TwoStageTopology::TwoStageTopology(const tech::Technology& t,
                                    const device::MosModel& model,
-                                   layout::TwoStageLayoutOptions layoutOptions)
+                                   layout::LayoutOptions layoutOptions)
     : tech_(t), model_(model), layoutOptions_(std::move(layoutOptions)) {}
 
 const std::vector<std::string>& TwoStageTopology::criticalNets() const {

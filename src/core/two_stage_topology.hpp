@@ -13,7 +13,7 @@ namespace lo::core {
 class TwoStageTopology final : public Topology {
  public:
   TwoStageTopology(const tech::Technology& t, const device::MosModel& model,
-                   layout::TwoStageLayoutOptions layoutOptions = {});
+                   layout::LayoutOptions layoutOptions = {});
 
   [[nodiscard]] std::string_view name() const override { return kTwoStageTopologyName; }
   [[nodiscard]] const std::vector<std::string>& criticalNets() const override;
@@ -50,7 +50,7 @@ class TwoStageTopology final : public Topology {
  private:
   const tech::Technology& tech_;
   const device::MosModel& model_;
-  layout::TwoStageLayoutOptions layoutOptions_;
+  layout::LayoutOptions layoutOptions_;
 
   sizing::TwoStageSizingResult sizing_;
   layout::TwoStageLayoutResult parasiticRun_;

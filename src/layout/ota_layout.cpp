@@ -1,244 +1,96 @@
 #include "layout/ota_layout.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "layout/mos_motif.hpp"
-#include "tech/units.hpp"
-
 namespace lo::layout {
 
 namespace {
 
 using circuit::FoldedCascodeOtaDesign;
+using circuit::OtaBiasDesign;
 using circuit::OtaGroup;
-using device::FoldPlan;
-using device::FoldStyle;
-using geom::Coord;
-using geom::Rect;
+using tech::MosType;
 
-/// Nets of one motif device instance in the OTA.
-struct MotifNets {
-  std::string drain, gate, source, bulk;
-};
-
-struct MotifLeaf {
-  std::string name;
-  OtaGroup group;
-  tech::MosType type;
-  MotifNets nets;
-};
-
-/// Fig. 5 floorplan: the motif leaves in row order.
-const MotifLeaf kTopRow[] = {
-    {"MP3C", OtaGroup::kPCascode, tech::MosType::kPmos, {"y1", "vc3", "z1", "vdd"}},
-    {"MP3", OtaGroup::kPSource, tech::MosType::kPmos, {"z1", "y1", "vdd", "vdd"}},
-    {"MP5", OtaGroup::kTail, tech::MosType::kPmos, {"tail", "vp1", "vdd", "vdd"}},
-    {"MP4", OtaGroup::kPSource, tech::MosType::kPmos, {"z2", "y1", "vdd", "vdd"}},
-    {"MP4C", OtaGroup::kPCascode, tech::MosType::kPmos, {"out", "vc3", "z2", "vdd"}},
-};
-const MotifLeaf kBottomRow[] = {
-    {"MN1C", OtaGroup::kNCascode, tech::MosType::kNmos, {"y1", "vc1", "x1", "gnd"}},
-    // (the sink stack MN5/MN6 sits between these two)
-    {"MN2C", OtaGroup::kNCascode, tech::MosType::kNmos, {"out", "vc1", "x2", "gnd"}},
-};
-
-/// Bias-generator legs (drawn only when options.biasGenerator is set).
-struct BiasLeaf {
+/// Bias-generator legs (drawn only when a bias design is given), each tied
+/// to the rail its source sits on.
+struct BiasLeg {
   const char* name;
-  tech::MosType type;
-  MotifNets nets;
-  const device::MosGeometry circuit::OtaBiasDesign::* geo;
+  MosType type;
+  const char *drain, *gate, *source;
+  const device::MosGeometry OtaBiasDesign::* geometry;
 };
-const BiasLeaf kBiasNmos[] = {
-    {"MNB1", tech::MosType::kNmos, {"vbn", "vbn", "gnd", "gnd"},
-     &circuit::OtaBiasDesign::nDiode},
-    {"MNB2", tech::MosType::kNmos, {"vp1", "vbn", "gnd", "gnd"},
-     &circuit::OtaBiasDesign::nDiode},
-    {"MNB3", tech::MosType::kNmos, {"vc1", "vc1", "gnd", "gnd"},
-     &circuit::OtaBiasDesign::nCascDiode},
-    {"MNB5", tech::MosType::kNmos, {"vc3", "vbn", "gnd", "gnd"},
-     &circuit::OtaBiasDesign::nDiode},
-};
-const BiasLeaf kBiasPmos[] = {
-    {"MPB1", tech::MosType::kPmos, {"vp1", "vp1", "vdd", "vdd"},
-     &circuit::OtaBiasDesign::pDiode},
-    {"MPB4", tech::MosType::kPmos, {"vc1", "vp1", "vdd", "vdd"},
-     &circuit::OtaBiasDesign::pDiode},
-    {"MPB2", tech::MosType::kPmos, {"vc3", "vc3", "vdd", "vdd"},
-     &circuit::OtaBiasDesign::pCascDiode},
+const BiasLeg kBiasLegs[] = {
+    {"MNB1", MosType::kNmos, "vbn", "vbn", "gnd", &OtaBiasDesign::nDiode},
+    {"MNB2", MosType::kNmos, "vp1", "vbn", "gnd", &OtaBiasDesign::nDiode},
+    {"MNB3", MosType::kNmos, "vc1", "vc1", "gnd", &OtaBiasDesign::nCascDiode},
+    {"MNB5", MosType::kNmos, "vc3", "vbn", "gnd", &OtaBiasDesign::nDiode},
+    {"MPB1", MosType::kPmos, "vp1", "vp1", "vdd", &OtaBiasDesign::pDiode},
+    {"MPB4", MosType::kPmos, "vc1", "vp1", "vdd", &OtaBiasDesign::pDiode},
+    {"MPB2", MosType::kPmos, "vc3", "vc3", "vdd", &OtaBiasDesign::pCascDiode},
 };
 
-/// Even fold candidates whose fingers stay above the minimum active width.
-std::vector<int> foldCandidates(const tech::Technology& t, double w, FoldStyle style,
-                                int maxCandidates) {
-  const double minW = nmToMeters(t.rules.activeMinWidth);
-  std::vector<int> out;
-  const int step = style == FoldStyle::kDrainInternal ? 2 : 1;
-  const int start = style == FoldStyle::kDrainInternal ? 2 : 1;
-  for (int nf = start; static_cast<int>(out.size()) < maxCandidates; nf += step) {
-    if (w / nf < minW) break;
-    out.push_back(nf);
-  }
-  if (out.empty()) out.push_back(start);
-  return out;
-}
+/// The item whose fold plan and junctions each group reports.
+const std::pair<OtaGroup, const char*> kGroupItems[] = {
+    {OtaGroup::kInputPair, "PAIR"}, {OtaGroup::kTail, "MP5"},
+    {OtaGroup::kSink, "SINK"},      {OtaGroup::kNCascode, "MN1C"},
+    {OtaGroup::kPSource, "MP3"},    {OtaGroup::kPCascode, "MP3C"},
+};
 
-std::vector<ShapeOption> motifOptions(const tech::Technology& t, double w, double l,
-                                      FoldStyle style, double current, int maxCandidates) {
-  std::vector<ShapeOption> opts;
-  for (int nf : foldCandidates(t, w, style, maxCandidates)) {
-    const FoldPlan plan = device::planFoldsExact(t.rules, w, nf, style);
-    const MosMotifInfo info = motifShape(t, plan, l, current);
-    opts.push_back({info.width, info.height, nf});
-  }
-  return opts;
-}
-
-StackPattern patternFor(const PlacementConstraint& matching) {
-  return matching.kind == ConstraintKind::kCommonCentroid ? StackPattern::kCommonCentroid
-                                                          : StackPattern::kInterdigitated;
-}
-
-const PlacementConstraint& matchingOrThrow(const ConstraintSet& constraints,
-                                           const std::string& group) {
-  const PlacementConstraint* c = constraints.matchingFor(group);
-  if (!c || c->items.size() != 2) {
-    throw std::invalid_argument("OTA layout needs a two-device matching constraint for '" +
-                                group + "'");
-  }
-  return *c;
-}
-
-/// The PAIR stack realises the input-pair matching constraint: device
-/// names and pattern come from the declaration, nets from the topology.
-StackSpec pairStackSpec(const FoldedCascodeOtaDesign& d, const OtaLayoutOptions& opt,
-                        const PlacementConstraint& matching, int fingersPerDevice) {
-  StackSpec s;
-  s.name = matching.group;
-  s.type = tech::MosType::kPmos;
-  s.unitWidth = d.inputPair.w / fingersPerDevice;
-  s.drawnL = d.inputPair.l;
-  s.sourceNet = "tail";
-  s.dummyGateNet = "vdd";  // PMOS dummies held off at VDD.
-  s.bulkNet = "tail";      // Floating well rides the tail node.
-  s.devices = {{matching.items[0], fingersPerDevice, "x1", "inp", d.tailCurrent / 2},
-               {matching.items[1], fingersPerDevice, "x2", "inn", d.tailCurrent / 2}};
-  s.pattern = patternFor(matching);
-  s.dummiesPerSide = opt.dummiesPerSide;
-  s.emitWellAndSelect = false;
-  return s;
-}
-
-StackSpec sinkStackSpec(const FoldedCascodeOtaDesign& d, const OtaLayoutOptions& opt,
-                        const PlacementConstraint& matching, int fingersPerDevice) {
-  StackSpec s;
-  s.name = matching.group;
-  s.type = tech::MosType::kNmos;
-  s.unitWidth = d.sink.w / fingersPerDevice;
-  s.drawnL = d.sink.l;
-  s.sourceNet = "gnd";
-  s.dummyGateNet = "gnd";
-  s.devices = {{matching.items[0], fingersPerDevice, "x1", "vbn", d.sinkCurrent()},
-               {matching.items[1], fingersPerDevice, "x2", "vbn", d.sinkCurrent()}};
-  s.pattern = patternFor(matching);
-  s.dummiesPerSide = opt.dummiesPerSide;
-  s.emitWellAndSelect = false;
-  return s;
-}
-
-std::vector<ShapeOption> stackOptions(const tech::Technology& t,
-                                      const FoldedCascodeOtaDesign& d,
-                                      const OtaLayoutOptions& opt,
-                                      const ConstraintSet& constraints, bool isPair,
-                                      int maxCandidates) {
-  const double w = isPair ? d.inputPair.w : d.sink.w;
-  const PlacementConstraint& matching =
-      matchingOrThrow(constraints, isPair ? "PAIR" : "SINK");
-  std::vector<ShapeOption> opts;
-  for (int nf : foldCandidates(t, w, FoldStyle::kDrainInternal, maxCandidates)) {
-    const StackSpec spec = isPair ? pairStackSpec(d, opt, matching, nf)
-                                  : sinkStackSpec(d, opt, matching, nf);
-    const StackExtents e = stackExtents(t, spec);
-    opts.push_back({e.width, e.height, nf});
-  }
-  return opts;
-}
-
-/// Declare the placeable items: motifs, the two matched stacks, and (when
-/// drawn) the bias legs as annex riders on their rows.
-std::vector<RowItem> buildItems(const tech::Technology& t,
-                                const FoldedCascodeOtaDesign& design,
-                                const OtaLayoutOptions& options,
-                                const ConstraintSet& constraints) {
-  std::vector<RowItem> items;
-  auto motifItem = [&](const MotifLeaf& m) {
-    const device::MosGeometry& geo = design.geometry(m.group);
-    RowItem it;
-    it.name = m.name;
-    it.kind = m.type == tech::MosType::kPmos ? RowKind::kPmos : RowKind::kNmos;
-    if (m.type == tech::MosType::kPmos) it.wellNet = m.nets.bulk;
-    it.options = motifOptions(t, geo.w, geo.l, options.foldStyle,
-                              otaGroupCurrent(design, m.group), options.maxFoldCandidates);
-    it.nets = {m.nets.drain, m.nets.gate, m.nets.source};
-    return it;
+RowLayoutDecl otaDeclaration(const FoldedCascodeOtaDesign& d, const OtaBiasDesign* bias) {
+  RowLayoutDecl decl;
+  decl.cellName = "OTA";
+  decl.constraints = otaPlacementConstraints(bias != nullptr);
+  auto motif = [&](const char* name, OtaGroup g, MosType type, const char* drain,
+                   const char* gate, const char* source, const char* bulk) {
+    return MotifDecl{name, type, d.geometry(g), circuit::otaGroupCurrent(d, g),
+                     drain, gate, source, bulk};
   };
-  auto biasItem = [&](const BiasLeaf& b) {
-    const device::MosGeometry& geo = options.biasGenerator->*(b.geo);
-    // Bias devices are small: a single fold is enough.
-    const device::FoldPlan plan =
-        device::planFoldsExact(t.rules, geo.w, 1, device::FoldStyle::kAlternating);
-    const MosMotifInfo info = motifShape(t, plan, geo.l, options.biasGenerator->biasCurrent);
-    RowItem it;
-    it.name = b.name;
-    it.kind = b.type == tech::MosType::kPmos ? RowKind::kPmos : RowKind::kNmos;
-    if (b.type == tech::MosType::kPmos) it.wellNet = b.nets.bulk;
-    it.annex = true;
-    it.options = {{info.width, info.height, 1}};
-    it.nets = {b.nets.drain, b.nets.gate, b.nets.source};
-    return it;
+  // Fig. 5's top row, then the bottom row's cascodes.
+  decl.motifs = {
+      motif("MP3C", OtaGroup::kPCascode, MosType::kPmos, "y1", "vc3", "z1", "vdd"),
+      motif("MP3", OtaGroup::kPSource, MosType::kPmos, "z1", "y1", "vdd", "vdd"),
+      motif("MP5", OtaGroup::kTail, MosType::kPmos, "tail", "vp1", "vdd", "vdd"),
+      motif("MP4", OtaGroup::kPSource, MosType::kPmos, "z2", "y1", "vdd", "vdd"),
+      motif("MP4C", OtaGroup::kPCascode, MosType::kPmos, "out", "vc3", "z2", "vdd"),
+      motif("MN1C", OtaGroup::kNCascode, MosType::kNmos, "y1", "vc1", "x1", "gnd"),
+      motif("MN2C", OtaGroup::kNCascode, MosType::kNmos, "out", "vc1", "x2", "gnd"),
   };
-
-  items.push_back(motifItem(kBottomRow[0]));
-  {
-    RowItem sink;
-    sink.name = "SINK";
-    sink.kind = RowKind::kNmos;
-    sink.options = stackOptions(t, design, options, constraints, false,
-                                options.maxFoldCandidates);
-    sink.nets = {"x1", "x2", "vbn", "gnd"};
-    items.push_back(std::move(sink));
+  // The pair's dummies are held off at VDD and its floating well rides the
+  // tail node.
+  decl.stacks = {
+      {"PAIR", MosType::kPmos, d.inputPair, "tail", "vdd", "tail",
+       {{.drainNet = "x1", .gateNet = "inp", .current = d.tailCurrent / 2},
+        {.drainNet = "x2", .gateNet = "inn", .current = d.tailCurrent / 2}}},
+      {"SINK", MosType::kNmos, d.sink, "gnd", "gnd", "",
+       {{.drainNet = "x1", .gateNet = "vbn", .current = d.sinkCurrent()},
+        {.drainNet = "x2", .gateNet = "vbn", .current = d.sinkCurrent()}}},
+  };
+  const double iBias = bias ? bias->biasCurrent : 0.0;
+  if (bias) {
+    for (const BiasLeg& b : kBiasLegs) {
+      decl.biasLegs.push_back(
+          {b.name, b.type, bias->*b.geometry, iBias, b.drain, b.gate, b.source, b.source});
+    }
   }
-  items.push_back(motifItem(kBottomRow[1]));
-  if (options.biasGenerator) {
-    for (const BiasLeaf& b : kBiasNmos) items.push_back(biasItem(b));
-  }
-  {
-    RowItem pair;
-    pair.name = "PAIR";
-    pair.kind = RowKind::kPmos;
-    pair.wellNet = "tail";
-    pair.options = stackOptions(t, design, options, constraints, true,
-                                options.maxFoldCandidates);
-    pair.nets = {"x1", "inp", "x2", "inn", "tail"};
-    items.push_back(std::move(pair));
-  }
-  for (const MotifLeaf& m : kTopRow) items.push_back(motifItem(m));
-  if (options.biasGenerator) {
-    for (const BiasLeaf& b : kBiasPmos) items.push_back(biasItem(b));
-  }
-  return items;
+  const double iSink = d.sinkCurrent();
+  const double iCasc = d.cascodeCurrent;
+  decl.nets = {
+      {"tail", d.tailCurrent}, {"x1", iSink},  {"x2", iSink},  {"y1", iCasc},
+      {"z1", iCasc},           {"z2", iCasc},  {"out", iCasc},
+      {"vdd", d.supplyCurrent() + 4.0 * iBias},
+      {"gnd", d.supplyCurrent() + 4.0 * iBias}, {"inp", 0.0},   {"inn", 0.0},
+      {"vp1", iBias},          {"vbn", iBias}, {"vc1", iBias}, {"vc3", iBias},
+  };
+  // Outer channels host every trunk that cannot sit between rows; with the
+  // bias generator present up to ~10 tracks stack up there.
+  decl.channelMargin = 26000;
+  return decl;
 }
 
 }  // namespace
 
-ConstraintSet otaPlacementConstraints(const OtaLayoutOptions& options, bool includeBias) {
+ConstraintSet otaPlacementConstraints(bool includeBias) {
   ConstraintSet cs;
   // Matched groups fuse into stack items.
-  cs.add(options.commonCentroidPair
-             ? PlacementConstraint::commonCentroid("PAIR", {"MP1", "MP2"})
-             : PlacementConstraint::interdigitate("PAIR", {"MP1", "MP2"}));
+  cs.add(PlacementConstraint::commonCentroid("PAIR", {"MP1", "MP2"}));
   cs.add(PlacementConstraint::interdigitate("SINK", {"MN5", "MN6"}));
   // The cascode legs mirror about the core's vertical axis.
   cs.add(PlacementConstraint::mirrorPair("MN1C", "MN2C"));
@@ -249,8 +101,9 @@ ConstraintSet otaPlacementConstraints(const OtaLayoutOptions& options, bool incl
   std::vector<std::string> bottom = {"MN1C", "SINK", "MN2C"};
   std::vector<std::string> top = {"MP3C", "MP3", "MP5", "MP4", "MP4C"};
   if (includeBias) {
-    for (const BiasLeaf& b : kBiasNmos) bottom.push_back(b.name);
-    for (const BiasLeaf& b : kBiasPmos) top.push_back(b.name);
+    for (const BiasLeg& b : kBiasLegs) {
+      (b.type == MosType::kNmos ? bottom : top).push_back(b.name);
+    }
   }
   cs.add(PlacementConstraint::sameRow(std::move(bottom)));
   cs.add(PlacementConstraint::sameRow({"PAIR"}));
@@ -264,183 +117,18 @@ ConstraintSet otaPlacementConstraints(const OtaLayoutOptions& options, bool incl
 
 OtaLayoutResult generateOtaLayout(const tech::Technology& t,
                                   const FoldedCascodeOtaDesign& design,
-                                  const OtaLayoutOptions& options, bool generateGeometry) {
-  // --- Constraint-driven row placement. ---
-  const ConstraintSet constraints =
-      otaPlacementConstraints(options, options.biasGenerator != nullptr);
-  const RowPlacer placer(t, buildItems(t, design, options, constraints), constraints);
-  RowPlacerOptions placerOptions;
-  placerOptions.shape = options.shape;
-  placerOptions.search = options.placerSearch;
-  placerOptions.seed = options.placerSeed;
-  placerOptions.candidates = options.placerCandidates;
-  placerOptions.threads = options.placerThreads;
-  placerOptions.wireCostNm = options.wireCostNm;
-  const RowPlacement placement = placer.place(placerOptions);
-  const FloorplanResult& fp = placement.floorplan;
-  const std::map<std::string, int>& tags = placement.tags;
-
-  OtaLayoutResult result;
-  result.placement = placement;
-  result.floorplan = fp;
-  result.width = fp.width;
-  result.height = fp.height;
-
-  // --- Fold plans and junction geometry per matched group. ---
-  auto motifPlan = [&](OtaGroup g, const std::string& leafName) {
-    const device::MosGeometry& geo = design.geometry(g);
-    const FoldPlan plan =
-        device::planFoldsExact(t.rules, geo.w, tags.at(leafName), options.foldStyle);
-    result.foldPlans[g] = plan;
-    device::MosGeometry j = geo;
-    device::applyDiffusionGeometry(t.rules, plan, j);
-    result.junctions[g] = j;
-  };
-  motifPlan(OtaGroup::kTail, "MP5");
-  motifPlan(OtaGroup::kPSource, "MP3");
-  motifPlan(OtaGroup::kPCascode, "MP3C");
-  motifPlan(OtaGroup::kNCascode, "MN1C");
-
-  const StackSpec pairSpec =
-      pairStackSpec(design, options, matchingOrThrow(constraints, "PAIR"), tags.at("PAIR"));
-  const StackSpec sinkSpec =
-      sinkStackSpec(design, options, matchingOrThrow(constraints, "SINK"), tags.at("SINK"));
-  result.pairPlan = planStack(pairSpec);
-  result.sinkPlan = planStack(sinkSpec);
-  fillStackJunctions(t.rules, pairSpec, result.pairPlan);
-  fillStackJunctions(t.rules, sinkSpec, result.sinkPlan);
-  result.junctions[OtaGroup::kInputPair] = result.pairPlan.metrics[0].junctions;
-  result.junctions[OtaGroup::kSink] = result.sinkPlan.metrics[0].junctions;
-  {
-    FoldPlan pp;
-    pp.nf = tags.at("PAIR");
-    pp.foldWidth = pairSpec.unitWidth;
-    pp.totalWidth = pp.foldWidth * pp.nf;
-    pp.drainInternal = true;
-    result.foldPlans[OtaGroup::kInputPair] = pp;
-    FoldPlan sp = pp;
-    sp.nf = tags.at("SINK");
-    sp.foldWidth = sinkSpec.unitWidth;
-    sp.totalWidth = sp.foldWidth * sp.nf;
-    result.foldPlans[OtaGroup::kSink] = sp;
+                                  const LayoutOptions& options, bool generateGeometry,
+                                  const OtaBiasDesign* bias) {
+  OtaLayoutResult r;
+  static_cast<RowLayout&>(r) =
+      generateRowLayout(t, otaDeclaration(design, bias), options, generateGeometry);
+  for (const auto& [group, item] : kGroupItems) {
+    r.foldPlans[group] = r.itemFoldPlans.at(item);
+    r.junctions[group] = r.itemJunctions.at(item);
   }
-
-  // --- Assemble the cell (ports are needed even in parasitic mode). ---
-  Cell assembly;
-  assembly.name = "OTA";
-  auto placeChild = [&](const Cell& child, const Rect& where) {
-    const Rect box = child.bbox();
-    assembly.place(child, geom::Orient::kR0, where.x0 - box.x0, where.y0 - box.y0);
-  };
-
-  std::vector<RowActive> actives;
-  auto trackActive = [&](const Cell& child, const Rect& where, tech::MosType type,
-                         const std::string& wellNet) {
-    const Rect box = child.bbox();
-    const Rect act = child.shapes.bbox(tech::Layer::kActive)
-                         .translated(where.x0 - box.x0, where.y0 - box.y0);
-    actives.push_back({type, wellNet, act});
-  };
-
-  for (const MotifLeaf& m : kTopRow) {
-    MosMotifSpec spec;
-    spec.name = m.name;
-    spec.type = m.type;
-    spec.plan = result.foldPlans[m.group];
-    spec.drawnL = design.geometry(m.group).l;
-    spec.terminalCurrent = otaGroupCurrent(design, m.group);
-    spec.drainNet = m.nets.drain;
-    spec.gateNet = m.nets.gate;
-    spec.sourceNet = m.nets.source;
-    spec.bulkNet = m.nets.bulk;
-    spec.emitWellAndSelect = false;
-    const Cell cell = generateMosMotif(t, spec);
-    placeChild(cell, fp.leaves.at(m.name).rect);
-    trackActive(cell, fp.leaves.at(m.name).rect, m.type, m.nets.bulk);
-  }
-  for (const MotifLeaf& m : kBottomRow) {
-    MosMotifSpec spec;
-    spec.name = m.name;
-    spec.type = m.type;
-    spec.plan = result.foldPlans[OtaGroup::kNCascode];
-    spec.drawnL = design.nCascode.l;
-    spec.terminalCurrent = otaGroupCurrent(design, OtaGroup::kNCascode);
-    spec.drainNet = m.nets.drain;
-    spec.gateNet = m.nets.gate;
-    spec.sourceNet = m.nets.source;
-    spec.bulkNet = m.nets.bulk;
-    spec.emitWellAndSelect = false;
-    const Cell cell = generateMosMotif(t, spec);
-    placeChild(cell, fp.leaves.at(m.name).rect);
-    trackActive(cell, fp.leaves.at(m.name).rect, m.type, "");
-  }
-  {
-    const Cell pairCell = generateStack(t, pairSpec);
-    placeChild(pairCell, fp.leaves.at("PAIR").rect);
-    trackActive(pairCell, fp.leaves.at("PAIR").rect, tech::MosType::kPmos,
-                pairSpec.bulkNet);
-    const Cell sinkCell = generateStack(t, sinkSpec);
-    placeChild(sinkCell, fp.leaves.at("SINK").rect);
-    trackActive(sinkCell, fp.leaves.at("SINK").rect, tech::MosType::kNmos, "");
-  }
-  if (options.biasGenerator) {
-    auto placeBias = [&](const BiasLeaf& b) {
-      const device::MosGeometry& geo = options.biasGenerator->*(b.geo);
-      MosMotifSpec spec;
-      spec.name = b.name;
-      spec.type = b.type;
-      spec.plan = device::planFoldsExact(t.rules, geo.w, 1, device::FoldStyle::kAlternating);
-      spec.drawnL = geo.l;
-      spec.terminalCurrent = options.biasGenerator->biasCurrent;
-      spec.drainNet = b.nets.drain;
-      spec.gateNet = b.nets.gate;
-      spec.sourceNet = b.nets.source;
-      spec.bulkNet = b.nets.bulk;
-      spec.emitWellAndSelect = false;
-      const Cell cell = generateMosMotif(t, spec);
-      placeChild(cell, fp.leaves.at(b.name).rect);
-      trackActive(cell, fp.leaves.at(b.name).rect, b.type, b.nets.bulk);
-    };
-    for (const BiasLeaf& b : kBiasNmos) placeBias(b);
-    for (const BiasLeaf& b : kBiasPmos) placeBias(b);
-  }
-
-  // --- Merged wells and selects per row ("exact well sizes"): the row
-  // discipline's well sharing, grouped by declared well net. ---
-  const geom::ShapeList wellShapes = mergedRowWells(t, actives);
-
-  // --- Routing channels: the bands between rows, plus above and below.
-  // Outer channels host every trunk that cannot sit between rows; with
-  // the bias generator present up to ~10 tracks stack up there. ---
-  const std::vector<Channel> channels = rowChannels(t, placement, 26000);
-
-  // --- Routing. ---
-  const double iTail = design.tailCurrent;
-  const double iCasc = design.cascodeCurrent;
-  const double iSink = design.sinkCurrent();
-  const double iBias =
-      options.biasGenerator ? options.biasGenerator->biasCurrent : 0.0;
-  const std::vector<NetRequest> nets = {
-      {"tail", iTail}, {"x1", iSink},  {"x2", iSink},  {"y1", iCasc},
-      {"z1", iCasc},   {"z2", iCasc},  {"out", iCasc},
-      {"vdd", design.supplyCurrent() + 4.0 * iBias},
-      {"gnd", design.supplyCurrent() + 4.0 * iBias}, {"inp", 0.0},   {"inn", 0.0},
-      {"vp1", iBias},  {"vbn", iBias}, {"vc1", iBias}, {"vc3", iBias},
-  };
-  result.routing = routeCell(t, assembly, nets, channels, generateGeometry);
-
-  // --- Parasitic report (wells always included). ---
-  result.parasitics = buildReport(t, result.routing, wellShapes, {"vdd"});
-
-  if (generateGeometry) {
-    assembly.shapes.merge(wellShapes, geom::Orient::kR0, 0, 0);
-    assembly.shapes.merge(result.routing.wires, geom::Orient::kR0, 0, 0);
-    result.cell = std::move(assembly);
-    const Rect box = result.cell.bbox();
-    result.width = box.width();
-    result.height = box.height();
-  }
-  return result;
+  r.pairPlan = r.stackPlans.at("PAIR");
+  r.sinkPlan = r.stackPlans.at("SINK");
+  return r;
 }
 
 }  // namespace lo::layout

@@ -1,96 +1,48 @@
-// Procedural layout program for the folded-cascode OTA (paper Figs. 4/5),
-// restructured as a constraint-driven pipeline: the topology *declares*
-// its matching intent (otaPlacementConstraints) and the generic RowPlacer
-// (layout/row.hpp) realises rows, symmetry and fold selection from those
-// constraints.  With the default declared search the placer compiles the
-// constraints into the historical Fig. 5 floorplan byte-for-byte:
+// The folded-cascode OTA's layout declaration (paper Figs. 4/5): what it
+// draws, fed to the one layout program (layout/row_layout.hpp).  The
+// topology declares its matching intent (otaPlacementConstraints) and the
+// generic RowPlacer (layout/row.hpp) realises rows, symmetry and fold
+// selection from those constraints.  With the default declared search the
+// placer compiles the constraints into the Fig. 5 floorplan:
 //   top row    : MP3C | MP3 | MP5 | MP4 | MP4C      (PMOS, shared VDD well)
 //   middle row : MP1/MP2 common-centroid stack with end dummies
 //                (own floating well tied to the tail node)
 //   bottom row : MN1C | MN5-MN6 interdigitated stack | MN2C
-//
-// Runs in two modes:
-//   * parasitic calculation mode -- area optimisation picks every fold
-//     count under the shape constraint, wire positions/widths are fully
-//     determined and all capacitances are reported, but no geometry is kept;
-//   * generation mode -- additionally emits the full mask geometry.
 #pragma once
 
-#include <cstdint>
 #include <map>
 
 #include "circuit/ota.hpp"
-#include "device/folding.hpp"
-#include "layout/cell.hpp"
-#include "layout/constraints.hpp"
-#include "layout/extract.hpp"
-#include "layout/router.hpp"
-#include "layout/row.hpp"
-#include "layout/slicing.hpp"
-#include "layout/stack.hpp"
-#include "tech/technology.hpp"
+#include "layout/row_layout.hpp"
 
 namespace lo::layout {
 
-struct OtaLayoutOptions {
-  /// Fold-parity policy: kDrainInternal realises the paper's capacitance
-  /// trick ("all transistor folds are chosen such that drains are internal
-  /// diffusions"); kAlternating is the ablation baseline.
-  device::FoldStyle foldStyle = device::FoldStyle::kDrainInternal;
-  /// When set, the bias-generator devices are drawn too: the NMOS legs join
-  /// the bottom row, the PMOS legs the top row, and the bias nets are
-  /// routed (their parasitics then appear in the report).
-  const circuit::OtaBiasDesign* biasGenerator = nullptr;
-  bool commonCentroidPair = true;   ///< false: interdigitated input pair.
-  int dummiesPerSide = 1;
-  ShapeConstraint shape = defaultShape();
-  int maxFoldCandidates = 6;        ///< Fold alternatives offered per device.
+/// The OTA's declared matching intent: the input pair fuses common-centroid
+/// into the PAIR stack, MN5/MN6 interdigitate into SINK, the cascodes
+/// mirror about the core axis, and the three diffusion rows of Fig. 5 are
+/// declared with the bias legs (when `includeBias`) riding their rows'
+/// right ends.
+[[nodiscard]] ConstraintSet otaPlacementConstraints(bool includeBias);
 
-  /// Row-placer backend.  kDeclared reproduces the legacy floorplan
-  /// exactly; kSeeded searches constraint-satisfying alternatives.
-  RowSearch placerSearch = RowSearch::kDeclared;
-  std::uint64_t placerSeed = 1;
-  int placerCandidates = 96;
-  int placerThreads = 1;
-  double wireCostNm = 50.0;
-
-  [[nodiscard]] static ShapeConstraint defaultShape() {
-    ShapeConstraint c;
-    c.aspectRatio = 1.0;
-    return c;
-  }
-};
-
-/// The OTA's declared matching intent: the input pair fuses into the PAIR
-/// stack (common-centroid or interdigitated per the options), MN5/MN6
-/// interdigitate into SINK, the cascodes mirror about the core axis, and
-/// the three diffusion rows of Fig. 5 are declared with the bias legs
-/// (when `includeBias`) riding their rows' right ends.
-[[nodiscard]] ConstraintSet otaPlacementConstraints(const OtaLayoutOptions& options,
-                                                    bool includeBias);
-
-/// Everything the sizing tool is told after a layout call (paper section 2:
-/// transistor layout style, routing and coupling parasitics, well sizes).
-struct OtaLayoutResult {
+/// The layout program's outputs, with fold plans and junctions keyed by
+/// device group.
+struct OtaLayoutResult : RowLayout {
   std::map<circuit::OtaGroup, device::FoldPlan> foldPlans;
   /// Exact per-device junction geometry (AD/AS/PD/PS) as drawn; for stacked
   /// groups this includes diffusion sharing between neighbours.
   std::map<circuit::OtaGroup, device::MosGeometry> junctions;
-  ParasiticReport parasitics;
-  StackPlan pairPlan;               ///< Matching metrics of the input pair.
-  StackPlan sinkPlan;               ///< Matching metrics of MN5/MN6.
-  geom::Coord width = 0;
-  geom::Coord height = 0;
-  FloorplanResult floorplan;
-  RowPlacement placement;           ///< Row placer outcome (rows, score).
-  RoutingResult routing;
-  Cell cell;                        ///< Geometry; empty in parasitic mode.
+  StackPlan pairPlan;  ///< Matching metrics of the input pair.
+  StackPlan sinkPlan;  ///< Matching metrics of MN5/MN6.
 };
 
-/// Run the OTA layout program.  `generateGeometry` selects the mode.
+/// Run the layout program on the OTA.  `generateGeometry` selects the
+/// mode.  When `bias` is given, the bias-generator devices are drawn too:
+/// the NMOS legs join the bottom row, the PMOS legs the top row, and the
+/// bias nets are routed (their parasitics then appear in the report).
 [[nodiscard]] OtaLayoutResult generateOtaLayout(const tech::Technology& t,
                                                 const circuit::FoldedCascodeOtaDesign& design,
-                                                const OtaLayoutOptions& options,
-                                                bool generateGeometry);
+                                                const LayoutOptions& options,
+                                                bool generateGeometry,
+                                                const circuit::OtaBiasDesign* bias = nullptr);
 
 }  // namespace lo::layout

@@ -1,110 +1,66 @@
 #include "layout/two_stage_layout.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "layout/mos_motif.hpp"
-#include "tech/units.hpp"
-
 namespace lo::layout {
 
 namespace {
 
 using circuit::TwoStageGroup;
 using circuit::TwoStageOtaDesign;
-using device::FoldPlan;
-using device::FoldStyle;
-using geom::Coord;
-using geom::Rect;
+using tech::MosType;
 
-std::vector<int> foldCandidates(const tech::Technology& t, double w, FoldStyle style,
-                                int maxCandidates) {
-  const double minW = nmToMeters(t.rules.activeMinWidth);
-  std::vector<int> out;
-  const int step = style == FoldStyle::kDrainInternal ? 2 : 1;
-  for (int nf = step; static_cast<int>(out.size()) < maxCandidates; nf += step) {
-    if (w / nf < minW) break;
-    out.push_back(nf);
-  }
-  if (out.empty()) out.push_back(step);
-  return out;
-}
-
-std::vector<ShapeOption> motifOptions(const tech::Technology& t, double w, double l,
-                                      FoldStyle style, double current, int maxCandidates) {
-  std::vector<ShapeOption> opts;
-  for (int nf : foldCandidates(t, w, style, maxCandidates)) {
-    const FoldPlan plan = device::planFoldsExact(t.rules, w, nf, style);
-    const MosMotifInfo info = motifShape(t, plan, l, current);
-    opts.push_back({info.width, info.height, nf});
-  }
-  return opts;
-}
-
-const PlacementConstraint& matchingOrThrow(const ConstraintSet& constraints,
-                                           const std::string& group) {
-  const PlacementConstraint* c = constraints.matchingFor(group);
-  if (!c || c->items.size() != 2) {
-    throw std::invalid_argument(
-        "two-stage layout needs a two-device matching constraint for '" + group + "'");
-  }
-  return *c;
-}
-
-/// Stack realising the input-pair matching constraint: device names and
-/// pattern come from the declaration, nets from the topology.
-StackSpec pairSpec(const TwoStageOtaDesign& d, const TwoStageLayoutOptions& opt,
-                   const PlacementConstraint& matching, int fingers) {
-  StackSpec s;
-  s.name = matching.group;
-  s.type = tech::MosType::kNmos;
-  s.unitWidth = d.inputPair.w / fingers;
-  s.drawnL = d.inputPair.l;
-  s.sourceNet = "tail";
-  s.dummyGateNet = "gnd";
-  s.devices = {{matching.items[0], fingers, "d1", "inn", d.tailCurrent / 2},
-               {matching.items[1], fingers, "o1", "inp", d.tailCurrent / 2}};
-  s.pattern = matching.kind == ConstraintKind::kCommonCentroid
-                  ? StackPattern::kCommonCentroid
-                  : StackPattern::kInterdigitated;
-  s.dummiesPerSide = opt.dummiesPerSide;
-  s.emitWellAndSelect = false;
-  return s;
-}
-
-StackSpec mirrorSpec(const TwoStageOtaDesign& d, const TwoStageLayoutOptions& opt,
-                     const PlacementConstraint& matching, int fingers) {
-  StackSpec s;
-  s.name = matching.group;
-  s.type = tech::MosType::kPmos;
-  s.unitWidth = d.mirror.w / fingers;
-  s.drawnL = d.mirror.l;
-  s.sourceNet = "vdd";
-  s.dummyGateNet = "vdd";
-  s.bulkNet = "vdd";
-  s.devices = {{matching.items[0], fingers, "d1", "d1", d.tailCurrent / 2},
-               {matching.items[1], fingers, "o1", "d1", d.tailCurrent / 2}};
-  s.pattern = matching.kind == ConstraintKind::kCommonCentroid
-                  ? StackPattern::kCommonCentroid
-                  : StackPattern::kInterdigitated;
-  s.dummiesPerSide = opt.dummiesPerSide;
-  s.emitWellAndSelect = false;
-  return s;
-}
-
-struct MotifLeaf {
-  const char* name;
-  TwoStageGroup group;
-  tech::MosType type;
-  const char *drain, *gate, *source, *bulk;
+/// The item whose fold plan and junctions each group reports.
+const std::pair<TwoStageGroup, const char*> kGroupItems[] = {
+    {TwoStageGroup::kInputPair, "PAIR"}, {TwoStageGroup::kMirror, "MIRROR"},
+    {TwoStageGroup::kTail, "MN5"},       {TwoStageGroup::kDriver, "MP6"},
+    {TwoStageGroup::kSink2, "MN7"},
 };
 
-const MotifLeaf kTail{"MN5", TwoStageGroup::kTail, tech::MosType::kNmos,
-                      "tail", "vbn", "gnd", "gnd"};
-const MotifLeaf kSink2{"MN7", TwoStageGroup::kSink2, tech::MosType::kNmos,
-                       "out", "vbn", "gnd", "gnd"};
-const MotifLeaf kDriver{"MP6", TwoStageGroup::kDriver, tech::MosType::kPmos,
-                        "out", "o1", "vdd", "vdd"};
+RowLayoutDecl twoStageDeclaration(const TwoStageOtaDesign& d) {
+  RowLayoutDecl decl;
+  decl.cellName = "TWO_STAGE";
+  decl.constraints = twoStagePlacementConstraints();
+  auto motif = [&](const char* name, TwoStageGroup g, MosType type, const char* drain,
+                   const char* gate, const char* source) {
+    return MotifDecl{name, type, d.geometry(g), circuit::twoStageGroupCurrent(d, g),
+                     drain, gate, source, source};
+  };
+  decl.motifs = {
+      motif("MN5", TwoStageGroup::kTail, MosType::kNmos, "tail", "vbn", "gnd"),
+      motif("MN7", TwoStageGroup::kSink2, MosType::kNmos, "out", "vbn", "gnd"),
+      motif("MP6", TwoStageGroup::kDriver, MosType::kPmos, "out", "o1", "vdd"),
+  };
+  const double iHalf = d.tailCurrent / 2;
+  decl.stacks = {
+      {"PAIR", MosType::kNmos, d.inputPair, "tail", "gnd", "",
+       {{.drainNet = "d1", .gateNet = "inn", .current = iHalf},
+        {.drainNet = "o1", .gateNet = "inp", .current = iHalf}}},
+      {"MIRROR", MosType::kPmos, d.mirror, "vdd", "vdd", "vdd",
+       {{.drainNet = "d1", .gateNet = "d1", .current = iHalf},
+        {.drainNet = "o1", .gateNet = "d1", .current = iHalf}}},
+  };
+  // CC's bottom plate sits on the Rz side: its substrate parasitic loads
+  // the midpoint, not the output.
+  CapacitorSpec cc;
+  cc.name = "CC";
+  cc.farads = d.cc;
+  cc.bottomNet = "rzm";
+  cc.topNet = "out";
+  cc.aspect = 2.0;
+  decl.capacitors = {cc};
+  ResistorSpec rz;
+  rz.name = "RZ";
+  rz.ohms = d.rz;
+  rz.netA = "o1";
+  rz.netB = "rzm";
+  decl.resistors = {rz};
+  decl.nets = {
+      {"tail", d.tailCurrent}, {"d1", iHalf},  {"o1", iHalf},   {"out", d.stage2Current},
+      {"rzm", 0.0},            {"inp", 0.0},   {"inn", 0.0},    {"vbn", 0.0},
+      {"vdd", d.supplyCurrent()}, {"gnd", d.supplyCurrent()},
+  };
+  decl.channelMargin = 16000;
+  return decl;
+}
 
 }  // namespace
 
@@ -123,198 +79,19 @@ ConstraintSet twoStagePlacementConstraints() {
 
 TwoStageLayoutResult generateTwoStageLayout(const tech::Technology& t,
                                             const TwoStageOtaDesign& design,
-                                            const TwoStageLayoutOptions& options,
+                                            const LayoutOptions& options,
                                             bool generateGeometry) {
-  TwoStageLayoutResult result;
-
-  // --- Pre-build the passives (single shape each). ---
-  CapacitorSpec ccSpec;
-  ccSpec.name = "CC";
-  ccSpec.farads = design.cc;
-  ccSpec.bottomNet = "rzm";  // Bottom plate on the Rz side: its substrate
-  ccSpec.topNet = "out";     // parasitic loads the midpoint, not the output.
-  ccSpec.aspect = 2.0;
-  const Cell ccCell = generateCapacitor(t, ccSpec, &result.ccInfo);
-
-  ResistorSpec rzSpec;
-  rzSpec.name = "RZ";
-  rzSpec.ohms = design.rz;
-  rzSpec.netA = "o1";
-  rzSpec.netB = "rzm";
-  const Cell rzCell = generateResistor(t, rzSpec, &result.rzInfo);
-
-  // --- Constraint-driven row placement. ---
-  const ConstraintSet constraints = twoStagePlacementConstraints();
-  const PlacementConstraint& pairMatch = matchingOrThrow(constraints, "PAIR");
-  const PlacementConstraint& mirrorMatch = matchingOrThrow(constraints, "MIRROR");
-
-  std::vector<RowItem> items;
-  auto motifItem = [&](const MotifLeaf& m) {
-    const device::MosGeometry& geo = design.geometry(m.group);
-    RowItem it;
-    it.name = m.name;
-    it.kind = m.type == tech::MosType::kPmos ? RowKind::kPmos : RowKind::kNmos;
-    if (m.type == tech::MosType::kPmos) it.wellNet = m.bulk;
-    it.options = motifOptions(t, geo.w, geo.l, options.foldStyle,
-                              twoStageGroupCurrent(design, m.group),
-                              options.maxFoldCandidates);
-    it.nets = {m.drain, m.gate, m.source};
-    return it;
-  };
-  auto stackItem = [&](const PlacementConstraint& matching, bool isPair) {
-    const double w = isPair ? design.inputPair.w : design.mirror.w;
-    RowItem it;
-    it.name = matching.group;
-    it.kind = isPair ? RowKind::kNmos : RowKind::kPmos;
-    if (!isPair) it.wellNet = "vdd";
-    for (int nf :
-         foldCandidates(t, w, FoldStyle::kDrainInternal, options.maxFoldCandidates)) {
-      const StackSpec s = isPair ? pairSpec(design, options, matching, nf)
-                                 : mirrorSpec(design, options, matching, nf);
-      const StackExtents e = stackExtents(t, s);
-      it.options.push_back({e.width, e.height, nf});
-    }
-    it.nets = isPair ? std::vector<std::string>{"d1", "inn", "o1", "inp", "tail"}
-                     : std::vector<std::string>{"d1", "o1", "vdd"};
-    return it;
-  };
-  auto passiveItem = [&](const char* name, const Cell& cell,
-                         std::vector<std::string> nets) {
-    const Rect box = cell.bbox();
-    RowItem it;
-    it.name = name;
-    it.kind = RowKind::kPassive;
-    it.options = {{box.width(), box.height(), 0}};
-    it.nets = std::move(nets);
-    return it;
-  };
-  items.push_back(motifItem(kTail));
-  items.push_back(stackItem(pairMatch, true));
-  items.push_back(motifItem(kSink2));
-  items.push_back(passiveItem("CC", ccCell, {"rzm", "out"}));
-  items.push_back(passiveItem("RZ", rzCell, {"o1", "rzm"}));
-  items.push_back(stackItem(mirrorMatch, false));
-  items.push_back(motifItem(kDriver));
-
-  const RowPlacer placer(t, std::move(items), constraints);
-  RowPlacerOptions placerOptions;
-  placerOptions.shape = options.shape;
-  placerOptions.search = options.placerSearch;
-  placerOptions.seed = options.placerSeed;
-  placerOptions.candidates = options.placerCandidates;
-  placerOptions.threads = options.placerThreads;
-  placerOptions.wireCostNm = options.wireCostNm;
-  const RowPlacement placement = placer.place(placerOptions);
-  const FloorplanResult& fp = placement.floorplan;
-  const std::map<std::string, int>& tags = placement.tags;
-  result.placement = placement;
-  result.floorplan = fp;
-  result.width = fp.width;
-  result.height = fp.height;
-
-  // --- Fold plans and junctions. ---
-  auto motifPlan = [&](const MotifLeaf& m) {
-    const device::MosGeometry& geo = design.geometry(m.group);
-    const FoldPlan plan =
-        device::planFoldsExact(t.rules, geo.w, tags.at(m.name), options.foldStyle);
-    result.foldPlans[m.group] = plan;
-    device::MosGeometry j = geo;
-    device::applyDiffusionGeometry(t.rules, plan, j);
-    result.junctions[m.group] = j;
-  };
-  motifPlan(kTail);
-  motifPlan(kSink2);
-  motifPlan(kDriver);
-
-  const StackSpec pair = pairSpec(design, options, pairMatch, tags.at("PAIR"));
-  const StackSpec mirror = mirrorSpec(design, options, mirrorMatch, tags.at("MIRROR"));
-  result.pairPlan = planStack(pair);
-  StackPlan mirrorPlan = planStack(mirror);
-  fillStackJunctions(t.rules, pair, result.pairPlan);
-  fillStackJunctions(t.rules, mirror, mirrorPlan);
-  result.junctions[TwoStageGroup::kInputPair] = result.pairPlan.metrics[0].junctions;
-  result.junctions[TwoStageGroup::kMirror] = mirrorPlan.metrics[0].junctions;
-  {
-    FoldPlan pp;
-    pp.nf = tags.at("PAIR");
-    pp.foldWidth = pair.unitWidth;
-    pp.totalWidth = pp.foldWidth * pp.nf;
-    pp.drainInternal = true;
-    result.foldPlans[TwoStageGroup::kInputPair] = pp;
-    FoldPlan mp = pp;
-    mp.nf = tags.at("MIRROR");
-    mp.foldWidth = mirror.unitWidth;
-    mp.totalWidth = mp.foldWidth * mp.nf;
-    result.foldPlans[TwoStageGroup::kMirror] = mp;
+  TwoStageLayoutResult r;
+  static_cast<RowLayout&>(r) =
+      generateRowLayout(t, twoStageDeclaration(design), options, generateGeometry);
+  for (const auto& [group, item] : kGroupItems) {
+    r.foldPlans[group] = r.itemFoldPlans.at(item);
+    r.junctions[group] = r.itemJunctions.at(item);
   }
-
-  // --- Assemble. ---
-  Cell assembly;
-  assembly.name = "TWO_STAGE";
-  std::vector<RowActive> actives;
-  auto placeChild = [&](const Cell& child, const Rect& where, tech::MosType type,
-                        const char* wellNet) {
-    const Rect box = child.bbox();
-    const Coord dx = where.x0 - box.x0, dy = where.y0 - box.y0;
-    assembly.place(child, geom::Orient::kR0, dx, dy);
-    if (wellNet) {
-      const Rect act = child.shapes.bbox(tech::Layer::kActive).translated(dx, dy);
-      if (!act.empty()) actives.push_back({type, wellNet, act});
-    }
-  };
-  auto placeMotif = [&](const MotifLeaf& m) {
-    MosMotifSpec spec;
-    spec.name = m.name;
-    spec.type = m.type;
-    spec.plan = result.foldPlans[m.group];
-    spec.drawnL = design.geometry(m.group).l;
-    spec.terminalCurrent = twoStageGroupCurrent(design, m.group);
-    spec.drainNet = m.drain;
-    spec.gateNet = m.gate;
-    spec.sourceNet = m.source;
-    spec.bulkNet = m.bulk;
-    spec.emitWellAndSelect = false;
-    const Cell cell = generateMosMotif(t, spec);
-    placeChild(cell, fp.leaves.at(m.name).rect, m.type,
-               m.type == tech::MosType::kPmos ? m.bulk : "");
-  };
-  placeMotif(kTail);
-  placeMotif(kSink2);
-  placeMotif(kDriver);
-  placeChild(generateStack(t, pair), fp.leaves.at("PAIR").rect, tech::MosType::kNmos, "");
-  placeChild(generateStack(t, mirror), fp.leaves.at("MIRROR").rect, tech::MosType::kPmos,
-             "vdd");
-  placeChild(ccCell, fp.leaves.at("CC").rect, tech::MosType::kNmos, nullptr);
-  placeChild(rzCell, fp.leaves.at("RZ").rect, tech::MosType::kNmos, nullptr);
-
-  // Wells / selects per row (all PMOS here sit in a VDD well).
-  const geom::ShapeList wellShapes = mergedRowWells(t, actives);
-
-  // Routing channels around the three rows.
-  const std::vector<Channel> channels = rowChannels(t, placement, 16000);
-
-  const std::vector<NetRequest> nets = {
-      {"tail", design.tailCurrent}, {"d1", design.tailCurrent / 2},
-      {"o1", design.tailCurrent / 2}, {"out", design.stage2Current},
-      {"rzm", 0.0}, {"inp", 0.0}, {"inn", 0.0}, {"vbn", 0.0},
-      {"vdd", design.supplyCurrent()}, {"gnd", design.supplyCurrent()},
-  };
-  result.routing = routeCell(t, assembly, nets, channels, generateGeometry);
-  result.parasitics = buildReport(t, result.routing, wellShapes, {"vdd"});
-  // The passives' substrate parasitics join the report.
-  result.parasitics.nets["rzm"].routingCap += result.ccInfo.bottomParasitic;
-  result.parasitics.nets["o1"].routingCap += result.rzInfo.parasiticCap / 2.0;
-  result.parasitics.nets["rzm"].routingCap += result.rzInfo.parasiticCap / 2.0;
-
-  if (generateGeometry) {
-    assembly.shapes.merge(wellShapes, geom::Orient::kR0, 0, 0);
-    assembly.shapes.merge(result.routing.wires, geom::Orient::kR0, 0, 0);
-    result.cell = std::move(assembly);
-    const Rect box = result.cell.bbox();
-    result.width = box.width();
-    result.height = box.height();
-  }
-  return result;
+  r.pairPlan = r.stackPlans.at("PAIR");
+  r.ccInfo = r.capacitors.at("CC");
+  r.rzInfo = r.resistors.at("RZ");
+  return r;
 }
 
 }  // namespace lo::layout

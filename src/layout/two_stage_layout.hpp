@@ -1,50 +1,19 @@
-// Procedural layout program for the two-stage Miller OTA -- the second
-// "CAIRO program" in the library, demonstrating that new topologies plug
-// into the same constraint/row placement pipeline: the topology declares
-// its matching intent (twoStagePlacementConstraints) and the RowPlacer
-// realises the rows.  The declared backend reproduces the historical
-// floorplan byte-for-byte:
+// The two-stage Miller OTA's layout declaration: the second topology fed
+// to the one layout program (layout/row_layout.hpp), passives included.
+// The topology declares its matching intent (twoStagePlacementConstraints)
+// and the RowPlacer realises the rows.  The declared backend reproduces
+// this floorplan:
 //   top row    : MP3-MP4 mirror stack (PMOS, shared VDD well) | MP6 motif
 //   middle row : CC plate capacitor | RZ poly serpentine
 //   bottom row : MN5 (tail) | MN1/MN2 common-centroid stack | MN7
 #pragma once
 
-#include <cstdint>
 #include <map>
 
 #include "circuit/two_stage.hpp"
-#include "device/folding.hpp"
-#include "layout/cell.hpp"
-#include "layout/constraints.hpp"
-#include "layout/extract.hpp"
-#include "layout/passives.hpp"
-#include "layout/router.hpp"
-#include "layout/row.hpp"
-#include "layout/slicing.hpp"
-#include "layout/stack.hpp"
-#include "tech/technology.hpp"
+#include "layout/row_layout.hpp"
 
 namespace lo::layout {
-
-struct TwoStageLayoutOptions {
-  device::FoldStyle foldStyle = device::FoldStyle::kDrainInternal;
-  int dummiesPerSide = 1;
-  ShapeConstraint shape = defaultShape();
-  int maxFoldCandidates = 6;
-
-  /// Row-placer backend (see OtaLayoutOptions).
-  RowSearch placerSearch = RowSearch::kDeclared;
-  std::uint64_t placerSeed = 1;
-  int placerCandidates = 96;
-  int placerThreads = 1;
-  double wireCostNm = 50.0;
-
-  [[nodiscard]] static ShapeConstraint defaultShape() {
-    ShapeConstraint c;
-    c.aspectRatio = 1.0;
-    return c;
-  }
-};
 
 /// The two-stage OTA's declared matching intent: the input pair and the
 /// current mirror each fuse common-centroid into a stack, the three
@@ -52,23 +21,20 @@ struct TwoStageLayoutOptions {
 /// compensation network (CC, RZ) stays tightly coupled.
 [[nodiscard]] ConstraintSet twoStagePlacementConstraints();
 
-struct TwoStageLayoutResult {
+/// The layout program's outputs, with fold plans and junctions keyed by
+/// device group.
+struct TwoStageLayoutResult : RowLayout {
   std::map<circuit::TwoStageGroup, device::FoldPlan> foldPlans;
   std::map<circuit::TwoStageGroup, device::MosGeometry> junctions;
-  ParasiticReport parasitics;
   StackPlan pairPlan;
   CapacitorInfo ccInfo;
   ResistorInfo rzInfo;
-  geom::Coord width = 0;
-  geom::Coord height = 0;
-  FloorplanResult floorplan;
-  RowPlacement placement;  ///< Row placer outcome (rows, score).
-  RoutingResult routing;
-  Cell cell;  ///< Geometry; empty in parasitic mode.
 };
 
+/// Run the layout program on the two-stage OTA.  `generateGeometry`
+/// selects the mode.
 [[nodiscard]] TwoStageLayoutResult generateTwoStageLayout(
     const tech::Technology& t, const circuit::TwoStageOtaDesign& design,
-    const TwoStageLayoutOptions& options, bool generateGeometry);
+    const LayoutOptions& options, bool generateGeometry);
 
 }  // namespace lo::layout

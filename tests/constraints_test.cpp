@@ -124,16 +124,10 @@ TEST(Constraints, QueriesExposeLocksMatchingAndAxis) {
 // what the engine checks before the first layout call.
 TEST(Constraints, BuiltInTopologyDeclarationsAreValid) {
   for (bool bias : {false, true}) {
-    const ConstraintSet ota = otaPlacementConstraints(OtaLayoutOptions{}, bias);
+    const ConstraintSet ota = otaPlacementConstraints(bias);
     EXPECT_TRUE(validateConstraints(ota).empty()) << "bias=" << bias;
     EXPECT_GE(ota.size(), 9u);
   }
-  OtaLayoutOptions interdig;
-  interdig.commonCentroidPair = false;
-  ASSERT_NE(otaPlacementConstraints(interdig, false).matchingFor("PAIR"), nullptr);
-  EXPECT_EQ(otaPlacementConstraints(interdig, false).matchingFor("PAIR")->kind,
-            ConstraintKind::kInterdigitate);
-
   const ConstraintSet twoStage = twoStagePlacementConstraints();
   EXPECT_TRUE(validateConstraints(twoStage).empty());
   ASSERT_NE(twoStage.matchingFor("MIRROR"), nullptr);

@@ -222,8 +222,8 @@ TEST(Corners, FlowDrawsTheBiasGenerator) {
   const core::EngineResult r = engine.run(topology, sizing::OtaSpecs{});
   const layout::OtaLayoutResult& lay = topology.layout();
   // Bias devices drawn and DRC-clean.
-  EXPECT_TRUE(lay.floorplan.leaves.count("MNB1"));
-  EXPECT_TRUE(lay.floorplan.leaves.count("MPB2"));
+  EXPECT_TRUE(lay.placement.floorplan.leaves.count("MNB1"));
+  EXPECT_TRUE(lay.placement.floorplan.leaves.count("MPB2"));
   const auto violations = layout::runDrc(kTech, lay.cell.shapes);
   std::size_t shorts = 0;
   for (const auto& v : violations) {

@@ -142,7 +142,7 @@ TEST(Flow, IterationHistoryShowsParasiticSettling) {
 
 TEST(Flow, FoldPolicyAblationChangesLayoutStyle) {
   const SynthesisEngine engine(kTech, EngineOptions{});
-  layout::OtaLayoutOptions alternatingStyle;
+  layout::LayoutOptions alternatingStyle;
   alternatingStyle.foldStyle = device::FoldStyle::kAlternating;
   FoldedCascodeOtaTopology internal(kTech, engine.model());
   FoldedCascodeOtaTopology alternating(kTech, engine.model(), alternatingStyle);

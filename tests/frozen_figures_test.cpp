@@ -208,19 +208,18 @@ Json layoutJson(const Result& r) {
 /// The variants every design is laid out with: the default options,
 /// alternating folds, a height-capped shape offering three fold
 /// candidates, and the seeded row search.
-template <typename Options>
-Options variantOptions(std::string_view variant) {
-  Options o;
+layout::LayoutOptions variantOptions(std::string_view variant) {
+  layout::LayoutOptions o;
   if (variant == "alternating") o.foldStyle = device::FoldStyle::kAlternating;
   if (variant == "capped") {
-    o.shape = layout::ShapeConstraint{};
-    o.shape.maxHeight = 120000;
+    o.placer.shape = layout::ShapeConstraint{};
+    o.placer.shape.maxHeight = 120000;
     o.maxFoldCandidates = 3;
   }
   if (variant == "seeded") {
-    o.placerSearch = layout::RowSearch::kSeeded;
-    o.placerSeed = 3;
-    o.placerCandidates = 24;
+    o.placer.search = layout::RowSearch::kSeeded;
+    o.placer.seed = 3;
+    o.placer.candidates = 24;
   }
   return o;
 }
@@ -260,9 +259,8 @@ TEST(FrozenFigures, LayoutProgramOutputs) {
 
       const std::string mode = generate ? "/generation" : "/parasitic";
       auto addOta = [&](const std::string& variant, const circuit::OtaBiasDesign* b) {
-        auto options = variantOptions<layout::OtaLayoutOptions>(variant);
-        options.biasGenerator = b;
-        const layout::OtaLayoutResult r = layout::generateOtaLayout(kTech, ota, options, generate);
+        const layout::OtaLayoutResult r =
+            layout::generateOtaLayout(kTech, ota, variantOptions(variant), generate, b);
         Json j = layoutJson(r);
         j.set("pair", stackPlanJson(r.pairPlan));
         j.set("sink", stackPlanJson(r.sinkPlan));
@@ -274,9 +272,7 @@ TEST(FrozenFigures, LayoutProgramOutputs) {
       addOta("default", &bias);
       for (const char* variant : {"default", "alternating", "capped", "seeded"}) {
         const layout::TwoStageLayoutResult r =
-            layout::generateTwoStageLayout(kTech, two,
-                                           variantOptions<layout::TwoStageLayoutOptions>(variant),
-                                           generate);
+            layout::generateTwoStageLayout(kTech, two, variantOptions(variant), generate);
         Json j = layoutJson(r);
         j.set("pair", stackPlanJson(r.pairPlan));
         j.set("passives", row(r.ccInfo.drawnFarads, r.ccInfo.bottomParasitic,

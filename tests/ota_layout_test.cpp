@@ -30,7 +30,7 @@ circuit::FoldedCascodeOtaDesign testDesign() {
 
 TEST(OtaLayout, ParasiticModeReportsEverything) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, /*generateGeometry=*/false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, /*generateGeometry=*/false);
   // Fold plans for all six matched groups.
   EXPECT_EQ(r.foldPlans.size(), 6u);
   EXPECT_EQ(r.junctions.size(), 6u);
@@ -47,7 +47,7 @@ TEST(OtaLayout, ParasiticModeReportsEverything) {
 
 TEST(OtaLayout, DrainInternalPolicyGivesEvenFoldsEverywhere) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   for (const auto& [group, plan] : r.foldPlans) {
     EXPECT_EQ(plan.nf % 2, 0) << circuit::otaGroupName(group);
   }
@@ -58,10 +58,10 @@ TEST(OtaLayout, DrainInternalPolicyGivesEvenFoldsEverywhere) {
 
 TEST(OtaLayout, SymmetricDevicesShareFoldCounts) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   // Matched groups share one plan by construction; verify the floorplan kept
   // mirror positions symmetric: MP3C and MP4C have equal widths.
-  const auto& fp = r.floorplan;
+  const auto& fp = r.placement.floorplan;
   EXPECT_EQ(fp.leaves.at("MP3C").rect.width(), fp.leaves.at("MP4C").rect.width());
   EXPECT_EQ(fp.leaves.at("MP3").rect.width(), fp.leaves.at("MP4").rect.width());
   EXPECT_EQ(fp.leaves.at("MN1C").rect.width(), fp.leaves.at("MN2C").rect.width());
@@ -69,12 +69,12 @@ TEST(OtaLayout, SymmetricDevicesShareFoldCounts) {
 }
 
 TEST(OtaLayout, ShapeConstraintChangesFloorplan) {
-  OtaLayoutOptions wide;
-  wide.shape = ShapeConstraint{};
-  wide.shape.aspectRatio = 3.0;
-  OtaLayoutOptions tall;
-  tall.shape = ShapeConstraint{};
-  tall.shape.aspectRatio = 0.4;
+  LayoutOptions wide;
+  wide.placer.shape = ShapeConstraint{};
+  wide.placer.shape.aspectRatio = 3.0;
+  LayoutOptions tall;
+  tall.placer.shape = ShapeConstraint{};
+  tall.placer.shape.aspectRatio = 0.4;
   const OtaLayoutResult rw = generateOtaLayout(kTech, testDesign(), wide, false);
   const OtaLayoutResult rt = generateOtaLayout(kTech, testDesign(), tall, false);
   const double ratioW = static_cast<double>(rw.width) / rw.height;
@@ -84,9 +84,9 @@ TEST(OtaLayout, ShapeConstraintChangesFloorplan) {
 
 TEST(OtaLayout, GenerationModeEmitsGeometryMatchingEstimate) {
   const OtaLayoutResult est =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   const OtaLayoutResult gen =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, true);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, true);
   EXPECT_FALSE(gen.cell.shapes.empty());
   // Same fold decisions in both modes.
   for (const auto& [group, plan] : est.foldPlans) {
@@ -101,7 +101,7 @@ TEST(OtaLayout, GenerationModeEmitsGeometryMatchingEstimate) {
 
 TEST(OtaLayout, PairMatchingMetrics) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   EXPECT_EQ(r.pairPlan.metrics[0].orientationImbalance, 0);
   EXPECT_EQ(r.pairPlan.metrics[1].orientationImbalance, 0);
   EXPECT_NEAR(r.pairPlan.metrics[0].centroidOffset, r.pairPlan.metrics[1].centroidOffset,
@@ -110,8 +110,8 @@ TEST(OtaLayout, PairMatchingMetrics) {
 }
 
 TEST(OtaLayout, AlternatingAblationRaisesDrainCap) {
-  OtaLayoutOptions internal;
-  OtaLayoutOptions alternating;
+  LayoutOptions internal;
+  LayoutOptions alternating;
   alternating.foldStyle = device::FoldStyle::kAlternating;
   const OtaLayoutResult ri = generateOtaLayout(kTech, testDesign(), internal, false);
   const OtaLayoutResult ra = generateOtaLayout(kTech, testDesign(), alternating, false);
@@ -124,7 +124,7 @@ TEST(OtaLayout, AlternatingAblationRaisesDrainCap) {
 
 TEST(OtaLayout, PlacementReportsConstraintDerivedRows) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   // Fig. 5's three diffusion rows, bottom to top: NMOS core, the pair's
   // floating-well stack, the VDD PMOS row.
   ASSERT_EQ(r.placement.rows.size(), 3u);
@@ -138,30 +138,29 @@ TEST(OtaLayout, PlacementReportsConstraintDerivedRows) {
   EXPECT_EQ(r.placement.rows[2].wellNet, "vdd");
   EXPECT_EQ(r.placement.rows[2].items,
             (std::vector<std::string>{"MP3C", "MP3", "MP5", "MP4", "MP4C"}));
-  EXPECT_EQ(r.placement.floorplan.width, r.floorplan.width);
   EXPECT_GT(r.placement.scoreNm2, r.placement.floorplan.areaNm2());
 }
 
 TEST(OtaLayout, DeclaredPlacementPassesSymmetryAudit) {
-  const OtaLayoutOptions options;
-  const OtaLayoutResult r = generateOtaLayout(kTech, testDesign(), options, false);
-  const ConstraintSet constraints = otaPlacementConstraints(options, /*includeBias=*/false);
-  const auto violations = auditSymmetry(constraints, r.floorplan.leaves, kTech.rules.grid);
+  const OtaLayoutResult r = generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
+  const ConstraintSet constraints = otaPlacementConstraints(/*includeBias=*/false);
+  const auto violations =
+      auditSymmetry(constraints, r.placement.floorplan.leaves, kTech.rules.grid);
   EXPECT_TRUE(violations.empty()) << formatViolations(violations);
 }
 
 TEST(OtaLayout, SeededPlacerKeepsSymmetryAndNeverLoses) {
-  OtaLayoutOptions seeded;
-  seeded.placerSearch = RowSearch::kSeeded;
-  seeded.placerSeed = 11;
-  seeded.placerCandidates = 24;
+  LayoutOptions seeded;
+  seeded.placer.search = RowSearch::kSeeded;
+  seeded.placer.seed = 11;
+  seeded.placer.candidates = 24;
   const OtaLayoutResult rd =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, false);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, false);
   const OtaLayoutResult rs = generateOtaLayout(kTech, testDesign(), seeded, false);
   EXPECT_LE(rs.placement.scoreNm2, rd.placement.scoreNm2);
-  const auto& fp = rs.floorplan;
+  const auto& fp = rs.placement.floorplan;
   EXPECT_EQ(fp.leaves.at("MP3C").rect.width(), fp.leaves.at("MP4C").rect.width());
-  const ConstraintSet constraints = otaPlacementConstraints(seeded, false);
+  const ConstraintSet constraints = otaPlacementConstraints(false);
   EXPECT_TRUE(auditSymmetry(constraints, fp.leaves, kTech.rules.grid).empty());
 }
 
@@ -170,7 +169,7 @@ TEST(OtaLayout, SeededPlacerKeepsSymmetryAndNeverLoses) {
 // the annotated circuit carries equal RPAR_ elements on both sides.
 TEST(OtaLayout, MirroredPlacementMatchesWireResistances) {
   const OtaLayoutResult r =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, /*generateGeometry=*/true);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, /*generateGeometry=*/true);
   const double resX1 = r.parasitics.nets.at("x1").routingRes;
   const double resX2 = r.parasitics.nets.at("x2").routingRes;
   ASSERT_GT(resX1, 0.0);
@@ -192,7 +191,7 @@ TEST(OtaLayout, MirroredPlacementMatchesWireResistances) {
 
 TEST(OtaLayout, GeneratedLayoutHasNoShorts) {
   const OtaLayoutResult gen =
-      generateOtaLayout(kTech, testDesign(), OtaLayoutOptions{}, true);
+      generateOtaLayout(kTech, testDesign(), LayoutOptions{}, true);
   const auto violations = runDrc(kTech, gen.cell.shapes);
   std::vector<DrcViolation> shorts;
   for (const DrcViolation& v : violations) {

@@ -156,7 +156,7 @@ TEST(TwoStage, LayoutIsDrcCleanAndReportsPassives) {
   sizing::TwoStageSizer sizer(kTech, *model);
   const auto r = sizer.size(twoStageSpecs(), sizing::SizingPolicy::case2());
   const auto lay =
-      layout::generateTwoStageLayout(kTech, r.design, layout::TwoStageLayoutOptions{}, true);
+      layout::generateTwoStageLayout(kTech, r.design, layout::LayoutOptions{}, true);
   EXPECT_NEAR(lay.ccInfo.drawnFarads, r.design.cc, r.design.cc * 0.05);
   EXPECT_NEAR(lay.rzInfo.drawnOhms, r.design.rz, r.design.rz * 0.25);
   EXPECT_EQ(lay.junctions.size(), 5u);

@@ -49,22 +49,6 @@ Rect ShapeList::bbox(tech::Layer layer) const {
   return first ? Rect{} : box;
 }
 
-std::vector<Shape> ShapeList::onLayer(tech::Layer layer) const {
-  std::vector<Shape> out;
-  for (const Shape& s : shapes_) {
-    if (s.layer == layer) out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<Shape> ShapeList::onNet(const std::string& net) const {
-  std::vector<Shape> out;
-  for (const Shape& s : shapes_) {
-    if (s.net == net) out.push_back(s);
-  }
-  return out;
-}
-
 double ShapeList::drawnAreaM2(tech::Layer layer) const {
   double area = 0.0;
   for (const Shape& s : shapes_) {

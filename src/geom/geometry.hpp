@@ -141,11 +141,6 @@ class ShapeList {
   /// Bounding box restricted to one layer; empty Rect if none.
   [[nodiscard]] Rect bbox(tech::Layer layer) const;
 
-  /// All shapes on one layer.
-  [[nodiscard]] std::vector<Shape> onLayer(tech::Layer layer) const;
-  /// All shapes tagged with `net`.
-  [[nodiscard]] std::vector<Shape> onNet(const std::string& net) const;
-
   /// Total drawn area on a layer [m^2], counting overlaps twice (the
   /// generators avoid overlapping same-layer shapes on purpose).
   [[nodiscard]] double drawnAreaM2(tech::Layer layer) const;

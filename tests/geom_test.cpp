@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace lo::geom {
 namespace {
 
@@ -110,8 +112,11 @@ TEST(ShapeList, NetAndLayerQueries) {
   sl.add(Layer::kMetal1, Rect(0, 0, 10, 10), "vdd");
   sl.add(Layer::kMetal1, Rect(20, 0, 30, 10), "gnd");
   sl.add(Layer::kPoly, Rect(0, 0, 5, 5), "vdd");
-  EXPECT_EQ(sl.onLayer(Layer::kMetal1).size(), 2u);
-  EXPECT_EQ(sl.onNet("vdd").size(), 2u);
+  EXPECT_EQ(sl.bbox(Layer::kMetal1), Rect(0, 0, 30, 10));
+  EXPECT_EQ(sl.bbox(Layer::kPoly), Rect(0, 0, 5, 5));
+  EXPECT_TRUE(sl.bbox(Layer::kMetal2).empty());
+  EXPECT_EQ(std::ranges::count_if(sl.shapes(), [](const Shape& s) { return s.net == "vdd"; }),
+            2);
   EXPECT_DOUBLE_EQ(sl.drawnAreaM2(Layer::kMetal1), 2.0e-16);
 }
 

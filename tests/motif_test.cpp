@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "layout/drc.hpp"
 #include "tech/units.hpp"
 
@@ -100,19 +102,20 @@ TEST(MosMotif, WellOnlyForPmos) {
   spec.type = tech::MosType::kPmos;
   spec.bulkNet = "tailnet";
   const Cell pmos = generateMosMotif(kTech, spec);
-  const auto wells = pmos.shapes.onLayer(tech::Layer::kNWell);
-  ASSERT_EQ(wells.size(), 1u);
-  EXPECT_EQ(wells[0].net, "tailnet");
+  const auto isWell = [](const geom::Shape& s) { return s.layer == tech::Layer::kNWell; };
+  ASSERT_EQ(std::ranges::count_if(pmos.shapes.shapes(), isWell), 1);
+  EXPECT_EQ(std::ranges::find_if(pmos.shapes.shapes(), isWell)->net, "tailnet");
 
   spec.type = tech::MosType::kNmos;
   const Cell nmos = generateMosMotif(kTech, spec);
-  EXPECT_TRUE(nmos.shapes.onLayer(tech::Layer::kNWell).empty());
+  EXPECT_TRUE(nmos.shapes.bbox(tech::Layer::kNWell).empty());
 }
 
 TEST(MosMotif, GateLengthSnapsUpToMinimum) {
   MosMotifSpec spec = specFor(2, 20e-6, 0.3e-6);  // Below the 0.6 um minimum.
   const Cell cell = generateMosMotif(kTech, spec);
-  for (const geom::Shape& s : cell.shapes.onLayer(tech::Layer::kPoly)) {
+  for (const geom::Shape& s : cell.shapes.shapes()) {
+    if (s.layer != tech::Layer::kPoly) continue;
     EXPECT_GE(std::min(s.rect.width(), s.rect.height()), kTech.rules.polyMinWidth);
   }
 }

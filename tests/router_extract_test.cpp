@@ -62,8 +62,8 @@ TEST(Router, ConflictingTrunksGetSeparatedTracks) {
   // Emitted trunk rects (metal1, spanning the full port range) must not
   // violate metal1 spacing.
   std::vector<geom::Rect> trunkRects;
-  for (const geom::Shape& s : r.wires.onLayer(tech::Layer::kMetal1)) {
-    if (s.rect.width() > 50000) trunkRects.push_back(s.rect);
+  for (const geom::Shape& s : r.wires.shapes()) {
+    if (s.layer == tech::Layer::kMetal1 && s.rect.width() > 50000) trunkRects.push_back(s.rect);
   }
   ASSERT_EQ(trunkRects.size(), 2u);
   EXPECT_GE(trunkRects[0].distanceTo(trunkRects[1]), kTech.rules.metal1Spacing);
@@ -89,7 +89,7 @@ TEST(Router, GeometryModeEmitsDrcCompatibleWires) {
   const RoutingResult r = routeCell(kTech, c, {{"a", 1e-3}, {"b", 0.0}}, true);
   EXPECT_FALSE(r.wires.empty());
   // Via cuts present for each branch.
-  EXPECT_FALSE(r.wires.onLayer(tech::Layer::kVia1).empty());
+  EXPECT_FALSE(r.wires.bbox(tech::Layer::kVia1).empty());
   // Parasitic mode produces identical electrical numbers.
   const RoutingResult rp = routeCell(kTech, c, {{"a", 1e-3}, {"b", 0.0}}, false);
   ASSERT_EQ(r.nets.size(), rp.nets.size());

@@ -225,18 +225,20 @@ TEST(RowPlacer, MergedWellsGroupByWellNetInFirstAppearanceOrder) {
   };
   const geom::ShapeList wells = mergedRowWells(kTech, actives);
 
-  const auto nwells = wells.onLayer(tech::Layer::kNWell);
-  ASSERT_EQ(nwells.size(), 2u);
-  EXPECT_EQ(nwells[0].net, "vdd");
-  EXPECT_EQ(nwells[1].net, "tail");
+  // Per well net, an N-well then its P+ select; the one N+ select last.
+  const std::vector<geom::Shape>& shapes = wells.shapes();
+  ASSERT_EQ(shapes.size(), 5u);
+  EXPECT_EQ(shapes[0].layer, tech::Layer::kNWell);
+  EXPECT_EQ(shapes[0].net, "vdd");
   const geom::Coord g = kTech.rules.nwellOverActive;
-  EXPECT_EQ(nwells[0].rect, (geom::Rect{0 - g, 100000 - g, 120000 + g, 200000 + g}));
-
-  EXPECT_EQ(wells.onLayer(tech::Layer::kPPlus).size(), 2u);
-  const auto nplus = wells.onLayer(tech::Layer::kNPlus);
-  ASSERT_EQ(nplus.size(), 1u);
+  EXPECT_EQ(shapes[0].rect, (geom::Rect{0 - g, 100000 - g, 120000 + g, 200000 + g}));
+  EXPECT_EQ(shapes[1].layer, tech::Layer::kPPlus);
+  EXPECT_EQ(shapes[2].layer, tech::Layer::kNWell);
+  EXPECT_EQ(shapes[2].net, "tail");
+  EXPECT_EQ(shapes[3].layer, tech::Layer::kPPlus);
+  EXPECT_EQ(shapes[4].layer, tech::Layer::kNPlus);
   const geom::Coord s = kTech.rules.selectOverActive;
-  EXPECT_EQ(nplus[0].rect, (geom::Rect{0 - s, 0 - s, 120000 + s, 50000 + s}));
+  EXPECT_EQ(shapes[4].rect, (geom::Rect{0 - s, 0 - s, 120000 + s, 50000 + s}));
 }
 
 // Satellite requirement: the DRC symmetry audit flags placements that

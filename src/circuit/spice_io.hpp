@@ -12,7 +12,8 @@
 //   I<name> p n DC <v> | PULSE(...) | SIN(...) [AC <mag>]
 //   E<name> p n cp cn <gain>
 //
-// Numbers carry the usual SI suffixes (f p n u m k meg g t).
+// Numbers carry the usual SI suffixes (f p n u m k meg g t) and every
+// digit they need to read back exactly.
 #pragma once
 
 #include <string>
@@ -24,7 +25,8 @@ namespace lo::circuit {
 /// Serialise a circuit to netlist text.
 [[nodiscard]] std::string writeNetlist(const Circuit& circuit);
 
-/// Format a value in engineering notation with SI suffix (e.g. "2.5u").
+/// Format a value in engineering notation with SI suffix (e.g. "2.5u"),
+/// with the digits of its shortest round-trip text.
 [[nodiscard]] std::string formatSpiceNumber(double value);
 
 }  // namespace lo::circuit

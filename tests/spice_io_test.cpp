@@ -47,6 +47,8 @@ TEST(NetlistWriter, PinsTheTextOfEveryElementKind) {
       {4.7e3, "4.7k"},  {1.5, "1.5"},     {2.5e-3, "2.5m"},  {2.5e-6, "2.5u"},
       {4.7e-9, "4.7n"}, {1e-12, "1p"},    {100e-15, "100f"}, {0.0, "0"},
       {-3e-3, "-3m"},   {5e-18, "5e-18"},
+      // Every digit the value needs, with no rounding.
+      {1.23456789e-6, "1.23456789u"}, {33.3333333e-6, "33.3333333u"},
   };
   for (const auto& [value, text] : kNumbers) {
     EXPECT_EQ(formatSpiceNumber(value), text) << value;

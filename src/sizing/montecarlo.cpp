@@ -28,7 +28,9 @@ MonteCarloResult runMonteCarlo(const tech::Technology& t, const device::MosModel
   // warm-starts from the previous one (cold-ladder fallback on the rare
   // divergent draw).
   circuit::Circuit work = base;
-  sim::Simulator sim(work, t, model);
+  sim::SimOptions simOptions;
+  simOptions.tempK = t.temperature;
+  sim::Simulator sim(work, t, model, simOptions);
   sim::Simulator::WarmStart warm;
   const auto inp = *work.findNode("inp");
   const auto out = *work.findNode("out");

@@ -40,7 +40,8 @@ struct MonteCarloResult {
   std::vector<double> gainsDb;
 };
 
-/// Run the analysis on the OTA design (optionally parasitic-annotated).
+/// Run the analysis on the OTA design (optionally parasitic-annotated), at
+/// the technology's temperature like the sizers and the verification.
 [[nodiscard]] MonteCarloResult runMonteCarlo(const tech::Technology& t,
                                              const device::MosModel& model,
                                              const circuit::FoldedCascodeOtaDesign& design,

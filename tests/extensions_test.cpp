@@ -10,7 +10,9 @@
 #include "sizing/montecarlo.hpp"
 #include "sizing/ota_sizer.hpp"
 #include "layout/drc.hpp"
+#include "sim/measure.hpp"
 #include "sim/op_report.hpp"
+#include "sim/simulator.hpp"
 #include "sizing/two_stage.hpp"
 #include "verify/verify.hpp"
 
@@ -275,6 +277,33 @@ TEST(MonteCarlo, Deterministic) {
   for (std::size_t i = 0; i < a.offsetsMv.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.offsetsMv[i], b.offsetsMv[i]);
   }
+}
+
+// With zero mismatch a trial is the nominal testbench, so its gain must be
+// the one a simulator at the technology's temperature measures there.
+TEST(MonteCarlo, SimulatesAtTheTechnologyTemperature) {
+  tech::Technology hot = kTech;
+  hot.temperature = 398.15;
+  const auto model = device::MosModel::create("ekv");
+  const circuit::FoldedCascodeOtaDesign design =
+      sizing::OtaSizer(kTech, *model)
+          .size(sizing::OtaSpecs{}, sizing::SizingPolicy::case2())
+          .design;
+  sizing::MonteCarloOptions mc;
+  mc.samples = 1;
+  mc.avt = 0.0;
+  mc.abeta = 0.0;
+  const auto trial = sizing::runMonteCarlo(hot, *model, design, nullptr, mc);
+  ASSERT_EQ(trial.gainsDb.size(), 1u);
+
+  const circuit::Circuit bench =
+      sizing::OtaVerifier(hot, *model).buildAcTestbench(design, nullptr, 1.0, 0.0, 0.0);
+  sim::SimOptions options;
+  options.tempK = hot.temperature;
+  const sim::Simulator sim(bench, hot, *model, options);
+  const auto ac = sim.ac(sim.dcOperatingPoint(), 10.0, 100.0, 3);
+  const double gainDb = sim::toDb(sim::dcGain(sim::curveAt(ac, *bench.findNode("out"))));
+  EXPECT_NEAR(trial.gainsDb[0], gainDb, 1e-9 * std::abs(gainDb));
 }
 
 // --- Usable range (input CM range / output swing intersection). ---

@@ -52,13 +52,6 @@ struct RoutingResult {
   /// the (lexicographically ordered) net-name pair.
   std::map<std::pair<std::string, std::string>, double> coupling;
   geom::ShapeList wires;  ///< Trunk/branch/via geometry (generation mode).
-
-  [[nodiscard]] const RoutedNet* find(const std::string& net) const {
-    for (const RoutedNet& n : nets) {
-      if (n.net == net) return &n;
-    }
-    return nullptr;
-  }
 };
 
 /// Route the given nets over `cell`'s ports.  Nets with fewer than two

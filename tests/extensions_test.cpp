@@ -2,6 +2,7 @@
 // process corners, and Monte-Carlo statistical verification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/engine.hpp"
@@ -95,11 +96,10 @@ TEST(Resistance, TrunkResistanceScalesWithLength) {
               geom::Rect(i * 400000, 5000, i * 400000 + 1000, 6000));
   }
   const auto r = layout::routeCell(kTech, c, {{"a", 0.0}, {"b", 0.0}}, false);
-  const auto* a = r.find("a");
-  const auto* b = r.find("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(r.find("zz"), nullptr);
+  const auto a = std::ranges::find(r.nets, "a", &layout::RoutedNet::net);
+  const auto b = std::ranges::find(r.nets, "b", &layout::RoutedNet::net);
+  ASSERT_NE(a, r.nets.end());
+  ASSERT_NE(b, r.nets.end());
   // 4x the span; the constant via-stack term dilutes the ratio.
   EXPECT_GT(b->resistanceOhm, 2.0 * a->resistanceOhm);
   // 100 um of 1 um metal1 at 0.07 ohm/sq is about 7 ohm.

@@ -13,10 +13,16 @@
 # and examples/ plus jobbench; the test binaries are those under tests/
 # plus jobbench_tests.
 #
-# Prints three lists: the strong functions kept by no binary, those kept
-# only by test binaries (each line names its library), and the counts.
-# Exits 1 when the first list is not empty.  The build log is
-# <build-dir>/unreached-build.log.
+# Prints four lists: the strong functions kept by no binary, those kept
+# only by test binaries (each line names its library), the counts, and, for
+# information only, every lo:: function kept only by test binaries, inline
+# and template ones included.  That last list leaves out anonymous
+# namespaces, lo::testkit (the test-support library, whose strong functions
+# the second list shows), the special members compilers define implicitly
+# (default, copy and move constructors, copy and move assignments,
+# destructors), and helpers defined under tests/, which the line tables of
+# -g1 locate.  Exits 1 when the first list is not empty, whatever the
+# fourth holds.  The build log is <build-dir>/unreached-build.log.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -30,7 +36,7 @@ log="$build/unreached-build.log"
 
 if ! {
   cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
-    -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
+    -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections -g1" \
     -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" \
     -DCMAKE_PROJECT_INCLUDE="$root/jobbench/attach.cmake"
   cmake --build "$build" -j4
@@ -89,5 +95,61 @@ echo "kept only by tests: $(wc -l <"$work/tests_only")" \
   "(outside lo_testkit: $(grep -vc '^lo_testkit ' "$work/tests_only" || true))"
 echo "kept by no binary: $(wc -l <"$work/none")"
 echo "binaries: ${#shipped[@]} shipped, ${#tests[@]} test"
+
+# "<binary> <address> <mangled>" for every lo:: function outside anonymous
+# namespaces that each binary keeps, weak ones included.
+lo_text() {
+  for bin in "$@"; do
+    nm --defined-only "$bin" | awk -v bin="$bin" \
+      '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZNK?2lo/ && $3 !~ /_GLOBAL__N/ { print bin, $1, $3 }'
+  done
+}
+lo_text "${shipped[@]}" | cut -d' ' -f3 | sort -u >"$work/shipped.lo"
+# One test binary per symbol, then its source file from that binary.
+lo_text "${tests[@]}" | sort -k3,3 -u |
+  awk 'NR == FNR { shipped[$0] = 1; next } !($3 in shipped)' "$work/shipped.lo" - |
+  sort -k1,1 >"$work/tests.lo"
+for bin in $(cut -d' ' -f1 "$work/tests.lo" | uniq); do
+  awk -v bin="$bin" '$1 == bin { print $3 }' "$work/tests.lo" >"$work/bin.syms"
+  awk -v bin="$bin" '$1 == bin { print "0x" $2 }' "$work/tests.lo" |
+    addr2line -e "$bin" | paste -d' ' "$work/bin.syms" -
+done | awk -v tests="$root/tests/" 'index($2, tests) != 1 { print $1 }' | c++filt |
+  awk '
+    # Index of the last "::" outside template arguments in s[1, stop).
+    function lastsep(s, stop,    i, c, depth, at) {
+      depth = 0; at = 0
+      for (i = 1; i < stop; i++) {
+        c = substr(s, i, 1)
+        if (c == "<") depth++
+        else if (c == ">") depth--
+        else if (depth == 0 && c == ":" && substr(s, i + 1, 1) == ":") at = i
+      }
+      return at
+    }
+    # Default, copy or move constructor, copy or move assignment, destructor.
+    function special(name,    i, c, depth, open, sep, scope, last, args, base) {
+      depth = 0; open = 0
+      for (i = 1; i <= length(name) && !open; i++) {
+        c = substr(name, i, 1)
+        if (c == "<") depth++
+        else if (c == ">") depth--
+        else if (depth == 0 && c == "(") open = i
+      }
+      sep = open ? lastsep(name, open) : 0
+      if (!sep) return 0
+      scope = substr(name, 1, sep - 1)
+      last = substr(name, sep + 2, open - sep - 2)
+      args = substr(name, open)
+      base = substr(scope, lastsep(scope, length(scope) + 1) + 2)
+      sub(/<.*/, "", base)
+      if (last == "~" base) return args == "()"
+      if (last != base && last != "operator=") return 0
+      if (args == "(" scope " const&)" || args == "(" scope "&&)") return 1
+      return last == base && args == "()"
+    }
+    $0 !~ /^lo::testkit::/ && !special($0)' | sort -u >"$work/tests_only_all"
+echo "== lo:: functions kept only by test binaries, inline and template ones included"
+cat "$work/tests_only_all"
+echo "count: $(wc -l <"$work/tests_only_all")"
 
 [ ! -s "$work/none" ]

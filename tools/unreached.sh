@@ -13,16 +13,16 @@
 # and examples/ plus jobbench; the test binaries are those under tests/
 # plus jobbench_tests.
 #
-# Prints four lists: the strong functions kept by no binary, those kept
-# only by test binaries (each line names its library), the counts, and, for
+# Prints the strong functions kept by no binary, those kept only by test
+# binaries (each line names its library) and the counts, then, for
 # information only, every lo:: function kept only by test binaries, inline
 # and template ones included.  That last list leaves out anonymous
 # namespaces, lo::testkit (the test-support library, whose strong functions
 # the second list shows), the special members compilers define implicitly
 # (default, copy and move constructors, copy and move assignments,
 # destructors), and helpers defined under tests/, which the line tables of
-# -g1 locate.  Exits 1 when the first list is not empty, whatever the
-# fourth holds.  The build log is <build-dir>/unreached-build.log.
+# -g1 locate.  Exits 1 when the first list is not empty, whatever the last
+# one holds.  The build log is <build-dir>/unreached-build.log.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -114,40 +114,10 @@ for bin in $(cut -d' ' -f1 "$work/tests.lo" | uniq); do
   awk -v bin="$bin" '$1 == bin { print "0x" $2 }' "$work/tests.lo" |
     addr2line -e "$bin" | paste -d' ' "$work/bin.syms" -
 done | awk -v tests="$root/tests/" 'index($2, tests) != 1 { print $1 }' | c++filt |
-  awk '
-    # Index of the last "::" outside template arguments in s[1, stop).
-    function lastsep(s, stop,    i, c, depth, at) {
-      depth = 0; at = 0
-      for (i = 1; i < stop; i++) {
-        c = substr(s, i, 1)
-        if (c == "<") depth++
-        else if (c == ">") depth--
-        else if (depth == 0 && c == ":" && substr(s, i + 1, 1) == ":") at = i
-      }
-      return at
-    }
-    # Default, copy or move constructor, copy or move assignment, destructor.
-    function special(name,    i, c, depth, open, sep, scope, last, args, base) {
-      depth = 0; open = 0
-      for (i = 1; i <= length(name) && !open; i++) {
-        c = substr(name, i, 1)
-        if (c == "<") depth++
-        else if (c == ">") depth--
-        else if (depth == 0 && c == "(") open = i
-      }
-      sep = open ? lastsep(name, open) : 0
-      if (!sep) return 0
-      scope = substr(name, 1, sep - 1)
-      last = substr(name, sep + 2, open - sep - 2)
-      args = substr(name, open)
-      base = substr(scope, lastsep(scope, length(scope) + 1) + 2)
-      sub(/<.*/, "", base)
-      if (last == "~" base) return args == "()"
-      if (last != base && last != "operator=") return 0
-      if (args == "(" scope " const&)" || args == "(" scope "&&)") return 1
-      return last == base && args == "()"
-    }
-    $0 !~ /^lo::testkit::/ && !special($0)' | sort -u >"$work/tests_only_all"
+  grep -v '^lo::testkit::' |
+  # Default, copy and move constructors, copy and move assignments, destructors.
+  grep -Ev '^((.*::)?([A-Za-z_][A-Za-z_0-9]*)(<.*>)?)::(~?\3|operator=)\((\1 const&|\1&&)?\)$' |
+  sort -u >"$work/tests_only_all" || true
 echo "== lo:: functions kept only by test binaries, inline and template ones included"
 cat "$work/tests_only_all"
 echo "count: $(wc -l <"$work/tests_only_all")"

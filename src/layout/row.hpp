@@ -5,8 +5,9 @@
 // item's shape menu is grid-snapped by the motif/stack generators -- and
 // the placer decides row assignment and in-row ordering instead of
 // arbitrary cuts.  This module is the generic middle of the layout
-// pipeline: topology generators declare *items* (motifs, matched stacks,
-// passives) and *constraints* (layout/constraints.hpp), the RowPlacer
+// pipeline: the layout program (layout/row_layout.hpp) turns a topology's
+// declaration into *items* (motifs, matched stacks, passives) and
+// *constraints* (layout/constraints.hpp), the RowPlacer
 // finds an arrangement that satisfies the constraints, and the existing
 // slicing-tree shape-function optimiser (layout/slicing.hpp) remains the
 // evaluation backend that picks each item's fold alternative and packs
@@ -110,9 +111,6 @@ class RowPlacer {
             ConstraintSet constraints);
 
   [[nodiscard]] RowPlacement place(const RowPlacerOptions& options) const;
-
-  [[nodiscard]] const std::vector<RowItem>& items() const { return items_; }
-  [[nodiscard]] const ConstraintSet& constraints() const { return constraints_; }
 
  private:
   const tech::Technology& tech_;
